@@ -439,6 +439,42 @@ func BenchmarkEngineMonthTraceRaw(b *testing.B) {
 	})
 }
 
+// BenchmarkStaticScenariosRaw runs the three static Figure 5 scenarios
+// (UpperBound Global, UpperBound PerDay, LowerBound) on a month of
+// un-quantized 1 Hz trace: tick is the 1 Hz oracle loop, fold the default
+// per-day fold kernels. The benchcheck ratio gate holds fold ahead of tick.
+func BenchmarkStaticScenariosRaw(b *testing.B) {
+	tr := engineBenchTraceRaw(b, 30)
+	planner := getPlanner(b)
+	for _, eng := range []struct {
+		name string
+		opts []sim.Option
+	}{
+		{"tick", []sim.Option{sim.WithTickEngine()}},
+		{"fold", nil},
+	} {
+		b.Run(eng.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var kwh float64
+				for _, run := range []func() (*sim.Result, error){
+					func() (*sim.Result, error) { return sim.RunUpperBoundGlobal(tr, planner.Big(), eng.opts...) },
+					func() (*sim.Result, error) { return sim.RunUpperBoundPerDay(tr, planner.Big(), eng.opts...) },
+					func() (*sim.Result, error) { return sim.RunLowerBound(tr, planner.Candidates(), eng.opts...) },
+				} {
+					res, err := run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					kwh += float64(res.TotalEnergy) / 3.6e6
+				}
+				b.ReportMetric(kwh, "kWh")
+			}
+			b.ReportMetric(3*float64(tr.Len())/float64(b.Elapsed().Nanoseconds())*float64(b.N)*1e9, "simsec/s")
+		})
+	}
+}
+
 // BenchmarkEngineMonthTrace compares the engines on a simulated month —
 // the scale at which the tick loop's O(trace-seconds) cost dominates and
 // the event engine's O(events) cost does not.

@@ -41,6 +41,11 @@ import (
 	"repro/internal/webapp"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so slow or stalled connections cannot pin the balancer's
+// connection slots.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bmlserve: ")
@@ -119,7 +124,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: farm.LoadBalancer()}
+	srv := &http.Server{Handler: farm.LoadBalancer(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		log.Printf("load balancer listening on http://%s/", ln.Addr())
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {

@@ -37,7 +37,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/tls"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -54,6 +56,11 @@ import (
 	"repro/internal/report"
 	"repro/internal/sim"
 )
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so slow or stalled connections cannot pin the coordinator's
+// connection slots.
+const readHeaderTimeout = 10 * time.Second
 
 // openJournalFile reads any records already in the journal (resuming an
 // interrupted run) and opens it for appending. A truncated final line — a
@@ -202,19 +209,32 @@ func runServe(cfg serveConfig, jobs []sim.SweepJob) int {
 		return exitUsage
 	}
 
+	// Load the key pair before listening: a bad -tls-cert/-tls-key fails
+	// here like a failed bind instead of after the listening banner.
+	scheme := "http"
+	srv := &http.Server{Handler: fleet, ReadHeaderTimeout: readHeaderTimeout}
+	if cfg.tlsCert != "" {
+		cert, err := tls.LoadX509KeyPair(cfg.tlsCert, cfg.tlsKey)
+		if err != nil {
+			log.Print(err)
+			return exitUsage
+		}
+		scheme = "https"
+		srv.TLSConfig = &tls.Config{Certificates: []tls.Certificate{cert}}
+	}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		log.Print(err)
 		return exitUsage
 	}
-	scheme := "http"
-	srv := &http.Server{Handler: fleet}
-	if cfg.tlsCert != "" {
-		scheme = "https"
-		go srv.ServeTLS(ln, cfg.tlsCert, cfg.tlsKey)
-	} else {
-		go srv.Serve(ln)
-	}
+	serveErr := make(chan error, 1)
+	go func() {
+		if srv.TLSConfig != nil {
+			serveErr <- srv.ServeTLS(ln, "", "")
+		} else {
+			serveErr <- srv.Serve(ln)
+		}
+	}()
 	defer srv.Close()
 	log.Printf("ingest listening on %s://%s (default run %q: POST /v1/cells, GET /v1/pending, GET /v1/status; multi-run: GET/PUT /v2/runs)",
 		scheme, ln.Addr(), cfg.runName())
@@ -317,6 +337,12 @@ func runServe(cfg serveConfig, jobs []sim.SweepJob) int {
 			log.Printf("spawned workers exited with the grid incomplete")
 			diagnose()
 			return exitIncomplete
+		case err := <-serveErr:
+			if !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("serve: %v", err)
+				diagnose()
+				return exitUsage
+			}
 		case <-timeout:
 			log.Printf("-wait %v elapsed with the grid incomplete", cfg.wait)
 			diagnose()

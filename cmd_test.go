@@ -1218,3 +1218,36 @@ func TestCmdFleetFlagValidation(t *testing.T) {
 	runCmdExit(t, 2, "bmlsweep", "-register", "http://127.0.0.1:1/", "-spawn", "1")
 	runCmdExit(t, 2, "bmlsweep", "-lease-ttl", "0s", "-serve", "127.0.0.1:0")
 }
+
+// TestCmdBMLSweepServeBadTLSCertExits pins that a coordinator whose
+// -tls-cert cannot be loaded fails like a failed bind — exit 2, promptly,
+// before announcing an https address it could never serve — rather than
+// logging "listening" and hanging.
+func TestCmdBMLSweepServeBadTLSCertExits(t *testing.T) {
+	dir := t.TempDir()
+	args := append([]string{"-serve", "127.0.0.1:0",
+		"-tls-cert", filepath.Join(dir, "missing-cert.pem"),
+		"-tls-key", filepath.Join(dir, "missing-key.pem")}, sweepGridArgs...)
+	cmd := exec.Command(cmdBinary(t, "bmlsweep"), args...)
+	var out strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Fatalf("bmlsweep with a missing -tls-cert exited with %v, want exit 2:\n%s", err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		cmd.Process.Kill()
+		<-done
+		t.Fatalf("bmlsweep with a missing -tls-cert did not exit:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "listening on") {
+		t.Errorf("coordinator announced an address before its certificate loaded:\n%s", out.String())
+	}
+}

@@ -54,9 +54,11 @@ func (j Joules) String() string {
 // String renders the power in Watts with three decimals.
 func (w Watts) String() string { return fmt.Sprintf("%.3f W", float64(w)) }
 
-// IsValid reports whether the power value is finite and non-negative.
+// IsValid reports whether the power value is finite and non-negative. NaN
+// fails both comparisons; two compares keep the check cheap enough for the
+// simulator's per-sample loops.
 func (w Watts) IsValid() bool {
-	return !math.IsNaN(float64(w)) && !math.IsInf(float64(w), 0) && w >= 0
+	return w >= 0 && w <= math.MaxFloat64
 }
 
 // IsValid reports whether the energy value is finite and non-negative.

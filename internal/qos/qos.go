@@ -71,6 +71,43 @@ func (t *Tracker) ObserveSpan(seconds, demandIntegral, servedIntegral, violation
 	return nil
 }
 
+// ObserveRuns records consecutive intervals: offered[k] for dt[k] seconds,
+// served at min(offered[k], capacity). It performs exactly the additions
+// of one Observe call per interval, in the same order, so the tracker ends
+// bit-identical to that loop at the cost of one call per batch. Pass +Inf
+// as the capacity when every rate is served in full. A negative or NaN
+// rate or capacity, or an invalid duration, is an error; the intervals
+// before it stay recorded, as with Observe.
+func (t *Tracker) ObserveRuns(offered, dt []float64, capacity float64) error {
+	if len(offered) != len(dt) {
+		return fmt.Errorf("qos: %d rates for %d durations", len(offered), len(dt))
+	}
+	seconds, violation := t.seconds, t.violationSeconds
+	demand, served := t.demand, t.served
+	var err error
+	for k, o := range offered {
+		d := dt[k]
+		s := min(o, capacity) // math.Min semantics, inlined
+		if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+			err = fmt.Errorf("qos: invalid duration %v", d)
+			break
+		}
+		if o < 0 || s < 0 || math.IsNaN(o) || math.IsNaN(s) {
+			err = fmt.Errorf("qos: invalid rates offered=%v served=%v", o, s)
+			break
+		}
+		seconds += d
+		demand.Add(o * d)
+		served.Add(s * d)
+		if o-s > 1e-9 {
+			violation += d
+		}
+	}
+	t.seconds, t.violationSeconds = seconds, violation
+	t.demand, t.served = demand, served
+	return err
+}
+
 // Seconds returns the observed duration.
 func (t *Tracker) Seconds() float64 { return t.seconds }
 

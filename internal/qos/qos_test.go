@@ -76,6 +76,53 @@ func TestObserveToleratesFloatNoise(t *testing.T) {
 	}
 }
 
+// TestObserveRunsMatchesObserveLoop holds ObserveRuns bit-identical to one
+// Observe call per interval, shortfalls and zero rates included, on top of
+// earlier observations.
+func TestObserveRunsMatchesObserveLoop(t *testing.T) {
+	offered := []float64{0, 3.5, 120, 7, 0, 0.1, 250, 100}
+	dt := []float64{2, 3, 1, 2, 1, 1, 2, 1}
+	for _, capacity := range []float64{100, math.Inf(1)} {
+		var got, want Tracker
+		for _, tr := range []*Tracker{&got, &want} {
+			if err := tr.Observe(5, 4, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := got.ObserveRuns(offered, dt, capacity); err != nil {
+			t.Fatal(err)
+		}
+		for k, o := range offered {
+			if err := want.Observe(o, math.Min(o, capacity), dt[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got != want {
+			t.Errorf("capacity %v: ObserveRuns = %+v, Observe loop = %+v", capacity, got, want)
+		}
+	}
+}
+
+func TestObserveRunsValidation(t *testing.T) {
+	for _, c := range []struct {
+		offered, dt []float64
+		capacity    float64
+	}{
+		{[]float64{1, -1}, []float64{1, 1}, 10},
+		{[]float64{math.NaN()}, []float64{1}, 10},
+		{[]float64{1}, []float64{1}, -1},
+		{[]float64{1}, []float64{1}, math.NaN()},
+		{[]float64{1}, []float64{-1}, 10},
+		{[]float64{1}, []float64{math.Inf(1)}, 10},
+		{[]float64{1, 2}, []float64{1}, 10},
+	} {
+		var tr Tracker
+		if err := tr.ObserveRuns(c.offered, c.dt, c.capacity); err == nil {
+			t.Errorf("ObserveRuns(%v, %v, %v) accepted invalid input", c.offered, c.dt, c.capacity)
+		}
+	}
+}
+
 func TestMerge(t *testing.T) {
 	var a, b Tracker
 	a.Observe(100, 100, 1)

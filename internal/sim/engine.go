@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bml"
 	"repro/internal/power"
 	"repro/internal/predict"
-	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -16,9 +14,9 @@ import (
 type Option func(*options)
 
 // engineKind selects one of the three BML execution engines. The static
-// scenarios (upper/lower bounds) only distinguish tick from non-tick: their
-// event paths are already O(load changes) with O(1) per event, so the
-// integrator option runs them event-wise.
+// scenarios (upper/lower bounds) only distinguish tick from non-tick: every
+// non-tick option runs them through the per-day fold kernels of static.go,
+// which have no scheduler and so nothing for the BML engines to differ on.
 type engineKind int
 
 const (
@@ -141,58 +139,6 @@ func runBMLTick(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
 		if err := res.QoS.Observe(demand, rep.Served, 1); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// runHomogeneousEvent integrates a per-day-constant homogeneous fleet
-// event-wise: the draw only changes when the load or the day's sizing
-// does, so each interval is one closed-form energy evaluation.
-func runHomogeneousEvent(tr *trace.Trace, arch profile.Arch, sizeForDay func(day int) int, res *Result) error {
-	tl := newTimeline(tr, nil)
-	n := tr.Len()
-	for t := 0; t < n; {
-		next := tl.next(t)
-		dt := float64(next - t)
-		nodes := sizeForDay(t / trace.SecondsPerDay)
-		demand := tr.At(t)
-		served := math.Min(demand, float64(nodes)*arch.MaxPerf)
-		total := fleetPowerN(arch, nodes, served)
-		idle := float64(nodes) * float64(arch.IdlePower)
-		e, err := power.IntervalEnergy(power.Watts(total), dt)
-		if err != nil {
-			return err
-		}
-		res.Breakdown.Idle += power.Joules(idle * dt)
-		res.Breakdown.Dynamic += power.Joules((total - idle) * dt)
-		res.addEnergy(t, e)
-		if err := res.QoS.Observe(demand, served, dt); err != nil {
-			return err
-		}
-		t = next
-	}
-	return nil
-}
-
-// runLowerBoundEvent integrates the theoretical optimum event-wise: the
-// ideal combination's power is a pure function of the instantaneous load,
-// so it only changes at load changes.
-func runLowerBoundEvent(tr *trace.Trace, solver *bml.ExactSolver, res *Result) error {
-	tl := newTimeline(tr, nil)
-	n := tr.Len()
-	for t := 0; t < n; {
-		next := tl.next(t)
-		dt := float64(next - t)
-		demand := tr.At(t)
-		e, err := power.IntervalEnergy(solver.PowerAt(demand), dt)
-		if err != nil {
-			return err
-		}
-		res.addEnergy(t, e)
-		if err := res.QoS.Observe(demand, demand, dt); err != nil {
-			return err
-		}
-		t = next
 	}
 	return nil
 }

@@ -13,7 +13,9 @@ import (
 	"testing"
 )
 
-// gridAndRecords builds a small real grid and its completed records.
+// gridAndRecords builds a small real grid and its completed records,
+// recs[i] being the record of jobs[i]. SweepStream emits cells in
+// completion order, so the records are sorted back into grid order.
 func gridAndRecords(t *testing.T) ([]SweepJob, []CellRecord) {
 	t.Helper()
 	tr := shardTestTrace(t, 1)
@@ -22,9 +24,9 @@ func gridAndRecords(t *testing.T) ([]SweepJob, []CellRecord) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []CellRecord
+	recs := make([]CellRecord, len(jobs))
 	err = SweepStream(jobs, 0, func(r SweepResult) error {
-		recs = append(recs, NewCellRecord(r))
+		recs[r.Index] = NewCellRecord(r)
 		return nil
 	})
 	if err != nil {

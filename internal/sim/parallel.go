@@ -229,9 +229,11 @@ func Sweep(jobs []SweepJob, workers int) []SweepResult {
 	return out
 }
 
-// RunAll executes all four scenarios concurrently — each is independent,
-// so the evaluation's wall time drops to the slowest scenario (the BML
-// run). It returns the first error encountered.
+// RunAll executes all four scenarios concurrently, as each is independent.
+// With a core per scenario the evaluation's wall time is the slowest
+// scenario's; with fewer cores it approaches the scenarios' summed CPU
+// time divided by the cores, so every scenario's cost counts, not only the
+// slowest one's. It returns the first error encountered.
 func RunAll(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option) (*ScenarioSet, error) {
 	if tr == nil || planner == nil {
 		return nil, errors.New("sim: nil trace or planner")

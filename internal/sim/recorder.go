@@ -91,7 +91,7 @@ func RunBMLRecorded(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, bucket
 			rec.Load[b] += demand
 			// One second at constant draw: Joules numerically equal Watts.
 			rec.Power[b], powerComp[b] = power.NeumaierAdd(rec.Power[b], powerComp[b], float64(rep.Energy))
-			rec.StaticPower[b] += fleetPowerN(big, nStatic, demand)
+			rec.StaticPower[b] += fleetPowerN(nStatic, demand, big.MaxPerf, float64(big.MaxPower), float64(big.IdlePower))
 			seconds[b]++
 		}
 	} else {
@@ -104,7 +104,7 @@ func RunBMLRecorded(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, bucket
 			dt := float64(next - t)
 			rec.Load[b] += demand * dt
 			rec.Power[b], powerComp[b] = power.NeumaierAdd(rec.Power[b], powerComp[b], float64(e))
-			rec.StaticPower[b] += fleetPowerN(big, nStatic, demand) * dt
+			rec.StaticPower[b] += fleetPowerN(nStatic, demand, big.MaxPerf, float64(big.MaxPower), float64(big.IdlePower)) * dt
 			seconds[b] += dt
 		})
 		if err != nil {

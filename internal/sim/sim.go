@@ -12,7 +12,7 @@
 //   - LowerBound Theoretical: the unreachable bound where the ideal
 //     combination is re-established every second at zero switching cost.
 //
-// Three engines execute the scenarios, all producing identical results.
+// Three engines execute the BML scenario, all producing identical results.
 // The default interval integrator (integrator.go) iterates only on
 // scheduler events — decisions that act (found by sched.DecideSpan's
 // forward scan), transition completions and lock expiries, day boundaries
@@ -31,6 +31,14 @@
 // min-heap and integrates each pool's On fleet in closed form from its
 // fill-first load shape, so thousand-node runs pay per event for the
 // architectures and the machines mid-transition, not for the fleet.
+//
+// The static scenarios (both UpperBounds and the LowerBound) have no
+// scheduler, so the engine choice does not apply to them: their draw is a
+// pure function of the instantaneous load and a per-day sizing, and the
+// fold kernels of static.go integrate each day window run by run of equal
+// samples at O(S) cost, bit-identical to the per-sample event loop they
+// replaced (kept in static_reference_test.go as the reference).
+// WithTickEngine runs them on the 1 Hz oracle loop instead.
 //
 // The legacy 1 Hz tick loop — one scheduler step and one joule-sample per
 // simulated second, the paper's original integration scheme — survives
@@ -348,11 +356,17 @@ func RunUpperBoundGlobal(tr *trace.Trace, big profile.Arch, opts ...Option) (*Re
 	if err := big.Validate(); err != nil {
 		return nil, err
 	}
+	return runHomogeneousStatic(tr, big, globalSizing(tr, big), "UpperBound Global", buildOptions(opts))
+}
+
+// globalSizing sizes UpperBound Global: ceil(globalPeak / big.MaxPerf)
+// machines every day, and at least one.
+func globalSizing(tr *trace.Trace, big profile.Arch) func(day int) int {
 	n := big.NodesFor(tr.Max())
 	if n == 0 {
 		n = 1 // even an idle data center keeps one machine
 	}
-	return runHomogeneousStatic(tr, big, func(int) int { return n }, "UpperBound Global", buildOptions(opts))
+	return func(int) int { return n }
 }
 
 // RunUpperBoundPerDay simulates coarse-grain capacity planning: each day
@@ -366,8 +380,14 @@ func RunUpperBoundPerDay(tr *trace.Trace, big profile.Arch, opts ...Option) (*Re
 	if err := big.Validate(); err != nil {
 		return nil, err
 	}
+	return runHomogeneousStatic(tr, big, perDaySizing(tr, big), "UpperBound PerDay", buildOptions(opts))
+}
+
+// perDaySizing sizes UpperBound PerDay: ceil(dayPeak / big.MaxPerf)
+// machines for each complete day, and at least one.
+func perDaySizing(tr *trace.Trace, big profile.Arch) func(day int) int {
 	peaks := tr.DailyPeaks()
-	perDay := func(day int) int {
+	return func(day int) int {
 		n := 1
 		if day < len(peaks) {
 			if k := big.NodesFor(peaks[day]); k > n {
@@ -381,7 +401,6 @@ func RunUpperBoundPerDay(tr *trace.Trace, big profile.Arch, opts ...Option) (*Re
 		}
 		return n
 	}
-	return runHomogeneousStatic(tr, big, perDay, "UpperBound PerDay", buildOptions(opts))
 }
 
 // runHomogeneousStatic integrates a homogeneous fleet whose size is a
@@ -390,7 +409,7 @@ func RunUpperBoundPerDay(tr *trace.Trace, big profile.Arch, opts ...Option) (*Re
 func runHomogeneousStatic(tr *trace.Trace, arch profile.Arch, sizeForDay func(day int) int, name string, o options) (*Result, error) {
 	res := newResult(name, tr.Days())
 	if o.engine != engineTick {
-		if err := runHomogeneousEvent(tr, arch, sizeForDay, res); err != nil {
+		if err := foldHomogeneous(tr, arch, sizeForDay, res); err != nil {
 			return nil, err
 		}
 		res.finalize()
@@ -401,7 +420,7 @@ func runHomogeneousStatic(tr *trace.Trace, arch profile.Arch, sizeForDay func(da
 		n := sizeForDay(day)
 		demand := tr.At(t)
 		served := math.Min(demand, float64(n)*arch.MaxPerf)
-		total := fleetPowerN(arch, n, served)
+		total := fleetPowerN(n, served, arch.MaxPerf, float64(arch.MaxPower), float64(arch.IdlePower))
 		idle := float64(n) * float64(arch.IdlePower)
 		res.Breakdown.Idle += power.Joules(idle)
 		res.Breakdown.Dynamic += power.Joules(total - idle)
@@ -414,21 +433,29 @@ func runHomogeneousStatic(tr *trace.Trace, arch profile.Arch, sizeForDay func(da
 	return res, nil
 }
 
-// fleetPowerN returns the draw of n always-on nodes of arch serving load
-// packed onto as few nodes as possible; unused nodes idle.
-func fleetPowerN(arch profile.Arch, n int, load float64) float64 {
-	full := int(load / arch.MaxPerf)
+// fleetPowerN returns the draw of n always-on nodes of one architecture —
+// maxPerf peak rate per node, drawing maxPower at peak and idlePower idle —
+// serving load packed onto as few nodes as possible; unused nodes idle. It
+// takes scalars rather than a profile.Arch so that it inlines into the
+// static fold kernels; the partially loaded node draws what
+// profile.Arch.PowerAt would, by the same expression.
+func fleetPowerN(n int, load, maxPerf, maxPower, idlePower float64) float64 {
+	full := int(load / maxPerf)
 	if full > n {
 		full = n
 	}
-	rem := load - float64(full)*arch.MaxPerf
-	p := float64(full) * float64(arch.MaxPower)
+	rem := load - float64(full)*maxPerf
+	p := float64(full) * maxPower
 	used := full
 	if rem > 1e-12 && used < n {
-		p += float64(arch.PowerAt(rem))
+		if rem >= maxPerf {
+			p += maxPower
+		} else {
+			p += float64(idlePower + (rem/maxPerf)*(maxPower-idlePower))
+		}
 		used++
 	}
-	p += float64(n-used) * float64(arch.IdlePower)
+	p += float64(n-used) * idlePower
 	return p
 }
 
@@ -446,7 +473,7 @@ func RunLowerBound(tr *trace.Trace, candidates []profile.Arch, opts ...Option) (
 	}
 	res := newResult("LowerBound Theoretical", tr.Days())
 	if o.engine != engineTick {
-		if err := runLowerBoundEvent(tr, solver, res); err != nil {
+		if err := foldLowerBound(tr, solver, res); err != nil {
 			return nil, err
 		}
 		res.finalize()

@@ -107,8 +107,9 @@ func TestRunUpperBoundGlobalSizing(t *testing.T) {
 	first := float64(res.TotalEnergy) // cross-check via manual reconstruction below
 	_ = first
 	var manual float64
+	big := fastArchs()[0]
 	for i := 0; i < tr.Len(); i++ {
-		manual += fleetPowerN(fastArchs()[0], 3, tr.At(i))
+		manual += fleetPowerN(3, tr.At(i), big.MaxPerf, float64(big.MaxPower), float64(big.IdlePower))
 	}
 	if math.Abs(float64(res.TotalEnergy)-manual) > 1e-6 {
 		t.Errorf("UB global energy = %v, want %v", res.TotalEnergy, manual)
@@ -308,7 +309,7 @@ func TestFleetPowerN(t *testing.T) {
 		{0, 50, 0},
 	}
 	for _, c := range cases {
-		if got := fleetPowerN(arch, c.n, c.load); math.Abs(got-c.want) > 1e-9 {
+		if got := fleetPowerN(c.n, c.load, arch.MaxPerf, float64(arch.MaxPower), float64(arch.IdlePower)); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("fleetPowerN(%d, %v) = %v, want %v", c.n, c.load, got, c.want)
 		}
 	}

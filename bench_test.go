@@ -336,8 +336,8 @@ func BenchmarkAblationMigrationCost(b *testing.B) {
 }
 
 // engineBenchTrace generates a WC'98-shaped trace of the given length and
-// quantizes it to 5-minute plateaus — the piecewise-constant load shape
-// (per-minute-aggregated access logs) the event engine is designed for.
+// quantizes it to 5-minute plateaus — the piecewise-constant load shape of
+// per-minute-aggregated access logs.
 // Cached per day-count: the month-long generation is itself expensive.
 var engineTraces = map[int]*trace.Trace{}
 
@@ -383,21 +383,21 @@ func benchBMLEngines(b *testing.B, tr *trace.Trace, engines []struct {
 	}
 }
 
-// benchEngines compares the three engines on the quantized trace. The
-// acceptance bar for the event engine over the tick loop is ≥5× on the
-// month-long trace; in practice it is orders of magnitude (see
-// BENCH_sim.json). On quantized plateaus the integrator and the event
-// engine see a similar event density, so their gap here is small — the raw
-// benchmark below is where they diverge.
+// tickVsIntegrator names the tick oracle and the default engine for
+// benchBMLEngines.
+var tickVsIntegrator = []struct {
+	name string
+	opts []sim.Option
+}{
+	{"tick", []sim.Option{sim.WithTickEngine()}},
+	{"integrator", nil},
+}
+
+// benchEngines compares the tick oracle with the interval integrator on
+// the quantized trace, where the integrator is orders of magnitude ahead
+// (see BENCH_sim.json).
 func benchEngines(b *testing.B, days int) {
-	benchBMLEngines(b, engineBenchTrace(b, days), []struct {
-		name string
-		opts []sim.Option
-	}{
-		{"tick", []sim.Option{sim.WithTickEngine()}},
-		{"event", []sim.Option{sim.WithEventEngine()}},
-		{"integrator", []sim.Option{sim.WithIntegratorEngine()}},
-	})
+	benchBMLEngines(b, engineBenchTrace(b, days), tickVsIntegrator)
 }
 
 // engineBenchTraceRaw is engineBenchTrace without the quantization step:
@@ -424,19 +424,14 @@ func engineBenchTraceRaw(b *testing.B, days int) *trace.Trace {
 // BenchmarkEngineDayTrace compares the engines on one simulated day.
 func BenchmarkEngineDayTrace(b *testing.B) { benchEngines(b, 1) }
 
-// BenchmarkEngineMonthTraceRaw compares the per-sample event engine against
-// the interval integrator on a month of un-quantized 1 Hz trace — the
-// regime where the event engine degenerates to one interval per second
-// while the integrator's engine iterations stay bounded by scheduler
-// events. The benchcheck ratio gate holds integrator ≥10× event here.
+// BenchmarkEngineMonthTraceRaw compares the tick oracle against the
+// interval integrator on a month of un-quantized 1 Hz trace, where every
+// second is a load change: the tick loop pays one scheduler step per
+// second while the integrator's engine iterations stay bounded by
+// scheduler events. The benchcheck ratio gate holds integrator ≥10× tick
+// here.
 func BenchmarkEngineMonthTraceRaw(b *testing.B) {
-	benchBMLEngines(b, engineBenchTraceRaw(b, 30), []struct {
-		name string
-		opts []sim.Option
-	}{
-		{"event", []sim.Option{sim.WithEventEngine()}},
-		{"integrator", []sim.Option{sim.WithIntegratorEngine()}},
-	})
+	benchBMLEngines(b, engineBenchTraceRaw(b, 30), tickVsIntegrator)
 }
 
 // BenchmarkStaticScenariosRaw runs the three static Figure 5 scenarios
@@ -477,12 +472,12 @@ func BenchmarkStaticScenariosRaw(b *testing.B) {
 
 // BenchmarkEngineMonthTrace compares the engines on a simulated month —
 // the scale at which the tick loop's O(trace-seconds) cost dominates and
-// the event engine's O(events) cost does not.
+// the integrator's O(scheduler events) cost does not.
 func BenchmarkEngineMonthTrace(b *testing.B) { benchEngines(b, 30) }
 
 // BenchmarkEngineMonthAllScenarios runs the whole four-scenario evaluation
-// (the Figure 5 workload) on the month-long trace with the event engine,
-// fanned out across cores by RunAll.
+// (the Figure 5 workload) on the month-long trace with the default
+// engines, fanned out across cores by RunAll.
 func BenchmarkEngineMonthAllScenarios(b *testing.B) {
 	tr := engineBenchTrace(b, 30)
 	planner := getPlanner(b)
@@ -495,7 +490,7 @@ func BenchmarkEngineMonthAllScenarios(b *testing.B) {
 }
 
 // BenchmarkSweepGrid measures a 3 traces × 4 scenarios sweep through the
-// worker pool — the experiment-grid workload the event engine unlocks.
+// worker pool — the experiment-grid workload.
 func BenchmarkSweepGrid(b *testing.B) {
 	planner := getPlanner(b)
 	var jobs []sim.SweepJob
@@ -568,11 +563,11 @@ func BenchmarkShardedSweep(b *testing.B) {
 	}
 }
 
-// fleetTraces caches the quantized month trace scaled so the scheduler's
-// peak combination provisions ~n machines, together with a prebuilt
-// look-ahead predictor: predictor precomputation is O(trace) and identical
-// for both cluster index implementations, so keeping it out of the timed
-// loop lets the benchmark isolate the heap-vs-scan difference.
+// fleetRig caches the quantized month trace scaled so the scheduler's peak
+// combination provisions ~n machines, together with a prebuilt look-ahead
+// predictor: predictor precomputation is O(trace) and independent of the
+// fleet, so keeping it out of the timed loop isolates how the engine
+// scales with fleet size.
 type fleetRig struct {
 	tr   *trace.Trace
 	pred predict.Predictor
@@ -604,37 +599,28 @@ func fleetBenchRig(b *testing.B, n int) fleetRig {
 	return rig
 }
 
-// BenchmarkFleetScaling measures the event engine on the quantized month
-// trace at fleet scales of 100, 1 000, and 10 000 machines, with the
-// cluster's transition min-heap + pool aggregates (heap) against the
-// original O(fleet)-scan-per-event implementation (scan, the baseline
-// retained behind cluster.WithScanIndex). The acceptance bar for this PR
-// is ≥5× at 10 000 machines; the snapshot lives in BENCH_sim.json.
+// BenchmarkFleetScaling measures the interval integrator on the quantized
+// month trace at fleet scales of 100, 1 000, and 10 000 machines. Its
+// per-span cost is independent of fleet size (transition min-heap and pool
+// aggregates), so ns/op should grow far slower than the fleet; the
+// snapshot lives in BENCH_sim.json.
 func BenchmarkFleetScaling(b *testing.B) {
 	planner := getPlanner(b)
 	for _, n := range []int{100, 1000, 10000} {
 		rig := fleetBenchRig(b, n)
-		for _, idx := range []struct {
-			name string
-			scan bool
-		}{
-			{"heap", false},
-			{"scan", true},
-		} {
-			b.Run(fmt.Sprintf("fleet=%d/%s", n, idx.name), func(b *testing.B) {
-				b.ReportAllocs()
-				var switchOns int
-				for i := 0; i < b.N; i++ {
-					res, err := sim.RunBML(rig.tr, planner, sim.BMLConfig{Predictor: rig.pred, ScanIndex: idx.scan})
-					if err != nil {
-						b.Fatal(err)
-					}
-					switchOns = res.SwitchOns
-					b.ReportMetric(float64(res.TotalEnergy)/3.6e6, "kWh")
+		b.Run(fmt.Sprintf("fleet=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var switchOns int
+			for i := 0; i < b.N; i++ {
+				res, err := sim.RunBML(rig.tr, planner, sim.BMLConfig{Predictor: rig.pred})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(switchOns), "switch-ons")
-			})
-		}
+				switchOns = res.SwitchOns
+				b.ReportMetric(float64(res.TotalEnergy)/3.6e6, "kWh")
+			}
+			b.ReportMetric(float64(switchOns), "switch-ons")
+		})
 	}
 }
 

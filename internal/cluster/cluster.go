@@ -3,18 +3,18 @@
 // actions toward a target combination, fill-biggest-first load dispatch
 // across powered-on nodes, and aggregate energy accounting.
 //
-// The fleet is indexed for event-driven simulation at scale. Each pool keeps
+// The fleet is indexed for span-integrating simulation at scale. Each pool keeps
 // its non-Off machines on an active list, its reusable Off machines on a
 // free list, and per-state counters, so Counts, Capacity, and Reconfiguring
 // are O(architectures) and Distribute/Tick are O(powered machines) rather
 // than O(fleet). Pending transitions live in a min-heap keyed by absolute
 // completion time with lazy invalidation (transheap.go), making
-// NextTransitionEnd — the event engine's wake-up signal — an O(1) peek.
+// NextTransitionEnd — the integrator's wake-up signal — an O(1) peek.
 // The original linear scans are retained as unexported reference
 // implementations; the differential tests in differential_test.go hold the
 // indexed answers to the scanned ones on randomized fleets and fault
-// schedules, and WithScanIndex re-routes the public API through them as the
-// benchmarking baseline.
+// schedules, and the test-only withScanIndex option re-routes the public
+// API through them for the twin-cluster lockstep suite.
 //
 // For span-integrating engines, StartFold (integrate.go) exposes the same
 // fill-first dispatch arithmetic as a demand fold: whole runs of constant
@@ -116,7 +116,7 @@ type Cluster struct {
 	transitions transHeap
 
 	// scanIndex routes the public API through the original O(fleet) linear
-	// scans — the differential/benchmark baseline.
+	// scans — the differential-test baseline.
 	scanIndex bool
 
 	// fold is the recycled DemandFold buffer handed out by StartFold.
@@ -154,12 +154,11 @@ func WithBootFaults(prob float64, seed int64) Option {
 	}
 }
 
-// WithScanIndex answers every fleet query with the original O(fleet)
+// withScanIndex answers every fleet query with the original O(fleet)
 // linear scans instead of the transition heap and pool aggregates. It
-// exists as the differential-testing and benchmarking baseline (the
-// "linear-scan baseline" of BENCH_sim.json); simulations should never
-// need it.
-func WithScanIndex() Option {
+// exists only as the differential-testing baseline the twin-cluster suite
+// steps in lockstep with the indexed fleet.
+func withScanIndex() Option {
 	return func(c *Cluster) { c.scanIndex = true }
 }
 
@@ -451,7 +450,7 @@ func (p *pool) loadedCount() int {
 
 // onNodesByLoadScan returns the On machines of one pool sorted by
 // ascending load — the original retirement-selection implementation, used
-// by the WithScanIndex baseline (the indexed path reads the shape
+// by the withScanIndex baseline (the indexed path reads the shape
 // invariant instead and never sorts).
 func (c *Cluster) onNodesByLoadScan(p *pool) []*node {
 	var out []*node
@@ -562,8 +561,8 @@ func (c *Cluster) pendingTransitionScan() float64 {
 
 // NextTransitionEnd returns the shortest remaining transition time across
 // the fleet (zero when no machine is transitioning) — the next instant at
-// which a machine changes state on its own, which is the event-driven
-// simulator's wake-up signal. With the transition heap this is an O(1)
+// which a machine changes state on its own, which is the interval
+// integrator's wake-up signal. With the transition heap this is an O(1)
 // peek (plus amortized O(log n) lazy pruning of resolved transitions).
 func (c *Cluster) NextTransitionEnd() float64 {
 	if c.scanIndex {
@@ -580,7 +579,7 @@ func (c *Cluster) NextTransitionEnd() float64 {
 }
 
 // nextTransitionEndScan is the original O(fleet) implementation, kept as
-// the differential-test reference and the WithScanIndex baseline.
+// the differential-test reference and the withScanIndex baseline.
 func (c *Cluster) nextTransitionEndScan() float64 {
 	var min float64
 	for _, p := range c.poolList {
@@ -677,7 +676,7 @@ func (c *Cluster) Distribute(load float64) (served float64, err error) {
 }
 
 // distributeScan is the original per-machine implementation (reference and
-// WithScanIndex baseline).
+// withScanIndex baseline).
 func (c *Cluster) distributeScan(load float64) (served float64, err error) {
 	remaining := load
 	for _, p := range c.poolList {

@@ -7,7 +7,7 @@ package cluster
 // after every operation of randomized target/dispatch/tick schedules over
 // randomized fleets, including boot-fault schedules and zero-duration
 // transition profiles. A twin-cluster test additionally drives a
-// WithScanIndex cluster (the full baseline code path) in lockstep and
+// withScanIndex cluster (the full baseline code path) in lockstep and
 // requires identical energies and counts.
 
 import (
@@ -217,7 +217,7 @@ func TestDifferentialHeapVsScanRandomFleets(t *testing.T) {
 }
 
 // TestDifferentialHeapVsScanTwinClusters drives an indexed cluster and a
-// WithScanIndex baseline cluster through the identical operation sequence
+// withScanIndex baseline cluster through the identical operation sequence
 // and requires the externally observable aggregates — energy, served rate,
 // counts, reconfiguration state — to agree. This covers the baseline's
 // whole code path (scan-mode provision, dispatch, and tick), not just the
@@ -232,7 +232,7 @@ func TestDifferentialHeapVsScanTwinClusters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scanC, err := New(catalog, WithBootFaults(0.25, seed), WithScanIndex())
+			scanC, err := New(catalog, WithBootFaults(0.25, seed), withScanIndex())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,10 +21,10 @@ import (
 // machines, whose automata charge exact transition energies over the whole
 // span.
 //
-// The contract mirrors the engine's event bounds: no transition may
+// The contract mirrors the integrator's span bounds: no transition may
 // complete strictly before the span's final second (the caller bounds spans
 // by NextTransitionEnd), so deferring completion folding to Commit observes
-// completions at exactly the second the per-interval oracles do.
+// completions at exactly the second the per-second oracle does.
 //
 // A fold is single-use per span and reused across spans via
 // Cluster.StartFold; like the Cluster itself it is not safe for concurrent
@@ -55,12 +55,12 @@ type foldPool struct {
 
 // StartFold begins a demand fold over the cluster's current configuration.
 // The returned fold is owned by the cluster and recycled on the next call.
-// It refuses to run under WithScanIndex: the scan baseline materializes
+// It refuses to run under withScanIndex: the scan baseline materializes
 // per-machine loads every tick and keeps no pool aggregates, so there is
-// nothing to fold (callers fall back to per-sample integration).
+// nothing to fold.
 func (c *Cluster) StartFold() (*DemandFold, error) {
 	if c.scanIndex {
-		return nil, fmt.Errorf("cluster: demand folding requires the indexed fleet (not WithScanIndex)")
+		return nil, fmt.Errorf("cluster: demand folding requires the indexed fleet (not withScanIndex)")
 	}
 	if c.fold == nil {
 		c.fold = &DemandFold{c: c, pools: make([]foldPool, len(c.poolList))}

@@ -27,7 +27,7 @@ package cluster
 // identical to the pre-heap implementation, so energies and states are
 // unchanged to the last bit. The unexported *Scan methods in cluster.go
 // preserve the original O(fleet) implementations as the differential-test
-// reference and the WithScanIndex benchmark baseline.
+// reference and the withScanIndex test baseline.
 
 import "container/heap"
 

@@ -92,7 +92,7 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 		return nil, fmt.Errorf("ctrl: invalid rate scale %v", cfg.RateScale)
 	}
 
-	// Simulator side: decisions from the event-driven engine.
+	// Simulator side: decisions from the interval integrator.
 	_, simDecs, err := sim.RunBMLDecisions(cfg.Trace, cfg.Planner, cfg.Sim)
 	if err != nil {
 		return nil, err

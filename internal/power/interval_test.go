@@ -33,7 +33,7 @@ func TestEnergyOverMatchesStepIntegrator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The closed-form interval energy equals per-second step integration
-	// at constant utilization — the event engine's core identity.
+	// at constant utilization — the closed-form engines' core identity.
 	const rate, secs = 37.5, 600
 	var si StepIntegrator
 	for i := 0; i < secs; i++ {

@@ -7,7 +7,7 @@
 //
 // The demand and served integrals are Neumaier-compensated so that engines
 // integrating the same trace in different interval decompositions (the 1 Hz
-// tick oracle, the per-sample event engine, and the interval integrator)
+// tick oracle, the interval integrator, and the static fold kernels)
 // agree on availability to well below the differential-test tolerance.
 package qos
 

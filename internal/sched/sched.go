@@ -10,12 +10,11 @@
 // Otherwise the window just slides one time step. On/Off durations and
 // energies are charged through the machine automata of the cluster.
 //
-// Three entry points serve the three simulation engines: Step (one 1 Hz
-// tick), DecideInterval/IntegrateInterval (per-event integration over
-// intervals of constant demand and prediction), and DecideSpan (span.go),
-// which discovers how far the current decision outcome extends by scanning
-// predictions forward, letting the interval-integrator engine fold whole
-// quiescent spans in one step.
+// Two entry points serve the two simulation engines: Step (one 1 Hz tick,
+// the differential oracle) and DecideSpan (span.go), which discovers how
+// far the current decision outcome extends by scanning predictions
+// forward, letting the interval integrator fold whole quiescent spans in
+// one step.
 package sched
 
 import (
@@ -198,8 +197,8 @@ type StepReport struct {
 // Step advances the schedule by dt seconds at simulation second t with the
 // given offered demand. It performs (at most) one decision, dispatches the
 // demand across powered-on machines, and ticks the fleet. This is the
-// legacy 1 Hz entry point; the event-driven engine in internal/sim uses
-// DecideInterval and IntegrateInterval instead.
+// 1 Hz oracle's entry point; the interval integrator in internal/sim uses
+// DecideSpan and the demand fold instead.
 func (s *Scheduler) Step(t int, demand, dt float64) (StepReport, error) {
 	var rep StepReport
 	if demand < 0 || math.IsNaN(demand) || math.IsInf(demand, 0) {
@@ -207,10 +206,14 @@ func (s *Scheduler) Step(t int, demand, dt float64) (StepReport, error) {
 	}
 	// Drain any migration lock left by the previous retire phase.
 	s.drainMigrationLock(dt)
-	if err := s.decide(t, 1, &rep); err != nil {
+	if err := s.decide(t, &rep); err != nil {
 		return rep, err
 	}
-	served, e, err := s.dispatch(demand, dt)
+	served, err := s.cl.Distribute(demand)
+	if err != nil {
+		return rep, err
+	}
+	e, err := s.cl.Tick(dt)
 	if err != nil {
 		return rep, err
 	}
@@ -219,42 +222,11 @@ func (s *Scheduler) Step(t int, demand, dt float64) (StepReport, error) {
 	return rep, nil
 }
 
-// DecideInterval is the event-driven engine's decision hook: it runs the
-// per-second decision logic once for an interval of `repeats` whole seconds
-// over which the caller guarantees that the load prediction is constant and
-// no machine transition or migration lock expires. Counters that the 1 Hz
-// loop would bump every second of the interval (skipped reconfigurations,
-// malleability adjustments) are advanced by `repeats` so the event engine
-// reproduces the tick engine's accounting exactly. The returned report may
-// carry migration energy charged at the decision instant.
-func (s *Scheduler) DecideInterval(t, repeats int) (StepReport, error) {
-	var rep StepReport
-	if repeats < 1 {
-		repeats = 1
-	}
-	err := s.decide(t, repeats, &rep)
-	return rep, err
-}
-
-// IntegrateInterval is the event-driven engine's integration hook: it
-// dispatches the (constant) demand across powered-on machines, advances the
-// fleet by dt seconds in one closed-form step, and drains the application
-// migration lock. It must be called after DecideInterval for the same
-// interval.
-func (s *Scheduler) IntegrateInterval(demand, dt float64) (served float64, energy power.Joules, err error) {
-	if demand < 0 || math.IsNaN(demand) || math.IsInf(demand, 0) {
-		return 0, 0, fmt.Errorf("sched: invalid demand %v", demand)
-	}
-	served, energy, err = s.dispatch(demand, dt)
-	s.drainMigrationLock(dt)
-	return served, energy, err
-}
-
 // NextWake returns the seconds until the earliest scheduler-relevant timer:
 // the next machine transition completion or the migration lock expiry.
 // Zero means no timer is pending and the next decision depends only on the
 // prediction signal. The cluster answers the transition query from its
-// min-heap index, so calling this every event is O(1) in fleet size.
+// min-heap index, so calling this every span is O(1) in fleet size.
 func (s *Scheduler) NextWake() float64 {
 	w := s.cl.NextTransitionEnd()
 	if s.migrationLock > 0 && (w == 0 || s.migrationLock < w) {
@@ -273,11 +245,8 @@ func (s *Scheduler) drainMigrationLock(dt float64) {
 	}
 }
 
-// decide runs the per-second decision logic at second t. `repeats` is the
-// number of consecutive seconds the decision outcome provably repeats for
-// (always 1 from the tick loop); it scales the counters that the 1 Hz loop
-// would advance each second of a constant-prediction interval.
-func (s *Scheduler) decide(t, repeats int, rep *StepReport) error {
+// decide runs the per-second decision logic at second t.
+func (s *Scheduler) decide(t int, rep *StepReport) error {
 	rep.Reconfiguring = s.reconfiguring()
 	if !s.cl.Reconfiguring() && s.pending != nil {
 		// Boot phase finished: migrate load off the retired machines and
@@ -298,18 +267,15 @@ func (s *Scheduler) decide(t, repeats int, rep *StepReport) error {
 	current := s.cl.Counts()
 	switch {
 	case sameCounts(counts, current):
-		// No change: the prediction window just slides. The tick loop
-		// would re-derive the same adjustment every second.
+		// No change: the prediction window just slides.
 		if adjusted {
-			s.adjustments += repeats
+			s.adjustments++
 		}
 	case s.overheadAware && !s.reconfigurationWorthIt(counts, p):
-		// The tick loop re-evaluates (and re-skips) this reconfiguration
-		// every second while the prediction holds.
 		if adjusted {
-			s.adjustments += repeats
+			s.adjustments++
 		}
-		s.skipped += repeats
+		s.skipped++
 	default:
 		if adjusted {
 			s.adjustments++
@@ -349,17 +315,6 @@ func (s *Scheduler) decide(t, repeats int, rep *StepReport) error {
 		}
 	}
 	return nil
-}
-
-// dispatch distributes demand across powered-on machines and advances the
-// fleet by dt seconds, returning the served rate and consumed energy.
-func (s *Scheduler) dispatch(demand, dt float64) (float64, power.Joules, error) {
-	served, err := s.cl.Distribute(demand)
-	if err != nil {
-		return served, 0, err
-	}
-	e, err := s.cl.Tick(dt)
-	return served, e, err
 }
 
 // reconfiguring reports whether machine transitions or application

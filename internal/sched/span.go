@@ -8,15 +8,13 @@ import (
 	"repro/internal/power"
 )
 
-// This file is the interval integrator's scheduler interface. Where
-// DecideInterval needs the caller to prove up front (via prediction-change
-// events) how many seconds a decision outcome repeats for, DecideSpan
-// discovers it: it executes the decision at the span start, then scans
-// forward one second at a time classifying each second's would-be outcome —
-// no-op, overhead-aware skip, or action — stopping at the first second that
-// would act. The scan touches no fleet state, so an engine can integrate
-// the whole quiescent span in one demand fold instead of one event per
-// prediction change, which on a raw 1 Hz trace is one event per second.
+// This file is the interval integrator's scheduler interface. DecideSpan
+// discovers how many seconds a decision outcome repeats for: it executes
+// the decision at the span start, then scans forward one second at a time
+// classifying each second's would-be outcome — no-op, overhead-aware skip,
+// or action — stopping at the first second that would act. The scan
+// touches no fleet state, so an engine can integrate the whole quiescent
+// span in one demand fold instead of one step per second.
 
 // DecideSpan runs the decision logic at second t, then returns the first
 // second in (t, limit] at which the engine must call DecideSpan again:
@@ -36,7 +34,7 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 	if limit <= t {
 		limit = t + 1
 	}
-	if err := s.decide(t, 1, &rep); err != nil {
+	if err := s.decide(t, &rep); err != nil {
 		return rep, 0, err
 	}
 	if s.reconfiguring() || s.pending != nil {
@@ -46,8 +44,7 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 	}
 	if rep.Decided {
 		// The decision acted but resolved instantly (zero-duration
-		// transitions): stay conservative and re-decide next second, like
-		// the event engine's NextWake bound would force anyway.
+		// transitions): stay conservative and re-decide next second.
 		return rep, t + 1, nil
 	}
 	// Quiescent scan. Fleet counts cannot change without a decision acting,
@@ -140,7 +137,7 @@ func (s *Scheduler) StartDemandFold() (*cluster.DemandFold, error) {
 
 // FinishDemandFold commits a demand fold over dt seconds ending on
 // lastDemand and drains the application migration lock, mirroring what a
-// sequence of IntegrateInterval calls over the span would have done to the
+// sequence of 1 Hz Step calls over the span would have done to the
 // scheduler's timers.
 func (s *Scheduler) FinishDemandFold(f *cluster.DemandFold, lastDemand, dt float64) (power.Joules, error) {
 	e, err := f.Commit(lastDemand, dt)

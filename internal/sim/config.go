@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"regexp"
 	"sort"
 	"strconv"
@@ -128,6 +129,11 @@ func parseConfigSpec(spec string) (ConfigAxis, error) {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return 0, false, fmt.Errorf("%s=%q: %v", key, v, err)
+		}
+		// NaN slips past every range check below, and no knob means
+		// anything at infinity.
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return 0, false, fmt.Errorf("%s=%q: want a finite number", key, v)
 		}
 		return f, true, nil
 	}
@@ -263,9 +269,9 @@ const defaultAmortizeSeconds = 378
 // Headroom as the app-class default or 1, a nil predictor as "lookahead",
 // zero amortization as 378 s), so BMLConfig{} and an explicitly spelled
 // default serialize — and therefore fingerprint — identically in every
-// process. ScanIndex and engine options are deliberately excluded: they
-// select result-identical implementations (the differential baselines),
-// not different physics.
+// process. Engine options are deliberately excluded: they select
+// result-identical implementations (the tick oracle), not different
+// physics.
 func CanonicalConfig(cfg BMLConfig) string {
 	wf := cfg.WindowFactor
 	if wf == 0 {

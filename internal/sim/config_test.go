@@ -58,8 +58,7 @@ func TestCellIDGoldenV1V2(t *testing.T) {
 // TestCanonicalConfigNormalization pins that zero/default spellings of the
 // same physics fingerprint identically — the property that lets every
 // process derive the default cell IDs without coordination — and that each
-// result-affecting knob moves the fingerprint while the result-identical
-// ones (ScanIndex) do not.
+// result-affecting knob moves the fingerprint.
 func TestCanonicalConfigNormalization(t *testing.T) {
 	def := ConfigFingerprint(BMLConfig{})
 	same := []BMLConfig{
@@ -67,7 +66,6 @@ func TestCanonicalConfigNormalization(t *testing.T) {
 		{Headroom: 1},
 		{WindowFactor: 2, Headroom: 1},
 		{PredictorSpec: "lookahead"},
-		{ScanIndex: true},             // differential baseline, identical results
 		{FaultSeed: 99},               // seed is inert without a fault probability
 		{AmortizeSeconds: 378},        // inert without OverheadAware
 		{Inventory: map[string]int{}}, // empty inventory = no inventory
@@ -169,26 +167,31 @@ func TestParseConfigs(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"name=x:headroom=0.5",                     // headroom < 1
-		"name=x:window-factor=0",                  // non-positive window
-		"name=x:predictor=psychic",                // unknown predictor
-		"name=x:ewma-alpha=0.3",                   // alpha without ewma
-		"name=x:predictor=ewma:ewma-alpha=2",      // alpha out of range
-		"name=x:amortize=10",                      // amortize without overhead-aware
-		"name=x:boot-fault=1.5",                   // probability out of range
-		"name=x:fault-seed=3",                     // seed without fault probability
-		"name=x:boot-fault=0.1:fault-seed=1.5",    // non-integer seed
-		"name=x:repeat-seed=0",                    // 0 means "not a repeat"
-		"name=x:repeat-seed=1.5",                  // non-integer repeat seed
-		"name=x:nonsense=1",                       // unknown key
-		"headroom=1.3",                            // missing name
-		"name=default:headroom=1.3",               // "default" is reserved for the zero config
-		"name=has space:headroom=1.3",             // bad name charset
-		"name=a|b",                                // '|' would corrupt the cell ID
-		"default,default",                         // duplicate names
-		"name=x:headroom=1.2,name=x:headroom=1.3", // duplicate names
-		"name=x:headroom=1:headroom=2",            // duplicate key
-		",",                                       // empty specs
+		"name=x:headroom=0.5",                      // headroom < 1
+		"name=x:window-factor=0",                   // non-positive window
+		"name=x:predictor=psychic",                 // unknown predictor
+		"name=x:ewma-alpha=0.3",                    // alpha without ewma
+		"name=x:predictor=ewma:ewma-alpha=2",       // alpha out of range
+		"name=x:amortize=10",                       // amortize without overhead-aware
+		"name=x:boot-fault=1.5",                    // probability out of range
+		"name=x:fault-seed=3",                      // seed without fault probability
+		"name=x:boot-fault=0.1:fault-seed=1.5",     // non-integer seed
+		"name=x:repeat-seed=0",                     // 0 means "not a repeat"
+		"name=x:repeat-seed=1.5",                   // non-integer repeat seed
+		"name=x:nonsense=1",                        // unknown key
+		"headroom=1.3",                             // missing name
+		"name=default:headroom=1.3",                // "default" is reserved for the zero config
+		"name=has space:headroom=1.3",              // bad name charset
+		"name=a|b",                                 // '|' would corrupt the cell ID
+		"default,default",                          // duplicate names
+		"name=x:headroom=1.2,name=x:headroom=1.3",  // duplicate names
+		"name=x:headroom=1:headroom=2",             // duplicate key
+		"name=x:headroom=NaN",                      // NaN passes every range check
+		"name=x:window-factor=Inf",                 // non-finite window
+		"name=x:boot-fault=nan",                    // NaN probability
+		"name=x:overhead-aware=true:amortize=+Inf", // non-finite horizon
+		"name=x:predictor=ewma:ewma-alpha=NaN",     // NaN alpha
+		",",                                        // empty specs
 	} {
 		if _, err := ParseConfigs(bad); err == nil {
 			t.Errorf("ParseConfigs(%q) unexpectedly succeeded", bad)

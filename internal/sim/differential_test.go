@@ -1,6 +1,6 @@
 package sim
 
-// Differential tests: the event-driven engine must reproduce the legacy
+// Differential tests: the interval integrator must reproduce the legacy
 // 1 Hz tick engine exactly — same energy (≤ 1e-6 J), same QoS accounting,
 // same reconfiguration counters — on randomized traces, cluster mixes,
 // fault schedules, and scheduler extensions. The tick loop is the oracle:
@@ -29,8 +29,8 @@ import (
 const energyTolJ = 1e-6
 
 // randomStepTrace builds a piecewise-constant trace: load levels hold for
-// random durations between minHold and maxHold seconds. This is the shape
-// the event engine exploits; correctness must not depend on it (other
+// random durations between minHold and maxHold seconds. Runs of equal
+// samples fold in one step; correctness must not depend on it (other
 // tests feed per-second-varying traces).
 func randomStepTrace(rng *rand.Rand, seconds int, maxLoad float64, minHold, maxHold int) *trace.Trace {
 	vals := make([]float64, seconds)
@@ -70,63 +70,64 @@ func randomRigCatalog(rng *rand.Rand) []profile.Arch {
 	return archs
 }
 
-func assertEnginesAgree(t *testing.T, label string, tick, ev *Result) {
+func assertEnginesAgree(t *testing.T, label string, tick, integ *Result) {
 	t.Helper()
-	if d := math.Abs(float64(tick.TotalEnergy - ev.TotalEnergy)); d > energyTolJ {
-		t.Errorf("%s: total energy diverges by %g J (tick %v, event %v)", label, d, tick.TotalEnergy, ev.TotalEnergy)
+	if d := math.Abs(float64(tick.TotalEnergy - integ.TotalEnergy)); d > energyTolJ {
+		t.Errorf("%s: total energy diverges by %g J (tick %v, integrator %v)", label, d, tick.TotalEnergy, integ.TotalEnergy)
 	}
-	if len(tick.DailyEnergy) != len(ev.DailyEnergy) {
-		t.Fatalf("%s: daily bucket counts differ: %d vs %d", label, len(tick.DailyEnergy), len(ev.DailyEnergy))
+	if len(tick.DailyEnergy) != len(integ.DailyEnergy) {
+		t.Fatalf("%s: daily bucket counts differ: %d vs %d", label, len(tick.DailyEnergy), len(integ.DailyEnergy))
 	}
 	for d := range tick.DailyEnergy {
-		if diff := math.Abs(float64(tick.DailyEnergy[d] - ev.DailyEnergy[d])); diff > energyTolJ {
+		if diff := math.Abs(float64(tick.DailyEnergy[d] - integ.DailyEnergy[d])); diff > energyTolJ {
 			t.Errorf("%s: day %d energy diverges by %g J", label, d+1, diff)
 		}
 	}
-	if tick.Decisions != ev.Decisions || tick.SwitchOns != ev.SwitchOns ||
-		tick.SwitchOffs != ev.SwitchOffs || tick.Skipped != ev.Skipped {
-		t.Errorf("%s: scheduler counters differ: tick {dec %d on %d off %d skip %d} vs event {dec %d on %d off %d skip %d}",
+	if tick.Decisions != integ.Decisions || tick.SwitchOns != integ.SwitchOns ||
+		tick.SwitchOffs != integ.SwitchOffs || tick.Skipped != integ.Skipped {
+		t.Errorf("%s: scheduler counters differ: tick {dec %d on %d off %d skip %d} vs integrator {dec %d on %d off %d skip %d}",
 			label, tick.Decisions, tick.SwitchOns, tick.SwitchOffs, tick.Skipped,
-			ev.Decisions, ev.SwitchOns, ev.SwitchOffs, ev.Skipped)
+			integ.Decisions, integ.SwitchOns, integ.SwitchOffs, integ.Skipped)
 	}
-	if d := math.Abs(float64(tick.MigrationEnergy - ev.MigrationEnergy)); d > energyTolJ {
+	if d := math.Abs(float64(tick.MigrationEnergy - integ.MigrationEnergy)); d > energyTolJ {
 		t.Errorf("%s: migration energy diverges by %g J", label, d)
 	}
-	if tick.QoS.ViolationSeconds() != ev.QoS.ViolationSeconds() {
-		t.Errorf("%s: violation seconds differ: %v vs %v", label, tick.QoS.ViolationSeconds(), ev.QoS.ViolationSeconds())
+	if tick.QoS.ViolationSeconds() != integ.QoS.ViolationSeconds() {
+		t.Errorf("%s: violation seconds differ: %v vs %v", label, tick.QoS.ViolationSeconds(), integ.QoS.ViolationSeconds())
 	}
-	if tick.QoS.Seconds() != ev.QoS.Seconds() {
-		t.Errorf("%s: observed seconds differ: %v vs %v", label, tick.QoS.Seconds(), ev.QoS.Seconds())
+	if tick.QoS.Seconds() != integ.QoS.Seconds() {
+		t.Errorf("%s: observed seconds differ: %v vs %v", label, tick.QoS.Seconds(), integ.QoS.Seconds())
 	}
-	if d := math.Abs(tick.QoS.Availability() - ev.QoS.Availability()); d > 1e-12 {
+	if d := math.Abs(tick.QoS.Availability() - integ.QoS.Availability()); d > 1e-12 {
 		t.Errorf("%s: availability differs by %g", label, d)
 	}
 	// The breakdown components accumulate inside the machine automata with
 	// plain (uncompensated) summation, so allow a slightly looser bound.
 	const bdTol = 1e-5
-	if d := math.Abs(float64(tick.Breakdown.Transition - ev.Breakdown.Transition)); d > bdTol {
+	if d := math.Abs(float64(tick.Breakdown.Transition - integ.Breakdown.Transition)); d > bdTol {
 		t.Errorf("%s: transition breakdown diverges by %g J", label, d)
 	}
-	if d := math.Abs(float64(tick.Breakdown.Idle - ev.Breakdown.Idle)); d > bdTol {
+	if d := math.Abs(float64(tick.Breakdown.Idle - integ.Breakdown.Idle)); d > bdTol {
 		t.Errorf("%s: idle breakdown diverges by %g J", label, d)
 	}
-	if d := math.Abs(float64(tick.Breakdown.Dynamic - ev.Breakdown.Dynamic)); d > bdTol {
+	if d := math.Abs(float64(tick.Breakdown.Dynamic - integ.Breakdown.Dynamic)); d > bdTol {
 		t.Errorf("%s: dynamic breakdown diverges by %g J", label, d)
 	}
 }
 
-// runBoth executes the BML scenario on both engines.
-func runBoth(t *testing.T, tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (tick, ev *Result) {
+// runBoth executes the BML scenario on the tick oracle and the default
+// engine.
+func runBoth(t *testing.T, tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (tick, integ *Result) {
 	t.Helper()
 	tick, err := RunBML(tr, planner, cfg, WithTickEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err = RunBML(tr, planner, cfg, WithEventEngine())
+	integ, err = RunBML(tr, planner, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tick, ev
+	return tick, integ
 }
 
 func TestDifferentialBMLRandomRigs(t *testing.T) {
@@ -141,9 +142,9 @@ func TestDifferentialBMLRandomRigs(t *testing.T) {
 			}
 			maxLoad := 2.5 * catalog[0].MaxPerf
 			tr := randomStepTrace(rng, 2*3600, maxLoad, 30, 900)
-			tick, ev := runBoth(t, tr, planner, BMLConfig{})
-			assertEnginesAgree(t, "bml", tick, ev)
-			if ev.Decisions == 0 {
+			tick, integ := runBoth(t, tr, planner, BMLConfig{})
+			assertEnginesAgree(t, "bml", tick, integ)
+			if integ.Decisions == 0 {
 				t.Error("degenerate case: no reconfiguration happened")
 			}
 		})
@@ -154,10 +155,10 @@ func TestDifferentialBMLMultiDayDailySeries(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	planner := fastPlanner(t)
 	tr := randomStepTrace(rng, 2*trace.SecondsPerDay+4321, 250, 60, 1800)
-	tick, ev := runBoth(t, tr, planner, BMLConfig{})
-	assertEnginesAgree(t, "bml-2day", tick, ev)
-	if len(ev.DailyEnergy) != 2 {
-		t.Fatalf("daily buckets = %d, want 2", len(ev.DailyEnergy))
+	tick, integ := runBoth(t, tr, planner, BMLConfig{})
+	assertEnginesAgree(t, "bml-2day", tick, integ)
+	if len(integ.DailyEnergy) != 2 {
+		t.Fatalf("daily buckets = %d, want 2", len(integ.DailyEnergy))
 	}
 }
 
@@ -167,8 +168,8 @@ func TestDifferentialBMLFaultSchedules(t *testing.T) {
 	for _, prob := range []float64{0.1, 0.35, 1} {
 		tr := randomStepTrace(rng, 3600, 250, 20, 600)
 		cfg := BMLConfig{BootFaultProb: prob, FaultSeed: int64(100 * prob)}
-		tick, ev := runBoth(t, tr, planner, cfg)
-		assertEnginesAgree(t, fmt.Sprintf("faults=%g", prob), tick, ev)
+		tick, integ := runBoth(t, tr, planner, cfg)
+		assertEnginesAgree(t, fmt.Sprintf("faults=%g", prob), tick, integ)
 	}
 }
 
@@ -194,19 +195,19 @@ func TestDifferentialBMLOverheadAwareAndApp(t *testing.T) {
 		"app-migration":  {App: &spec},
 		"composed":       {App: &spec, OverheadAware: true, AmortizeSeconds: 5},
 	} {
-		tick, ev := runBoth(t, tr, planner, cfg)
-		assertEnginesAgree(t, name, tick, ev)
+		tick, integ := runBoth(t, tr, planner, cfg)
+		assertEnginesAgree(t, name, tick, integ)
 	}
 	// The overhead-aware run must actually skip (per-second accounting).
-	tick, ev := runBoth(t, tr, planner, BMLConfig{OverheadAware: true, AmortizeSeconds: 5})
-	if tick.Skipped == 0 || tick.Skipped != ev.Skipped {
-		t.Errorf("skip accounting: tick %d vs event %d (want equal, nonzero)", tick.Skipped, ev.Skipped)
+	tick, integ := runBoth(t, tr, planner, BMLConfig{OverheadAware: true, AmortizeSeconds: 5})
+	if tick.Skipped == 0 || tick.Skipped != integ.Skipped {
+		t.Errorf("skip accounting: tick %d vs integrator %d (want equal, nonzero)", tick.Skipped, integ.Skipped)
 	}
 }
 
 func TestDifferentialBMLPerSecondPredictors(t *testing.T) {
-	// Predictors whose forecast changes every second collapse the event
-	// engine to per-second decisions; results must still match exactly.
+	// Predictors whose forecast changes every second force the decision
+	// scan through every second; results must still match exactly.
 	tr := dayTrace(t, 1, 250)
 	planner := fastPlanner(t)
 	base, err := predict.NewLookaheadMax(tr, 60)
@@ -227,8 +228,8 @@ func TestDifferentialBMLPerSecondPredictors(t *testing.T) {
 		"ewma":           ewma,
 		"error-injected": noisy,
 	} {
-		tick, ev := runBoth(t, tr, planner, BMLConfig{Predictor: p})
-		assertEnginesAgree(t, name, tick, ev)
+		tick, integ := runBoth(t, tr, planner, BMLConfig{Predictor: p})
+		assertEnginesAgree(t, name, tick, integ)
 	}
 }
 
@@ -238,8 +239,8 @@ func TestDifferentialHomogeneousAndLowerBound(t *testing.T) {
 	tr := randomStepTrace(rng, trace.SecondsPerDay+7777, 280, 10, 3600)
 	for _, sc := range []Scenario{ScenarioUpperBoundGlobal, ScenarioUpperBoundPerDay, ScenarioLowerBound} {
 		tickJob := SweepJob{Trace: tr, Planner: planner, Scenario: sc, Options: []Option{WithTickEngine()}}
-		evJob := SweepJob{Trace: tr, Planner: planner, Scenario: sc}
-		res := Sweep([]SweepJob{tickJob, evJob}, 2)
+		integJob := SweepJob{Trace: tr, Planner: planner, Scenario: sc}
+		res := Sweep([]SweepJob{tickJob, integJob}, 2)
 		if res[0].Err != nil || res[1].Err != nil {
 			t.Fatalf("%s: %v / %v", sc, res[0].Err, res[1].Err)
 		}
@@ -273,16 +274,16 @@ func TestPropertyEnginesAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ev, err := RunBML(tr, planner, cfg)
+		integ, err := RunBML(tr, planner, cfg)
 		if err != nil {
 			return false
 		}
-		return math.Abs(float64(tick.TotalEnergy-ev.TotalEnergy)) <= energyTolJ &&
-			tick.Decisions == ev.Decisions &&
-			tick.SwitchOns == ev.SwitchOns &&
-			tick.SwitchOffs == ev.SwitchOffs &&
-			tick.Skipped == ev.Skipped &&
-			tick.QoS.ViolationSeconds() == ev.QoS.ViolationSeconds()
+		return math.Abs(float64(tick.TotalEnergy-integ.TotalEnergy)) <= energyTolJ &&
+			tick.Decisions == integ.Decisions &&
+			tick.SwitchOns == integ.SwitchOns &&
+			tick.SwitchOffs == integ.SwitchOffs &&
+			tick.Skipped == integ.Skipped &&
+			tick.QoS.ViolationSeconds() == integ.QoS.ViolationSeconds()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

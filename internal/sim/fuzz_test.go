@@ -1,0 +1,116 @@
+package sim
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// Fuzz targets for the text parsers reachable from the command line and
+// the network. Their seed corpora live under testdata/fuzz/<target>/ and
+// run as ordinary tests; `go test -run xxx -fuzz FuzzParseConfigs
+// -fuzztime 60s ./internal/sim` explores beyond them.
+
+// formatConfigSpec renders a parsed config back into the -configs grammar:
+// the writer half of the ParseConfigs round trip.
+func formatConfigSpec(a ConfigAxis) string {
+	if a.Name == "default" {
+		return "default"
+	}
+	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+	cfg := a.Config
+	parts := []string{"name=" + a.Name}
+	if cfg.Headroom != 0 {
+		parts = append(parts, "headroom="+g(cfg.Headroom))
+	}
+	if cfg.WindowFactor != 0 {
+		parts = append(parts, "window-factor="+g(cfg.WindowFactor))
+	}
+	if cfg.OverheadAware {
+		parts = append(parts, "overhead-aware=true")
+		if cfg.AmortizeSeconds != 0 {
+			parts = append(parts, "amortize="+g(cfg.AmortizeSeconds))
+		}
+	}
+	if cfg.App != nil {
+		parts = append(parts, "critical=true")
+	}
+	if cfg.BootFaultProb != 0 || cfg.FaultSeed != 0 {
+		parts = append(parts, "boot-fault="+g(cfg.BootFaultProb), fmt.Sprintf("fault-seed=%d", cfg.FaultSeed))
+	}
+	if cfg.RepeatSeed != 0 {
+		parts = append(parts, fmt.Sprintf("repeat-seed=%d", cfg.RepeatSeed))
+	}
+	if kind, alpha, ok := strings.Cut(cfg.PredictorSpec, ":"); ok {
+		parts = append(parts, "predictor="+kind, "ewma-alpha="+alpha)
+	} else if kind != "" {
+		parts = append(parts, "predictor="+kind)
+	}
+	return strings.Join(parts, ":")
+}
+
+// FuzzParseConfigs holds the -configs parser to three properties: it never
+// panics, every accepted config has a finite canonical form, and every
+// accepted list re-parses from its rendered form to the identical axis
+// (names, order, and every knob).
+func FuzzParseConfigs(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		axis, err := ParseConfigs(s)
+		if err != nil {
+			return
+		}
+		specs := make([]string, len(axis))
+		for i, a := range axis {
+			if c := CanonicalConfig(a.Config); strings.Contains(c, "NaN") || strings.Contains(c, "Inf") {
+				t.Fatalf("%q accepted a non-finite knob: %s", s, c)
+			}
+			specs[i] = formatConfigSpec(a)
+		}
+		written := strings.Join(specs, ",")
+		back, err := ParseConfigs(written)
+		if err != nil {
+			t.Fatalf("%q parsed, but its rendering %q does not: %v", s, written, err)
+		}
+		if !reflect.DeepEqual(axis, back) {
+			t.Fatalf("%q: round trip through %q changed the axis:\n got %+v\nwant %+v", s, written, back, axis)
+		}
+	})
+}
+
+// FuzzReadCellRecords holds the cell-record reader — the body of every
+// POST to a sweep coordinator — to two properties: it never panics, and
+// every accepted body re-reads from its rewritten form to records that
+// rewrite to the same bytes.
+func FuzzReadCellRecords(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		recs, err := ReadCellRecords(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		for _, rec := range recs {
+			if err := WriteCellRecord(&first, rec); err != nil {
+				t.Fatalf("accepted record does not write: %v", err)
+			}
+		}
+		back, err := ReadCellRecords(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("rewritten records do not read: %v\n%s", err, first.Bytes())
+		}
+		if len(back) != len(recs) {
+			t.Fatalf("read %d records, re-read %d", len(recs), len(back))
+		}
+		var second bytes.Buffer
+		for _, rec := range back {
+			if err := WriteCellRecord(&second, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the records:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}

@@ -2,43 +2,58 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
-// This file implements the dispatch-aware interval integrator, the default
-// BML engine.
+// This file implements the dispatch-aware interval integrator, the only
+// production BML engine.
 //
-// The per-sample event engine (engine.go) pays one engine iteration per
-// load or prediction change, which on a raw un-quantized 1 Hz trace means
-// one per second — the tick loop's asymptotics with a better constant. The
-// integrator removes trace changes from the event set entirely: between two
-// scheduler events the machine configuration is fixed, so the fleet's draw
-// is a pure closed-form function of the instantaneous demand
+// Between two scheduler events the machine configuration is fixed, so the
+// fleet's draw is a pure closed-form function of the instantaneous demand
 // (cluster.DemandFold), and the engine only iterates on
 //
 //   - decisions that act (discovered by sched.DecideSpan's forward scan),
 //   - transition completions and migration-lock expiries (NextWake),
-//   - day boundaries and the trace end.
+//   - day boundaries, telemetry bucket boundaries, and the trace end.
 //
 // Inside each span the raw samples are folded run-by-run through the same
 // float arithmetic Distribute+Tick would have performed, so the result
-// matches the per-sample oracles to summation ulps — the raw-trace
-// differential suite holds all three engines to ≤1e-6 J and exact counters.
-// The engine's cost is O(scheduler events) iterations plus a tight
-// allocation-free per-sample fold (and sched's per-second decision scan),
-// which is what makes raw traces as cheap per simulated second as quantized
-// ones.
+// matches the 1 Hz tick oracle to summation ulps — the differential suites
+// hold the two to ≤1e-6 J and exact counters. The engine's cost is
+// O(scheduler events) iterations plus a tight allocation-free per-sample
+// fold (and sched's per-second decision scan), which is what makes raw
+// traces as cheap per simulated second as quantized ones.
 
-// runBMLIntegrator is the interval-integrator BML engine loop.
-func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
+// wakeCeil converts a scheduler wake-up delay in (possibly fractional)
+// seconds into the first whole second at which the 1 Hz decision loop
+// would observe the change.
+func wakeCeil(w float64) int {
+	return int(math.Ceil(w - 1e-9))
+}
+
+// spanObserver sees every integrated span [t, next) of a BML run with the
+// total energy charged to it (fleet integration plus any decision-instant
+// migration energy). A span never crosses a day boundary or, when the run
+// has a bucket width, a bucket boundary. The recorder uses it to fold
+// per-bucket telemetry.
+type spanObserver func(t, next int, energy power.Joules)
+
+// runBMLIntegrator is the interval-integrator BML engine loop. bucket > 0
+// additionally ends spans at every multiple of bucket seconds; obs, when
+// non-nil, sees every span.
+func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result, bucket int, obs spanObserver) error {
 	n := tr.Len()
 	for t := 0; t < n; {
-		// Spans never cross day boundaries, so addEnergy's day bucketing is
-		// exact without splitting energies after the fact.
+		// Spans never cross day (or bucket) boundaries, so addEnergy's day
+		// bucketing is exact without splitting energies after the fact.
 		limit := (t/trace.SecondsPerDay + 1) * trace.SecondsPerDay
+		if bucket > 0 {
+			limit = min(limit, (t/bucket+1)*bucket)
+		}
 		if limit > n {
 			limit = n
 		}
@@ -91,6 +106,9 @@ func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result) error {
 			return fmt.Errorf("sim: integrate [%d,%d): %w", t, next, err)
 		}
 		res.addEnergy(t, e+rep.Energy)
+		if obs != nil {
+			obs(t, next, e+rep.Energy)
+		}
 		if err := res.QoS.ObserveSpan(float64(next-t), demandInt.Sum(), servedInt.Sum(), violation); err != nil {
 			return err
 		}

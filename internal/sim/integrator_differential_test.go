@@ -2,10 +2,9 @@ package sim
 
 // Raw-trace differential tests for the interval integrator: on un-quantized
 // 1 Hz traces (every second a load change) the integrator must reproduce
-// both per-second oracles — the tick loop and the per-sample event engine —
-// to ≤1e-6 J with exact counters, across all four scenarios and the
-// scheduler extensions. This is the contract that lets the integrator be
-// the default engine.
+// the tick oracle to ≤1e-6 J with exact counters, across all four
+// scenarios and the scheduler extensions. This is the contract that lets
+// the integrator be the only production engine.
 
 import (
 	"fmt"
@@ -38,28 +37,8 @@ func rawWCSegment(t *testing.T, seed int64, startHour, hours int) *trace.Trace {
 	return seg
 }
 
-// runTriple executes the BML scenario on all three engines.
-func runTriple(t *testing.T, tr *trace.Trace, cfg BMLConfig) (tick, ev, integ *Result) {
-	t.Helper()
-	planner := fastPlanner(t)
-	tick, err := RunBML(tr, planner, cfg, WithTickEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err = RunBML(tr, planner, cfg, WithEventEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	integ, err = RunBML(tr, planner, cfg, WithIntegratorEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tick, ev, integ
-}
-
 func TestRawTraceIntegratorDifferential(t *testing.T) {
-	// BML on raw WC'98 segments: the integrator against both per-second
-	// oracles, pairwise.
+	// BML on raw WC'98 segments: the integrator against the tick oracle.
 	for _, c := range []struct {
 		seed             int64
 		startHour, hours int
@@ -72,9 +51,8 @@ func TestRawTraceIntegratorDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("bml/seed=%d,h=%d", c.seed, c.startHour), func(t *testing.T) {
 			t.Parallel()
 			tr := rawWCSegment(t, c.seed, c.startHour, c.hours)
-			tick, ev, integ := runTriple(t, tr, BMLConfig{})
+			tick, integ := runBoth(t, tr, fastPlanner(t), BMLConfig{})
 			assertEnginesAgree(t, "tick-vs-integrator", tick, integ)
-			assertEnginesAgree(t, "event-vs-integrator", ev, integ)
 			if integ.Decisions == 0 {
 				t.Error("degenerate case: no reconfiguration happened")
 			}
@@ -82,16 +60,16 @@ func TestRawTraceIntegratorDifferential(t *testing.T) {
 	}
 
 	// All four scenarios on one raw segment. The upper/lower bounds run
-	// their (already per-event-O(1)) event paths under the integrator
-	// option; BML runs the demand fold. Sweep also exercises the engines
-	// under concurrency, keeping the suite race-clean by construction.
+	// their per-day fold kernels by default; BML runs the demand fold.
+	// Sweep also exercises the engines under concurrency, keeping the
+	// suite race-clean by construction.
 	t.Run("four-scenarios", func(t *testing.T) {
 		t.Parallel()
 		tr := rawWCSegment(t, 7, 8, 4)
 		planner := fastPlanner(t)
 		for _, sc := range []Scenario{ScenarioUpperBoundGlobal, ScenarioUpperBoundPerDay, ScenarioBML, ScenarioLowerBound} {
 			tickJob := SweepJob{Trace: tr, Planner: planner, Scenario: sc, Options: []Option{WithTickEngine()}}
-			integJob := SweepJob{Trace: tr, Planner: planner, Scenario: sc, Options: []Option{WithIntegratorEngine()}}
+			integJob := SweepJob{Trace: tr, Planner: planner, Scenario: sc}
 			res := Sweep([]SweepJob{tickJob, integJob}, 2)
 			if res[0].Err != nil || res[1].Err != nil {
 				t.Fatalf("%s: %v / %v", sc, res[0].Err, res[1].Err)
@@ -101,8 +79,8 @@ func TestRawTraceIntegratorDifferential(t *testing.T) {
 	})
 
 	// Scheduler extensions on raw traces: overhead-aware skip accounting,
-	// malleability adjustments and migration locks, boot faults, and the
-	// scan-index fallback. Counters must stay exact even though the
+	// malleability adjustments and migration locks, and boot faults.
+	// Counters must stay exact even though the
 	// integrator accounts for skipped/adjusted seconds via the decision
 	// scan rather than per-second decide calls.
 	t.Run("config-variants", func(t *testing.T) {
@@ -116,11 +94,9 @@ func TestRawTraceIntegratorDifferential(t *testing.T) {
 			"app-migration":  {App: &spec},
 			"composed":       {App: &spec, OverheadAware: true, AmortizeSeconds: 5},
 			"boot-faults":    {BootFaultProb: 0.3, FaultSeed: 17},
-			"scan-index":     {ScanIndex: true}, // falls back to the per-sample path
 		} {
-			tick, ev, integ := runTriple(t, tr, cfg)
+			tick, integ := runBoth(t, tr, fastPlanner(t), cfg)
 			assertEnginesAgree(t, name+"/tick-vs-integrator", tick, integ)
-			assertEnginesAgree(t, name+"/event-vs-integrator", ev, integ)
 		}
 	})
 
@@ -142,9 +118,8 @@ func TestRawTraceIntegratorDifferential(t *testing.T) {
 			"last-value":     predict.NewLastValue(tr),
 			"error-injected": noisy,
 		} {
-			tick, ev, integ := runTriple(t, tr, BMLConfig{Predictor: p})
+			tick, integ := runBoth(t, tr, fastPlanner(t), BMLConfig{Predictor: p})
 			assertEnginesAgree(t, name+"/tick-vs-integrator", tick, integ)
-			assertEnginesAgree(t, name+"/event-vs-integrator", ev, integ)
 		}
 	})
 
@@ -164,8 +139,21 @@ func TestRawTraceIntegratorDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tick, ev, integ := runTriple(t, tr, BMLConfig{})
+		tick, integ := runBoth(t, tr, fastPlanner(t), BMLConfig{})
 		assertEnginesAgree(t, "tick-vs-integrator", tick, integ)
-		assertEnginesAgree(t, "event-vs-integrator", ev, integ)
 	})
+}
+
+func TestWakeCeil(t *testing.T) {
+	cases := []struct {
+		w    float64
+		want int
+	}{
+		{1, 1}, {10, 10}, {0.5, 1}, {10.5, 11}, {189, 189}, {2.0000000001, 2},
+	}
+	for _, c := range cases {
+		if got := wakeCeil(c.w); got != c.want {
+			t.Errorf("wakeCeil(%v) = %d, want %d", c.w, got, c.want)
+		}
+	}
 }

@@ -1,12 +1,11 @@
 package sim
 
-// Differential tests for the event-driven recorder: RunBMLRecorded on the
-// event engine (bucket-boundary events, analytic per-interval folding)
-// must reproduce the legacy 1 Hz sampling loop — retained behind
-// WithTickEngine as the oracle — bucket for bucket: energy-derived mean
-// power within ≤1e-6 J per bucket-second, loads and reference draws to
-// numerical noise, and every scheduler counter exactly. This was the gate
-// for demoting the tick recorder to oracle-only status.
+// Differential tests for the recorder: RunBMLRecorded on the interval
+// integrator (bucket boundaries as span limits, per-span folding) must
+// reproduce the legacy 1 Hz sampling loop — retained behind WithTickEngine
+// as the oracle — bucket for bucket: energy-derived mean power within
+// ≤1e-6 J per bucket-second, loads and reference draws to numerical noise,
+// and every scheduler counter exactly.
 
 import (
 	"fmt"
@@ -19,57 +18,57 @@ import (
 	"repro/internal/trace"
 )
 
-func assertRecordingsAgree(t *testing.T, label string, tick, ev *Recording) {
+func assertRecordingsAgree(t *testing.T, label string, tick, integ *Recording) {
 	t.Helper()
-	if tick.BucketSeconds != ev.BucketSeconds {
-		t.Fatalf("%s: bucket widths differ: %d vs %d", label, tick.BucketSeconds, ev.BucketSeconds)
+	if tick.BucketSeconds != integ.BucketSeconds {
+		t.Fatalf("%s: bucket widths differ: %d vs %d", label, tick.BucketSeconds, integ.BucketSeconds)
 	}
-	if len(tick.Power) != len(ev.Power) || len(tick.Load) != len(ev.Load) || len(tick.StaticPower) != len(ev.StaticPower) {
+	if len(tick.Power) != len(integ.Power) || len(tick.Load) != len(integ.Load) || len(tick.StaticPower) != len(integ.StaticPower) {
 		t.Fatalf("%s: bucket counts differ: %d/%d/%d vs %d/%d/%d", label,
 			len(tick.Power), len(tick.Load), len(tick.StaticPower),
-			len(ev.Power), len(ev.Load), len(ev.StaticPower))
+			len(integ.Power), len(integ.Load), len(integ.StaticPower))
 	}
 	for b := range tick.Power {
 		// Power is mean Watts over the bucket; ×width gives the bucket's
 		// energy, which is the quantity held to the engine-wide 1e-6 J bar.
-		if d := math.Abs(tick.Power[b]-ev.Power[b]) * float64(tick.BucketSeconds); d > energyTolJ {
-			t.Errorf("%s: bucket %d energy diverges by %g J (tick %v W, event %v W)",
-				label, b, d, tick.Power[b], ev.Power[b])
+		if d := math.Abs(tick.Power[b]-integ.Power[b]) * float64(tick.BucketSeconds); d > energyTolJ {
+			t.Errorf("%s: bucket %d energy diverges by %g J (tick %v W, integrator %v W)",
+				label, b, d, tick.Power[b], integ.Power[b])
 		}
-		if d := math.Abs(tick.Load[b] - ev.Load[b]); d > 1e-9*(1+math.Abs(tick.Load[b])) {
-			t.Errorf("%s: bucket %d load %v vs %v", label, b, tick.Load[b], ev.Load[b])
+		if d := math.Abs(tick.Load[b] - integ.Load[b]); d > 1e-9*(1+math.Abs(tick.Load[b])) {
+			t.Errorf("%s: bucket %d load %v vs %v", label, b, tick.Load[b], integ.Load[b])
 		}
-		if d := math.Abs(tick.StaticPower[b] - ev.StaticPower[b]); d > 1e-9*(1+math.Abs(tick.StaticPower[b])) {
-			t.Errorf("%s: bucket %d static power %v vs %v", label, b, tick.StaticPower[b], ev.StaticPower[b])
+		if d := math.Abs(tick.StaticPower[b] - integ.StaticPower[b]); d > 1e-9*(1+math.Abs(tick.StaticPower[b])) {
+			t.Errorf("%s: bucket %d static power %v vs %v", label, b, tick.StaticPower[b], integ.StaticPower[b])
 		}
 	}
-	assertEnginesAgree(t, label+"/result", tick.Result, ev.Result)
+	assertEnginesAgree(t, label+"/result", tick.Result, integ.Result)
 }
 
-func recordBoth(t *testing.T, tr *trace.Trace, cfg BMLConfig, bucketSeconds int) (tick, ev *Recording) {
+func recordBoth(t *testing.T, tr *trace.Trace, cfg BMLConfig, bucketSeconds int) (tick, integ *Recording) {
 	t.Helper()
 	planner := fastPlanner(t)
 	tick, err := RunBMLRecorded(tr, planner, cfg, bucketSeconds, WithTickEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err = RunBMLRecorded(tr, planner, cfg, bucketSeconds, WithEventEngine())
+	integ, err = RunBMLRecorded(tr, planner, cfg, bucketSeconds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tick, ev
+	return tick, integ
 }
 
 func TestDifferentialRecordingBucketWidths(t *testing.T) {
-	// A plateau trace whose intervals span many seconds is the shape where
-	// bucket-boundary events actually split integration intervals; widths
+	// A plateau trace whose spans last many seconds is the shape where
+	// bucket boundaries actually split integration spans; widths
 	// that divide the trace, widths that do not, and a width larger than a
 	// day all have to agree with per-second sampling.
 	rng := rand.New(rand.NewSource(5))
 	tr := randomStepTrace(rng, trace.SecondsPerDay+4321, 250, 45, 1200)
 	for _, width := range []int{60, 300, 601, 7, 2 * trace.SecondsPerDay} {
-		tick, ev := recordBoth(t, tr, BMLConfig{}, width)
-		assertRecordingsAgree(t, fmt.Sprintf("width=%d", width), tick, ev)
+		tick, integ := recordBoth(t, tr, BMLConfig{}, width)
+		assertRecordingsAgree(t, fmt.Sprintf("width=%d", width), tick, integ)
 	}
 }
 
@@ -83,15 +82,14 @@ func TestDifferentialRecordingFaultsAndApp(t *testing.T) {
 		"plain":          {},
 		"faults":         {BootFaultProb: 0.35, FaultSeed: 11},
 		"app-overhead":   {App: &spec, OverheadAware: true, AmortizeSeconds: 5},
-		"scan-baseline":  {ScanIndex: true},
 		"noisy-per-sec":  {},
 		"scaled-fleet-8": {},
 	} {
 		rtr := tr
 		switch name {
 		case "noisy-per-sec":
-			// Per-second-varying demand collapses the event engine to 1 s
-			// intervals; recording must survive the degenerate case too.
+			// Per-second-varying demand makes every sample its own run
+			// inside a span; recording must fold it exactly too.
 			rtr = dayTrace(t, 1, 220)
 		case "scaled-fleet-8":
 			var err error
@@ -99,14 +97,14 @@ func TestDifferentialRecordingFaultsAndApp(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tick, ev := recordBoth(t, rtr, cfg, 300)
-		assertRecordingsAgree(t, name, tick, ev)
+		tick, integ := recordBoth(t, rtr, cfg, 300)
+		assertRecordingsAgree(t, name, tick, integ)
 	}
 }
 
 // TestRecordedMatchesPlainRunOnPlateaus pins the relationship between the
 // recorded aggregate and a plain (no-telemetry) run on a trace whose
-// intervals are actually split by bucket boundaries: the totals may differ
+// spans are actually split by bucket boundaries: the totals may differ
 // only by summation regrouping, far below the engine tolerance.
 func TestRecordedMatchesPlainRunOnPlateaus(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))

@@ -12,42 +12,36 @@
 //   - LowerBound Theoretical: the unreachable bound where the ideal
 //     combination is re-established every second at zero switching cost.
 //
-// Three engines execute the BML scenario, all producing identical results.
-// The default interval integrator (integrator.go) iterates only on
-// scheduler events — decisions that act (found by sched.DecideSpan's
-// forward scan), transition completions and lock expiries, day boundaries
-// — and folds every raw trace sample inside a span through the fleet's
-// closed-form dispatch arithmetic (cluster.DemandFold), so un-quantized
-// 1 Hz traces simulate as cheaply per second as quantized ones. The
-// per-sample event engine (engine.go, events.go), selectable with
-// WithEventEngine(), additionally pays one engine iteration per
-// trace-level load change and prediction change — equivalent on
-// piecewise-constant traces, one iteration per second on raw ones; it
-// remains the integrator's differential oracle, the fallback under
-// cluster.WithScanIndex (no pool aggregates to fold), and the engine
-// behind per-bucket telemetry (RunBMLRecorded, recorder.go, which needs
-// the per-interval observer stream). Per-event cost of both is
+// Two engines execute the BML scenario, producing identical results. The
+// interval integrator (integrator.go), the only production engine,
+// iterates only on scheduler events — decisions that act (found by
+// sched.DecideSpan's forward scan), transition completions and lock
+// expiries, day boundaries, and, for per-bucket telemetry
+// (RunBMLRecorded, recorder.go), bucket boundaries — and folds every raw
+// trace sample inside a span through the fleet's closed-form dispatch
+// arithmetic (cluster.DemandFold), so un-quantized 1 Hz traces simulate
+// as cheaply per second as quantized ones. Its per-span cost is
 // independent of fleet size: the cluster indexes pending transitions in a
 // min-heap and integrates each pool's On fleet in closed form from its
-// fill-first load shape, so thousand-node runs pay per event for the
+// fill-first load shape, so thousand-node runs pay per span for the
 // architectures and the machines mid-transition, not for the fleet.
 //
 // The static scenarios (both UpperBounds and the LowerBound) have no
-// scheduler, so the engine choice does not apply to them: their draw is a
-// pure function of the instantaneous load and a per-day sizing, and the
-// fold kernels of static.go integrate each day window run by run of equal
-// samples at O(S) cost, bit-identical to the per-sample event loop they
-// replaced (kept in static_reference_test.go as the reference).
-// WithTickEngine runs them on the 1 Hz oracle loop instead.
+// scheduler: their draw is a pure function of the instantaneous load and a
+// per-day sizing, and the fold kernels of static.go integrate each day
+// window run by run of equal samples at O(S) cost, bit-identical to the
+// per-sample event loop they replaced (kept in static_reference_test.go
+// as the reference).
 //
 // The legacy 1 Hz tick loop — one scheduler step and one joule-sample per
 // simulated second, the paper's original integration scheme — survives
-// behind WithTickEngine() as a differential-testing oracle ONLY; it is no
-// longer a supported production path. The differential suites
-// (differential_test.go, recorder_differential_test.go,
-// integrator_differential_test.go) hold all engines pairwise to ≤1e-6 J
-// and exactly equal counters on randomized traces, fleets, fault
-// schedules, and raw un-quantized World Cup segments.
+// behind WithTickEngine() as the differential-testing oracle ONLY, for
+// BML and the static scenarios alike; it is not a supported production
+// path. The differential suites (differential_test.go,
+// recorder_differential_test.go, integrator_differential_test.go) hold
+// the integrator to the tick loop within ≤1e-6 J and exactly equal
+// counters on randomized traces, fleets, fault schedules, and raw
+// un-quantized World Cup segments.
 //
 // Results report total and per-day energy (the series of Figure 5) plus
 // QoS and reconfiguration statistics. RunAll and Sweep (parallel.go) fan
@@ -103,8 +97,8 @@ type Result struct {
 	Breakdown power.Breakdown
 
 	// Neumaier compensation terms for the energy accumulators. The tick
-	// engine performs one addition per simulated second while the event
-	// engine performs one per interval; compensated summation keeps both
+	// engine performs one addition per simulated second while the
+	// integrator performs one per span; compensated summation keeps both
 	// orderings exact to well below the 1e-6 J differential-test bound
 	// even on month-long traces. finalize folds them into the totals.
 	totalComp float64
@@ -188,11 +182,6 @@ type BMLConfig struct {
 	OverheadAware bool
 	// AmortizeSeconds is the amortization horizon (0 = 378 s).
 	AmortizeSeconds float64
-	// ScanIndex answers the cluster's fleet queries with the original
-	// O(fleet) linear scans instead of the transition min-heap and pool
-	// aggregates (cluster.WithScanIndex). It is the differential-testing
-	// and benchmarking baseline; real runs should leave it false.
-	ScanIndex bool
 }
 
 // denseTableLimit is the largest grid size for which buildBMLRig
@@ -251,13 +240,12 @@ func LiveRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (bml.Lookup, 
 	return table, pred, headroom, nil
 }
 
-// buildBMLRig assembles the scheduler, cluster, and predictor for a BML
-// run. The predictor is returned so the event engine can derive
-// prediction-change events from it.
-func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.Scheduler, *cluster.Cluster, predict.Predictor, error) {
+// buildBMLRig assembles the scheduler and cluster for a BML run. The
+// decision log is kept whole when wantLog is set and not built otherwise.
+func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, wantLog bool) (*sched.Scheduler, *cluster.Cluster, error) {
 	table, pred, headroom, err := LiveRig(tr, planner, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	var clOpts []cluster.Option
 	if cfg.Inventory != nil {
@@ -268,12 +256,13 @@ func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.S
 		// observes independent (but individually reproducible) failures.
 		clOpts = append(clOpts, cluster.WithBootFaults(cfg.BootFaultProb, cfg.FaultSeed+cfg.RepeatSeed))
 	}
-	if cfg.ScanIndex {
-		clOpts = append(clOpts, cluster.WithScanIndex())
-	}
 	cl, err := cluster.New(planner.Candidates(), clOpts...)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
+	}
+	logCap := -1
+	if wantLog {
+		logCap = math.MaxInt
 	}
 	sc, err := sched.New(sched.Config{
 		Table:           table,
@@ -283,50 +272,52 @@ func buildBMLRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (*sched.S
 		App:             cfg.App,
 		OverheadAware:   cfg.OverheadAware,
 		AmortizeSeconds: cfg.AmortizeSeconds,
+		DecisionLogCap:  logCap,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return sc, cl, pred, nil
+	return sc, cl, nil
 }
 
 // RunBML simulates the heterogeneous infrastructure under the proactive
 // scheduler over tr, using the planner's candidate classes and combination
-// table. The event-driven engine is used unless WithTickEngine is given.
+// table. It runs on the interval integrator unless WithTickEngine selects
+// the 1 Hz oracle.
 func RunBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option) (*Result, error) {
-	res, _, err := runBML(tr, planner, cfg, false, opts)
+	res, _, err := runBML(tr, planner, cfg, false, buildOptions(opts), 0, nil)
 	return res, err
 }
 
 // RunBMLDecisions runs the BML scenario like RunBML and additionally
-// returns the scheduler's decision log (changed-target decisions with
-// their simulation times). The differential replay harness
-// (internal/ctrl) compares this sequence against the live controller's.
+// returns the scheduler's complete decision log (changed-target decisions
+// with their simulation times), one entry per Result.Decisions. The
+// differential replay harness (internal/ctrl) compares this sequence
+// against the live controller's.
 func RunBMLDecisions(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option) (*Result, []sched.Decision, error) {
-	return runBML(tr, planner, cfg, true, opts)
-}
-
-func runBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, wantLog bool, opts []Option) (*Result, []sched.Decision, error) {
-	if tr == nil || planner == nil {
-		return nil, nil, errors.New("sim: nil trace or planner")
-	}
-	o := buildOptions(opts)
-	sc, cl, pred, err := buildBMLRig(tr, planner, cfg)
+	res, sc, err := runBML(tr, planner, cfg, true, buildOptions(opts), 0, nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	return res, sc.DecisionLog(), nil
+}
 
+// runBML builds the rig and runs the BML scenario on the engine o selects.
+// bucket and obs are the integrator's span limits and span observer (see
+// runBMLIntegrator); the tick loop reports every second to obs.
+func runBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, wantLog bool, o options, bucket int, obs spanObserver) (*Result, *sched.Scheduler, error) {
+	if tr == nil || planner == nil {
+		return nil, nil, errors.New("sim: nil trace or planner")
+	}
+	sc, cl, err := buildBMLRig(tr, planner, cfg, wantLog)
+	if err != nil {
+		return nil, nil, err
+	}
 	res := newResult("Big-Medium-Little", tr.Days())
-	switch {
-	case o.engine == engineTick:
-		err = runBMLTick(tr, sc, res)
-	case o.engine == engineEvent || cfg.ScanIndex:
-		// The scan-index baseline materializes per-machine loads every tick
-		// and keeps no pool aggregates, so there is nothing for a demand
-		// fold to replay: ScanIndex runs always take the per-sample path.
-		err = runBMLEvent(tr, sc, pred, res)
-	default:
-		err = runBMLIntegrator(tr, sc, res)
+	if o.tick {
+		err = runBMLTick(tr, sc, res, obs)
+	} else {
+		err = runBMLIntegrator(tr, sc, res, bucket, obs)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -339,11 +330,7 @@ func runBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, wantLog bool, 
 	res.Breakdown = cl.Breakdown()
 	res.Breakdown.Transition += res.MigrationEnergy
 	res.finalize()
-	var log []sched.Decision
-	if wantLog {
-		log = sc.DecisionLog()
-	}
-	return res, log, nil
+	return res, sc, nil
 }
 
 // RunUpperBoundGlobal simulates the over-provisioned homogeneous data
@@ -408,7 +395,7 @@ func perDaySizing(tr *trace.Trace, big profile.Arch) func(day int) int {
 // the trailing partial-day fallback) is recorded as QoS loss.
 func runHomogeneousStatic(tr *trace.Trace, arch profile.Arch, sizeForDay func(day int) int, name string, o options) (*Result, error) {
 	res := newResult(name, tr.Days())
-	if o.engine != engineTick {
+	if !o.tick {
 		if err := foldHomogeneous(tr, arch, sizeForDay, res); err != nil {
 			return nil, err
 		}
@@ -472,7 +459,7 @@ func RunLowerBound(tr *trace.Trace, candidates []profile.Arch, opts ...Option) (
 		return nil, err
 	}
 	res := newResult("LowerBound Theoretical", tr.Days())
-	if o.engine != engineTick {
+	if !o.tick {
 		if err := foldLowerBound(tr, solver, res); err != nil {
 			return nil, err
 		}

@@ -349,3 +349,32 @@ func TestScenariosOnPaperMachinesMiniTrace(t *testing.T) {
 		t.Errorf("ordering violated: LB=%v BML=%v UBG=%v", lb, bm, ub)
 	}
 }
+
+// TestRunBMLDecisionsKeepsWholeLog pins that the decision log of a long
+// run is complete — one entry per counted decision, oldest first — rather
+// than only the tail the scheduler's default bounded log retains.
+func TestRunBMLDecisionsKeepsWholeLog(t *testing.T) {
+	// Load flips between a Little-only and a Big-sized level every 20 s;
+	// the oracle predictor makes every flip a decision.
+	vals := make([]float64, 5000*20)
+	for i := range vals {
+		vals[i] = 5
+		if (i/20)%2 == 1 {
+			vals[i] = 150
+		}
+	}
+	tr := trace.MustNew(vals)
+	res, log, err := RunBMLDecisions(tr, fastPlanner(t), BMLConfig{Predictor: predict.NewOracle(tr)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Decisions <= 4096 {
+		t.Fatalf("degenerate case: only %d decisions", res.Decisions)
+	}
+	if len(log) != res.Decisions {
+		t.Fatalf("decision log has %d entries, want %d", len(log), res.Decisions)
+	}
+	if log[0].Time != 0 {
+		t.Errorf("first logged decision at t=%d, want 0", log[0].Time)
+	}
+}

@@ -17,8 +17,8 @@ import (
 // maximal run of equal samples is one closed-form interval, and the
 // accumulators live in locals until the day ends.
 //
-// The runs are exactly the intervals the per-sample event timeline yields
-// (trace changes and day edges), and every run performs the float
+// The runs are exactly the intervals of the per-sample event loop these
+// kernels replaced (trace changes and day edges), and every run performs the float
 // operations of that loop in the same order — e = P·dt, the plain
 // Breakdown adds, the Neumaier adds into the total and the day bucket, and
 // the QoS adds of one Observe — so the kernels are bit-identical to it, not merely within

@@ -11,14 +11,19 @@ import (
 	"repro/internal/trace"
 )
 
+// nextStaticEvent is the event timeline the reference loops step over: the
+// next load change or day boundary after t, whichever comes first.
+func nextStaticEvent(tr *trace.Trace, t int) int {
+	return min(tr.NextChange(t), (t/trace.SecondsPerDay+1)*trace.SecondsPerDay)
+}
+
 // runHomogeneousEvent is the per-sample event loop the static fold kernels
 // replaced, kept as their bit-identical reference: one closed-form interval
-// per timeline event (load change or day boundary).
+// per event (load change or day boundary).
 func runHomogeneousEvent(tr *trace.Trace, arch profile.Arch, sizeForDay func(day int) int, res *Result) error {
-	tl := newTimeline(tr, nil)
 	n := tr.Len()
 	for t := 0; t < n; {
-		next := tl.next(t)
+		next := nextStaticEvent(tr, t)
 		dt := float64(next - t)
 		nodes := sizeForDay(t / trace.SecondsPerDay)
 		demand := tr.At(t)
@@ -42,10 +47,9 @@ func runHomogeneousEvent(tr *trace.Trace, arch profile.Arch, sizeForDay func(day
 
 // runLowerBoundEvent is the LowerBound counterpart of runHomogeneousEvent.
 func runLowerBoundEvent(tr *trace.Trace, solver *bml.ExactSolver, res *Result) error {
-	tl := newTimeline(tr, nil)
 	n := tr.Len()
 	for t := 0; t < n; {
-		next := tl.next(t)
+		next := nextStaticEvent(tr, t)
 		dt := float64(next - t)
 		demand := tr.At(t)
 		e, err := power.IntervalEnergy(solver.PowerAt(demand), dt)

@@ -244,8 +244,7 @@ func (t *Trace) SlidingMax(width int) ([]float64, error) {
 
 // NextChange returns the first second u > i at which the load differs from
 // the load at i, or Len() when the trace is constant from i onward.
-// Negative i clamps to 0; i at or past the end returns Len(). This is the
-// event-driven simulator's trace-change event source.
+// Negative i clamps to 0; i at or past the end returns Len().
 func (t *Trace) NextChange(i int) int {
 	n := len(t.values)
 	if i < 0 {

@@ -22,8 +22,8 @@
 // which compare against a committed snapshot and so absorb host-speed
 // differences badly — a ratio gate is host-independent: both sides run on
 // the same machine in the same invocation, so it can assert algorithmic
-// claims ("the interval integrator is ≥10x the per-sample event path on a
-// raw trace") without flaking on slow runners.
+// claims ("the interval integrator is ≥10x the tick loop on a raw
+// trace") without flaking on slow runners.
 //
 // Usage:
 //

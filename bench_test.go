@@ -508,10 +508,9 @@ func BenchmarkSweepGrid(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, r := range sim.Sweep(jobs, 0) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
+		err := sim.SweepStream(jobs, 0, func(r sim.SweepResult) error { return r.Err })
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }

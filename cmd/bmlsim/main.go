@@ -68,6 +68,7 @@ import (
 	"repro/internal/bml"
 	"repro/internal/predict"
 	"repro/internal/profile"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wc98"
@@ -204,11 +205,11 @@ func main() {
 	if *fleet < 0 {
 		log.Fatalf("invalid -fleet %d (want a target machine count)", *fleet)
 	}
+	planner, err := bml.NewPlanner(profile.PaperMachines())
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *fleet > 0 && !*sweep {
-		planner, perr := bml.NewPlanner(profile.PaperMachines())
-		if perr != nil {
-			log.Fatal(perr)
-		}
 		base := planner.Combination(tr.Max()).TotalNodes()
 		if base < 1 {
 			base = 1
@@ -244,13 +245,26 @@ func main() {
 			bmlCfg.Headroom = 0 // let the class default apply
 		}
 	}
-	if p := buildPredictor(tr, *predName, *ewmaAlpha, *windowF); p != nil {
+	// The predictor window is the scheduler's own (sched.Window over the
+	// planner's candidates), so a classic run and a sweep cell with the same
+	// knobs predict over the same horizon.
+	wf := *windowF
+	if wf == 0 {
+		wf = sched.DefaultWindowFactor
+	}
+	window, err := sched.Window(planner.Candidates(), wf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if p := buildPredictor(tr, *predName, *ewmaAlpha, window); p != nil {
 		bmlCfg.Predictor = p
 	}
 	if *errLevel > 0 {
 		inner := bmlCfg.Predictor
 		if inner == nil {
-			inner = mustLookahead(tr, *windowF)
+			if inner, err = predict.NewLookaheadMax(tr, window); err != nil {
+				log.Fatal(err)
+			}
 		}
 		wrapped, werr := predict.NewErrorInjector(inner, *errLevel, *seed)
 		if werr != nil {
@@ -277,7 +291,7 @@ func main() {
 		if fleetAxis == "" {
 			fleetAxis = fmt.Sprintf("%d", *fleet)
 		}
-		runSweepMode(traces, configAxis, simOpts, sweepOpts{
+		runSweepMode(traces, planner, configAxis, simOpts, sweepOpts{
 			fleets: fleetAxis, shard: *shard, out: *outFile, sink: *sink,
 			only: *only, cacheSpec: *cacheSpec, run: *runName, token: *token,
 			tlsCA: *tlsCA, claim: *claim, dieAfter: *dieAfter, stallAfter: *stallAfter,
@@ -334,7 +348,7 @@ func (r *repeatedString) Set(v string) error {
 }
 
 // buildPredictor returns nil for the default look-ahead-max predictor.
-func buildPredictor(tr *trace.Trace, name string, alpha, windowF float64) predict.Predictor {
+func buildPredictor(tr *trace.Trace, name string, alpha float64, window int) predict.Predictor {
 	switch name {
 	case "lookahead", "":
 		return nil
@@ -349,11 +363,7 @@ func buildPredictor(tr *trace.Trace, name string, alpha, windowF float64) predic
 		}
 		return p
 	case "pattern":
-		w := int(189 * windowF)
-		if w < 1 {
-			w = 1
-		}
-		p, err := predict.NewDailyPattern(tr, w, 0)
+		p, err := predict.NewDailyPattern(tr, window, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -362,17 +372,4 @@ func buildPredictor(tr *trace.Trace, name string, alpha, windowF float64) predic
 		log.Fatalf("unknown predictor %q", name)
 		return nil
 	}
-}
-
-func mustLookahead(tr *trace.Trace, windowF float64) predict.Predictor {
-	// Window sized from the paper machines' longest boot (Paravance 189 s).
-	w := int(189 * windowF)
-	if w < 1 {
-		w = 1
-	}
-	p, err := predict.NewLookaheadMax(tr, w)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return p
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/bml"
-	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -117,8 +116,9 @@ func (o sweepOpts) openCache() sim.CellCache {
 }
 
 // cellWorker is the per-process emit state shared by shard and claim
-// modes: the sink stack, the cache, the fault-injection counters, and the
-// graceful-shutdown flag.
+// modes, and the sim.CellSink that sim.SweepStreamToCache feeds: it
+// forwards each record to the sink stack, logs and counts it, and applies
+// the fault-injection and graceful-shutdown hooks to computed cells.
 type cellWorker struct {
 	sinks      sim.MultiSink
 	cache      sim.CellCache
@@ -143,81 +143,60 @@ func (w *cellWorker) notifyStop() {
 	}()
 }
 
-// serveFromCache emits every cached cell of batch straight to the sinks
-// and returns the misses — the cells that actually need simulating.
-func (w *cellWorker) serveFromCache(batch []sim.SweepJob) []sim.SweepJob {
-	if w.cache == nil {
-		return batch
+// stream runs batch through the result cache (when -cache is set) and the
+// simulator, emitting every cell into the worker: cached cells first, then
+// each computed cell as it completes, written back to the cache before it
+// reaches the sinks.
+func (w *cellWorker) stream(batch []sim.SweepJob) error {
+	_, err := sim.SweepStreamToCache(batch, 0, w, w.cache)
+	return err
+}
+
+// Emit forwards rec to the sinks, then accounts for it. A computed cell
+// may trip -die-after or -stall-after, and once a shutdown signal has
+// arrived it returns sim.ErrStopStream so in-flight cells drain and no new
+// ones start.
+func (w *cellWorker) Emit(rec sim.CellRecord) error {
+	if err := w.sinks.Emit(rec); err != nil {
+		return err
 	}
-	var misses []sim.SweepJob
-	for _, j := range batch {
-		rec, ok, err := w.cache.Get(sim.CellID(j))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !ok {
-			misses = append(misses, j)
-			continue
-		}
-		rec.Cached = true
-		if err := w.sinks.Emit(rec); err != nil {
-			w.sinks.Close()
-			log.Fatal(err)
-		}
+	if rec.Cached {
 		w.hits++
 		log.Printf("cell %s served from cache (%d/%d)", rec.Name, w.hits, w.total)
-	}
-	return misses
-}
-
-// stream simulates batch, emitting each cell as it completes — with cache
-// write-back before the emit (a cell acknowledged by the sinks must
-// already be hittable by the next run) and the fault-injection hooks.
-func (w *cellWorker) stream(batch []sim.SweepJob) error {
-	return sim.SweepStream(batch, 0, func(r sim.SweepResult) error {
-		rec := sim.NewCellRecord(r)
-		if w.cache != nil && r.Err == nil {
-			if perr := w.cache.Put(rec); perr != nil {
-				return perr
-			}
-		}
-		if err := w.sinks.Emit(rec); err != nil {
-			return err
-		}
-		w.done++
-		if r.Err != nil {
-			w.failed++
-			w.failedIDs = append(w.failedIDs, rec.ID)
-			log.Printf("cell %s failed: %v", r.Job.Name, r.Err)
-		} else {
-			log.Printf("cell %s done in %.1f ms (%d/%d)", r.Job.Name,
-				float64(r.Wall.Microseconds())/1e3, w.hits+w.done, w.total)
-		}
-		if w.dieAfter > 0 && w.done >= w.dieAfter {
-			// Simulated crash: no flush, no file close — exactly what the
-			// journal + pending-set resume machinery must tolerate.
-			log.Printf("fault injection: aborting after %d streamed cells", w.done)
-			os.Exit(dieAfterExitCode)
-		}
-		if w.stallAfter > 0 && w.done >= w.stallAfter {
-			// Simulated hang: the process stays alive holding its leases —
-			// no connection ever errors, so only lease expiry can free the
-			// cells. This is the failure the lease supervisor exists for.
-			log.Printf("fault injection: stalling after %d streamed cells (process alive, leases held)", w.done)
-			select {}
-		}
-		if w.stopping.Load() {
-			return sim.ErrStopStream
-		}
 		return nil
-	})
+	}
+	w.done++
+	if rec.Err != "" {
+		w.failed++
+		w.failedIDs = append(w.failedIDs, rec.ID)
+		log.Printf("cell %s failed: %s", rec.Name, rec.Err)
+	} else {
+		log.Printf("cell %s done in %.1f ms (%d/%d)", rec.Name, rec.WallMS, w.hits+w.done, w.total)
+	}
+	if w.dieAfter > 0 && w.done >= w.dieAfter {
+		// Simulated crash: no flush, no file close — exactly what the
+		// journal + pending-set resume machinery must tolerate.
+		log.Printf("fault injection: aborting after %d streamed cells", w.done)
+		os.Exit(dieAfterExitCode)
+	}
+	if w.stallAfter > 0 && w.done >= w.stallAfter {
+		// Simulated hang: the process stays alive holding its leases —
+		// no connection ever errors, so only lease expiry can free the
+		// cells. This is the failure the lease supervisor exists for.
+		log.Printf("fault injection: stalling after %d streamed cells (process alive, leases held)", w.done)
+		select {}
+	}
+	if w.stopping.Load() {
+		return sim.ErrStopStream
+	}
+	return nil
 }
 
-func runSweepMode(traces []sim.TraceAxis, configAxis []sim.ConfigAxis, simOpts []sim.Option, opts sweepOpts) {
-	planner, err := bml.NewPlanner(profile.PaperMachines())
-	if err != nil {
-		log.Fatal(err)
-	}
+// Close is a no-op: the worker closes its sink stack itself, once, after
+// its last batch (claim mode streams many batches into the same sinks).
+func (w *cellWorker) Close() error { return nil }
+
+func runSweepMode(traces []sim.TraceAxis, planner *bml.Planner, configAxis []sim.ConfigAxis, simOpts []sim.Option, opts sweepOpts) {
 	fleets, err := sim.ParseFleets(opts.fleets)
 	if err != nil {
 		log.Fatal(err)
@@ -274,12 +253,11 @@ func runSweepMode(traces []sim.TraceAxis, configAxis []sim.ConfigAxis, simOpts [
 	// Result cache (-cache DIR|URL): cells whose canonical ID already has a
 	// cached success are emitted straight to the sinks — marked cached, so
 	// reports and the CI warm-pass gate can count them — and only the
-	// misses go through the simulator. Fresh successes are written back in
-	// the emit path, so the instant a cell is durable on the sinks it is
-	// also hittable by the next run.
+	// misses go through the simulator. Fresh successes are written back
+	// before they are emitted, so the instant a cell is durable on the
+	// sinks it is also hittable by the next run.
 	w.cache = opts.openCache()
 	w.total = len(shard)
-	shard = w.serveFromCache(shard)
 
 	// Graceful shutdown: a signal stops new cells, but every cell already
 	// in flight is still emitted (sim.ErrStopStream drains the stream),
@@ -298,7 +276,7 @@ func runSweepMode(traces []sim.TraceAxis, configAxis []sim.ConfigAxis, simOpts [
 		if ferr != nil {
 			log.Fatalf("flush after interrupt: %v", ferr)
 		}
-		log.Fatalf("interrupted: %d/%d cells streamed and flushed; resume with the coordinator's /v1/pending set", w.done, len(shard))
+		log.Fatalf("interrupted: %d/%d cells streamed and flushed; resume with the coordinator's /v1/pending set", w.hits+w.done, w.total)
 	case err != nil:
 		log.Fatal(err)
 	case ferr != nil:
@@ -311,10 +289,10 @@ func runSweepMode(traces []sim.TraceAxis, configAxis []sim.ConfigAxis, simOpts [
 	}
 	log.Printf("shard %s: streamed %d/%d cells of a %d-cell grid", spec, w.hits+w.done, w.total, len(jobs))
 	if w.failed > 0 {
-		log.Fatalf("%d of %d cells failed", w.failed, len(shard))
+		log.Fatalf("%d of %d cells failed", w.failed, w.total)
 	}
-	if w.done != len(shard) {
-		log.Fatalf("streamed %d cells, expected %d", w.done, len(shard))
+	if w.hits+w.done != w.total {
+		log.Fatalf("streamed %d cells, expected %d", w.hits+w.done, w.total)
 	}
 }
 
@@ -390,7 +368,6 @@ func runClaimMode(jobs []sim.SweepJob, opts sweepOpts) {
 		}
 		w.total += len(batch)
 		log.Printf("claimed %d cells (lease TTL %.0fs, %d still pending)", len(batch), lr.TTLSeconds, lr.Pending)
-		batch = w.serveFromCache(batch)
 		before := len(w.failedIDs)
 		err = w.stream(batch)
 		for _, id := range w.failedIDs[before:] {

@@ -280,60 +280,20 @@ func main() {
 		files = spawnWorkers(*spawn, *bin, *dir, grid, cacheArgs(*cacheSpec), true)
 	}
 
-	var records []sim.CellRecord
-	for _, name := range files {
-		f, err := os.Open(name)
-		if err != nil {
-			if spawned {
-				// A worker that died before creating its output is a
-				// partial failure: keep merging so the diagnostics below
-				// can name exactly which cells are missing.
-				log.Printf("skipping %v", err)
-				continue
-			}
-			die(exitUsage, "%v", err)
-		}
-		recs, err := sim.ReadCellRecords(f)
-		f.Close()
-		if err != nil {
-			if spawned {
-				// A crashed worker's half-written file: merge nothing from
-				// it and let the missing cells be named below.
-				log.Printf("skipping %s: %v", name, err)
-				continue
-			}
-			die(exitUsage, "%s: %v", name, err)
-		}
-		records = append(records, recs...)
-	}
+	records := readRecordFiles(files, spawned)
 
 	// Cells the files do not cover may still be cached from an earlier run
 	// (e.g. merging a partial set of CI artifacts over a warm cache): serve
 	// those from the cache so only genuinely new cells can fail the merge.
 	if cache != nil {
-		have := make(map[string]bool, len(records))
-		for _, rec := range records {
-			if rec.Err == "" {
-				have[rec.ID] = true
-			}
+		covered := sim.NewIngest(jobs)
+		if _, err := covered.Prime(records); err != nil {
+			die(exitUsage, "%v", err)
 		}
-		hits := 0
-		for _, j := range jobs {
-			id := sim.CellID(j)
-			if have[id] {
-				continue
-			}
-			rec, ok, err := cache.Get(id)
-			if err != nil {
-				die(exitUsage, "%v", err)
-			}
-			if !ok {
-				continue
-			}
-			rec.Cached = true
+		hits := serveFromCache(cache, covered.Pending(), func(rec sim.CellRecord) error {
 			records = append(records, rec)
-			hits++
-		}
+			return nil
+		})
 		if hits > 0 {
 			log.Printf("cache: %d cells served from cache", hits)
 		}
@@ -363,6 +323,59 @@ func cacheArgs(spec string) []string {
 		return nil
 	}
 	return []string{"-cache", spec}
+}
+
+// readRecordFiles reads JSONL worker outputs in order. With fromWorkers
+// (files this process's spawned workers wrote), a missing or half-written
+// file — a worker that crashed — is logged and skipped, so the merge
+// diagnostics can name exactly which cells are missing; otherwise an
+// unreadable input is a usage error.
+func readRecordFiles(files []string, fromWorkers bool) []sim.CellRecord {
+	var records []sim.CellRecord
+	for _, name := range files {
+		f, err := os.Open(name)
+		var recs []sim.CellRecord
+		if err == nil {
+			recs, err = sim.ReadCellRecords(f)
+			f.Close()
+			if err != nil {
+				err = fmt.Errorf("%s: %w", name, err)
+			}
+		}
+		if err != nil {
+			if !fromWorkers {
+				die(exitUsage, "%v", err)
+			}
+			log.Printf("skipping %v", err)
+			continue
+		}
+		records = append(records, recs...)
+	}
+	return records
+}
+
+// serveFromCache looks up every pending cell ID in the cache and hands each
+// hit, marked Cached, to add — the one loop that fills still-uncovered
+// cells from a result cache, for file merges and for the coordinator's
+// priming alike. It returns the number of hits; a broken cache or a
+// failed add is a usage error.
+func serveFromCache(cache sim.CellCache, pending []string, add func(sim.CellRecord) error) int {
+	hits := 0
+	for _, id := range pending {
+		rec, ok, err := cache.Get(id)
+		if err != nil {
+			die(exitUsage, "%v", err)
+		}
+		if !ok {
+			continue
+		}
+		rec.Cached = true
+		if err := add(rec); err != nil {
+			die(exitUsage, "cache prime: %v", err)
+		}
+		hits++
+	}
+	return hits
 }
 
 // writeBackCache stores every merged cell in the cache so the next run

@@ -294,7 +294,7 @@ func runServe(cfg serveConfig, jobs []sim.SweepJob) int {
 		if runs := fleet.Statuses(); len(runs) > 1 {
 			report.FleetStatus(os.Stderr, runs)
 		}
-		return finishServe(ing, jobs, cfg.csv, cfg.cache)
+		return finishMerge("grid complete", ing, jobs, cfg.csv, cfg.cache)
 	}
 	diagnose := func() {
 		report.SweepStatus(os.Stderr, ing.Status(), ing.Pending())
@@ -421,16 +421,17 @@ func superviseLeases(fleet *sim.Fleet, cfg serveConfig, sinkURL string) {
 	}
 }
 
-// finishServe merges the received records and renders the report.
-func finishServe(ing *sim.Ingest, jobs []sim.SweepJob, csv bool, cache sim.CellCache) int {
+// finishMerge merges the coordinator's records, writes fresh cells back to
+// the cache and renders the report; what names the mode in the log line.
+func finishMerge(what string, ing *sim.Ingest, jobs []sim.SweepJob, csv bool, cache sim.CellCache) int {
 	cells, stats, err := sim.MergeCells(jobs, ing.Records())
 	if err != nil {
 		printMergeDiagnostics(stats)
 		log.Print(err)
 		return exitIncomplete
 	}
-	log.Printf("grid complete: %d cells merged and validated (%d duplicates deduplicated)",
-		len(cells), stats.Duplicates)
+	log.Printf("%s: %d cells merged and validated (%d duplicates deduplicated)",
+		what, len(cells), stats.Duplicates)
 	writeBackCache(cache, cells)
 	return render(cells, csv)
 }
@@ -445,22 +446,7 @@ func primeFromCache(ing *sim.Ingest, cache sim.CellCache) {
 	if cache == nil {
 		return
 	}
-	hits := 0
-	for _, id := range ing.Pending() {
-		rec, ok, err := cache.Get(id)
-		if err != nil {
-			die(exitUsage, "%v", err)
-		}
-		if !ok {
-			continue
-		}
-		rec.Cached = true
-		if err := ing.Add(rec); err != nil {
-			die(exitUsage, "cache prime: %v", err)
-		}
-		hits++
-	}
-	if hits > 0 {
+	if hits := serveFromCache(cache, ing.Pending(), ing.Add); hits > 0 {
 		log.Printf("cache: primed %d pending cells from cache", hits)
 	}
 }
@@ -489,36 +475,13 @@ func runResume(journalPath string, jobs []sim.SweepJob, spawnN int, bin, dir str
 		pf := writePendingFile(pending)
 		defer os.Remove(pf)
 		files := spawnWorkers(spawnN, bin, dir, grid, append([]string{"-only", pf}, cacheArgs(cacheSpec)...), true)
-		for _, name := range files {
-			f, err := os.Open(name)
-			if err != nil {
-				log.Printf("skipping %v", err)
-				continue
-			}
-			recs, err := sim.ReadCellRecords(f)
-			f.Close()
-			if err != nil {
-				log.Printf("skipping %s: %v", name, err)
-				continue
-			}
-			for _, rec := range recs {
-				if err := ing.Add(rec); err != nil {
-					die(exitUsage, "journal append: %v", err)
-				}
+		for _, rec := range readRecordFiles(files, true) {
+			if err := ing.Add(rec); err != nil {
+				die(exitUsage, "journal append: %v", err)
 			}
 		}
 	}
-
-	cells, stats, err := sim.MergeCells(jobs, ing.Records())
-	if err != nil {
-		printMergeDiagnostics(stats)
-		log.Print(err)
-		return exitIncomplete
-	}
-	log.Printf("resume complete: %d cells merged and validated (%d duplicates deduplicated)",
-		len(cells), stats.Duplicates)
-	writeBackCache(cache, cells)
-	return render(cells, csv)
+	return finishMerge("resume complete", ing, jobs, csv, cache)
 }
 
 // runRegister is the -register mode: create (or idempotently re-assert)

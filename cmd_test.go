@@ -368,7 +368,7 @@ func TestCmdBMLSimNetworkFlagsRequireSweep(t *testing.T) {
 // cmdTestGrid re-enumerates, in-process, exactly the grid the cmd-level
 // sweep tests run via sweepGridArgs (1 generated day, default peak/seed,
 // 10-minute plateaus, fleets 0,50) — what lets the network e2e test
-// compare binaries against sim.Sweep.
+// compare binaries against an in-process SweepStream.
 func cmdTestGrid(t *testing.T) []sim.SweepJob {
 	t.Helper()
 	cfg := trace.DefaultWorldCupConfig()
@@ -384,7 +384,7 @@ func cmdTestGrid(t *testing.T) []sim.SweepJob {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := sim.FleetGrid(tr, planner, sim.BMLConfig{}, []int{0, 50})
+	jobs, err := sim.Grid([]sim.TraceAxis{{Trace: tr}}, planner, nil, []int{0, 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,18 +396,21 @@ func cmdTestGrid(t *testing.T) []sim.SweepJob {
 // fault injection, a second worker completing its shard, a re-dispatch of
 // exactly the coordinator's pending set, and the final report — asserting
 // the journal-merged grid is cell-for-cell equal to an in-process
-// sim.Sweep (≤1e-6 J, exact counters) and the serve process honors the
+// SweepStream (≤1e-6 J, exact counters) and the serve process honors the
 // exit-code contract.
 func TestCmdSweepServeKillResume(t *testing.T) {
 	jobs := cmdTestGrid(t)
-	single := sim.Sweep(jobs, 0)
-	want := make(map[string]sim.CellRecord, len(single))
-	for _, r := range single {
+	want := make(map[string]sim.CellRecord, len(jobs))
+	err := sim.SweepStream(jobs, 0, func(r sim.SweepResult) error {
 		if r.Err != nil {
-			t.Fatalf("in-process sweep cell %s: %v", r.Job.Name, r.Err)
+			return fmt.Errorf("in-process sweep cell %s: %w", r.Job.Name, r.Err)
 		}
 		rec := sim.NewCellRecord(r)
 		want[rec.ID] = rec
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Kill the worker whose shard holds >= 2 cells, so death is mid-shard.
 	killShard := "0/2"
@@ -864,6 +867,46 @@ func TestCmdBMLSimAblationFlags(t *testing.T) {
 		"-overhead-aware", "-predictor", "pattern", "-critical")
 	if !strings.Contains(out, "skipped") {
 		t.Errorf("overhead-aware summary missing:\n%s", out)
+	}
+}
+
+// TestCmdBMLSimPredictorWindowMatchesSweep pins that a classic run and a
+// one-config sweep cell size the predictor window the same way (the
+// scheduler's sched.Window, which rounds up): at a window factor whose
+// window is fractional, the same predictor knobs must report the same
+// decisions and switch-ons on both paths.
+func TestCmdBMLSimPredictorWindowMatchesSweep(t *testing.T) {
+	classic := runCmd(t, "bmlsim", "-days", "3", "-first", "1", "-last", "3",
+		"-predictor", "pattern", "-window-factor", "1.5")
+	var decisions, switchOns int
+	for _, line := range strings.Split(classic, "\n") {
+		if strings.HasPrefix(line, "scheduler: ") {
+			if _, err := fmt.Sscanf(line, "scheduler: %d decisions, %d switch-ons", &decisions, &switchOns); err != nil {
+				t.Fatalf("unparsable scheduler line %q: %v", line, err)
+			}
+		}
+	}
+	if decisions == 0 {
+		t.Fatalf("classic run printed no scheduler line:\n%s", classic)
+	}
+	recs, err := sim.ReadCellRecords(strings.NewReader(runCmdStdout(t, "bmlsim", "-sweep", "-days", "3",
+		"-configs", "name=p:predictor=pattern:window-factor=1.5")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, rec := range recs {
+		if rec.Scenario != string(sim.ScenarioBML) {
+			continue
+		}
+		found = true
+		if rec.Decisions != decisions || rec.SwitchOns != switchOns {
+			t.Errorf("classic run: %d decisions, %d switch-ons; sweep cell %s: %d decisions, %d switch-ons",
+				decisions, switchOns, rec.Name, rec.Decisions, rec.SwitchOns)
+		}
+	}
+	if !found {
+		t.Fatal("sweep emitted no BML cell")
 	}
 }
 

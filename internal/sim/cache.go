@@ -298,17 +298,19 @@ type CacheStats struct {
 	Misses int
 }
 
-// SweepStreamToCache runs jobs through SweepStream with a result cache in
-// front: every job whose canonical cell ID already has a successful
+// SweepStreamToCache is the one place a result cache sits in front of
+// simulation (bmlsim -sweep workers in shard and claim mode and the
+// bmlpaper runner all stream through it). It runs jobs through
+// SweepStream with the cache in front: every job whose canonical cell ID already has a successful
 // cached record is emitted immediately (in grid order, marked
 // Cached=true) without simulating anything, the remaining jobs stream
 // through the worker pool as usual, and each fresh success is written
 // back to the cache before it is emitted. The sink sees exactly one
 // record per job either way, so merges of warm and cold runs validate
 // identically — a cached record IS the stored cold-run record, so merged
-// energies and counters are bit-identical, not just within tolerance. A
-// nil cache degrades to SweepStreamTo. The sink is closed (flushed) on
-// every path.
+// energies and counters are bit-identical, not just within tolerance.
+// With a nil cache every job is simulated (and counted as a miss). The
+// sink is closed (flushed) on every path.
 func SweepStreamToCache(jobs []SweepJob, workers int, sink CellSink, cache CellCache) (CacheStats, error) {
 	var stats CacheStats
 	if sink == nil {

@@ -257,8 +257,8 @@ func TestHTTPCacheAgainstIngest(t *testing.T) {
 	}
 }
 
-// TestSweepStreamToCacheNilCache pins the degenerate path: a nil cache is
-// SweepStreamTo with miss-only stats.
+// TestSweepStreamToCacheNilCache pins the degenerate path: with a nil
+// cache every job streams through the simulator and counts as a miss.
 func TestSweepStreamToCacheNilCache(t *testing.T) {
 	jobs, _ := gridAndRecords(t)
 	sink := &memSink{}

@@ -270,13 +270,14 @@ func TestGridEnumeration(t *testing.T) {
 		}
 	}
 
-	// The default-config cells of FleetGrid keep their v1-era names.
-	fg, err := FleetGrid(trA, planner, BMLConfig{}, []int{0})
+	// The default-config cells of a single-trace grid keep their v1-era
+	// names.
+	fg, err := Grid([]TraceAxis{{Trace: trA}}, planner, nil, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fg) != 4 || fg[2].Name != "bml/fleet=0" {
-		t.Fatalf("FleetGrid names changed: %+v", CellIDs(fg))
+		t.Fatalf("single-trace default grid names changed: %+v", CellIDs(fg))
 	}
 
 	// Validation: duplicate axis names, nil traces, unnamed multi-trace
@@ -451,7 +452,7 @@ func TestIngestStatusRemoteLiveness(t *testing.T) {
 // differential for the config × trace × fleet grid: sharded, streamed over
 // HTTP with a worker killed mid-run, resumed from the coordinator's
 // pending set, and merged — then compared cell-for-cell (≤1e-6 J, exact
-// counters) against independent per-config sim.Sweep runs, each
+// counters) against independent per-config in-process sweeps, each
 // enumerating only its own config's sub-grid. The union of the per-config
 // sub-grids is exactly the ablation grid (bounds dedup onto the default
 // fingerprint), so every merged cell is checked against an independently
@@ -477,15 +478,15 @@ func TestAblationGridKillResumeMatchesPerConfigSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The independent oracle: one sim.Sweep per config over that config's
-	// own sub-grid, no streaming, no sharing with the grid run.
+	// The independent oracle: one in-process sweep per config over that
+	// config's own sub-grid, no streaming, no sharing with the grid run.
 	want := map[string]CellRecord{}
 	for _, ca := range configs {
 		sub, err := Grid(traces, planner, []ConfigAxis{ca}, fleets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range Sweep(sub, 0) {
+		for _, r := range sweepAll(sub, 0) {
 			if r.Err != nil {
 				t.Fatalf("per-config sweep cell %s: %v", r.Job.Name, r.Err)
 			}
@@ -539,7 +540,7 @@ func TestAblationGridKillResumeMatchesPerConfigSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SweepStreamTo(shard1, 2, sink1); err != nil {
+	if _, err := SweepStreamToCache(shard1, 2, sink1, nil); err != nil {
 		t.Fatalf("worker 1: %v", err)
 	}
 
@@ -561,7 +562,7 @@ func TestAblationGridKillResumeMatchesPerConfigSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SweepStreamTo(redispatch, 2, sink2); err != nil {
+	if _, err := SweepStreamToCache(redispatch, 2, sink2, nil); err != nil {
 		t.Fatalf("resume worker: %v", err)
 	}
 	select {

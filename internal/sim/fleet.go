@@ -250,11 +250,11 @@ func (f *Fleet) CreateRun(name string, ids []string, token string) (ing *Ingest,
 	f.mu.Lock()
 	if existing, ok := f.runs[name]; ok {
 		defer f.mu.Unlock()
-		if len(existing.order) != len(ids) {
-			return nil, false, fmt.Errorf("sim: run %q already exists with %d cells, not %d — run names identify grids", name, len(existing.order), len(ids))
+		if len(existing.cells.order) != len(ids) {
+			return nil, false, fmt.Errorf("sim: run %q already exists with %d cells, not %d — run names identify grids", name, len(existing.cells.order), len(ids))
 		}
 		for _, id := range ids {
-			if !existing.want[id] {
+			if !existing.cells.expects(id) {
 				return nil, false, fmt.Errorf("sim: run %q already exists with a different cell set (e.g. it lacks %s) — run names identify grids", name, id)
 			}
 		}

@@ -114,3 +114,54 @@ func FuzzReadCellRecords(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadJournal holds the coordinator journal reader to the contract its
+// resume path depends on: it never panics; an input with no malformed line
+// reads exactly like ReadCellRecords; a valid journal followed by a torn
+// final fragment (a coordinator killed mid-append) reads to the same
+// records with truncated set; and a malformed line that is not the last
+// one is an error.
+func FuzzReadJournal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		recs, truncated, jerr := ReadJournal(bytes.NewReader(body))
+		want, werr := ReadCellRecords(bytes.NewReader(body))
+		if werr == nil {
+			if jerr != nil || truncated || !reflect.DeepEqual(recs, want) {
+				t.Fatalf("well-formed input: ReadJournal = (%d records, truncated %v, %v), ReadCellRecords = %d records",
+					len(recs), truncated, jerr, len(want))
+			}
+		} else if jerr == nil && !truncated {
+			t.Fatalf("ReadCellRecords rejects the input (%v) but ReadJournal accepts it untruncated", werr)
+		}
+		if werr != nil {
+			return
+		}
+
+		// Tear a copy of a record in half and append it as the final line.
+		valid := append([]byte(nil), body...)
+		if len(valid) > 0 && valid[len(valid)-1] != '\n' {
+			valid = append(valid, '\n')
+		}
+		whole := []byte(`{"schema":2,"id":"torn-cell","total_J":1}`)
+		if len(want) > 0 {
+			var buf bytes.Buffer
+			if err := WriteCellRecord(&buf, want[0]); err != nil {
+				t.Fatal(err)
+			}
+			whole = bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+		}
+		torn := append(append([]byte(nil), valid...), whole[:len(whole)/2]...)
+		got, truncated, err := ReadJournal(bytes.NewReader(torn))
+		if err != nil || !truncated || !reflect.DeepEqual(got, want) {
+			t.Fatalf("torn tail: got (%d records, truncated %v, %v), want (%d records, truncated, nil)",
+				len(got), truncated, err, len(want))
+		}
+
+		// The same fragment followed by a good line is corruption.
+		corrupt := append(append(torn, '\n'), whole...)
+		corrupt = append(corrupt, '\n')
+		if _, _, err := ReadJournal(bytes.NewReader(corrupt)); err == nil {
+			t.Fatalf("a malformed line before the last one was accepted:\n%s", corrupt)
+		}
+	})
+}

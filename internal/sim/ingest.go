@@ -47,12 +47,13 @@ import (
 //	GET  /v2/runs/{run}/status             IngestStatus as JSON
 //	POST /v2/runs/{run}/lease              claim pending cells under a TTL lease
 //
-// Dedup mirrors MergeCells exactly: the first successful record for a cell
-// wins (later re-runs with different wall times are counted as duplicates
-// and dropped), and a successful record replaces a failed one. Leases do
-// not weaken that invariant — a lease only steers which worker computes a
-// cell next; whoever posts the first success wins, and a late post from a
-// worker whose lease expired mid-compute is a counted duplicate.
+// Dedup is the cellSet rule MergeCells also applies: the first successful
+// record for a cell wins (later re-runs with different wall times are
+// counted as duplicates and dropped), and a successful record replaces a
+// failed one. Leases do not weaken that invariant — a lease only steers
+// which worker computes a cell next; whoever posts the first success wins,
+// and a late post from a worker whose lease expired mid-compute is a
+// counted duplicate.
 
 // RemoteStatus is one worker's liveness entry in the status snapshot: how
 // many records it has POSTed and how long ago its last ingest was. A
@@ -113,14 +114,8 @@ type cellLease struct {
 // Safe for concurrent use; implements http.Handler (the /v1/ surface).
 type Ingest struct {
 	mu       sync.Mutex
-	order    []string // expected cell IDs in grid order
-	want     map[string]bool
-	got      map[string]CellRecord // best record per expected cell
-	received int                   // cells with a successful record (incremental: POST accounting stays O(batch), not O(grid))
-	failed   int                   // cells whose only records carry errors
-	dups     int
-	unknown  int
-	cached   int // accepted successes marked Cached (served from a result cache)
+	cells    *cellSet // per-cell state and the dedup rule (incremental counts: POST accounting stays O(batch), not O(grid))
+	cached   int      // accepted successes marked Cached (served from a result cache)
 	journal  io.Writer
 	done     chan struct{}
 	closed   bool
@@ -198,14 +193,8 @@ func NewIngest(expected []SweepJob, opts ...IngestOption) *Ingest {
 // IDs, which are pure functions of the grid, so the coordinator never
 // needs the client's trace files to track pending cells).
 func NewIngestIDs(ids []string, opts ...IngestOption) *Ingest {
-	want := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
 	g := &Ingest{
-		order:    ids,
-		want:     want,
-		got:      make(map[string]CellRecord, len(ids)),
+		cells:    newCellSet(ids),
 		done:     make(chan struct{}),
 		remotes:  make(map[string]*remoteInfo),
 		leases:   make(map[string]cellLease),
@@ -226,72 +215,50 @@ func NewIngestIDs(ids []string, opts ...IngestOption) *Ingest {
 // anything is folded in — the journal belongs to a grid this build cannot
 // re-enumerate.
 func (g *Ingest) Prime(recs []CellRecord) (int, error) {
-	for _, rec := range recs {
-		if err := CheckCellSchema(rec); err != nil {
-			return 0, err
-		}
+	if err := checkCellSchemas(recs); err != nil {
+		return 0, err
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	before := g.received
+	before := g.cells.received
 	for _, rec := range recs {
-		g.addLocked(rec, nil)
+		g.addLocked(rec, false)
 	}
 	g.checkCompleteLocked()
-	return g.received - before, nil
+	return g.cells.received - before, nil
 }
 
-// addLocked folds one record into the state. When the record changes state
-// and journalErr is non-nil, it is journaled first; a journal write error
-// is reported through *journalErr and the record is NOT folded in, so the
-// client retries and no acknowledged record is ever missing from the
-// journal. Returns accepted (state changed), duplicate, unknown.
+// addLocked folds one record into the cell set. When the record changes
+// state and journal is set, it is journaled first; a journal write error
+// is returned and the record is NOT folded in (the cellSet commit
+// contract), so the client retries and no acknowledged record is ever
+// missing from the journal.
 //
-// Ordering is load-bearing on the journal-failure path: the early return
-// fires BEFORE any counter (received/failed) moves or g.got is touched, so
-// a record whose journal write failed is invisible everywhere state is
-// derived from those fields — /v1/status reports it pending, /v1/pending
-// still lists its cell for re-dispatch, and Done cannot fire on its
-// account. The 5xx the caller sends makes the client retry the batch, and
-// the retry journals-then-folds as if the failed attempt never happened.
-func (g *Ingest) addLocked(rec CellRecord, journalErr *error) (accepted, duplicate, unknown bool) {
-	if !g.want[rec.ID] {
-		g.unknown++
-		return false, false, true
+// Ordering is load-bearing on the journal-failure path: a record whose
+// journal write failed is invisible everywhere state is derived from the
+// cell set — /v1/status reports it pending, /v1/pending still lists its
+// cell for re-dispatch, and Done cannot fire on its account. The 5xx the
+// caller sends makes the client retry the batch, and the retry
+// journals-then-folds as if the failed attempt never happened.
+func (g *Ingest) addLocked(rec CellRecord, journal bool) (cellVerdict, error) {
+	var commit func() error
+	if journal && g.journal != nil {
+		commit = func() error { return WriteCellRecord(g.journal, rec) }
 	}
-	prev, seen := g.got[rec.ID]
-	if seen && !(prev.Err != "" && rec.Err == "") {
-		// First success wins; a failure never replaces anything.
-		g.dups++
-		return false, true, false
-	}
-	if journalErr != nil && g.journal != nil {
-		if err := WriteCellRecord(g.journal, rec); err != nil {
-			*journalErr = err
-			return false, false, false
-		}
-	}
-	switch {
-	case rec.Err == "":
-		g.received++
+	v, err := g.cells.add(rec, commit)
+	if err == nil && (v == cellNew || v == cellReplaced) && rec.Err == "" {
 		if rec.Cached {
 			g.cached++
-		}
-		if seen { // success replacing a failure
-			g.failed--
 		}
 		// The cell is covered: its lease (if any) has served its purpose,
 		// whoever held it.
 		delete(g.leases, rec.ID)
-	case !seen:
-		g.failed++
 	}
-	g.got[rec.ID] = rec
-	return true, false, false
+	return v, err
 }
 
 func (g *Ingest) checkCompleteLocked() {
-	if !g.closed && g.received == len(g.order) {
+	if !g.closed && g.cells.complete() {
 		g.closed = true
 		close(g.done)
 	}
@@ -308,12 +275,11 @@ func (g *Ingest) Add(rec CellRecord) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var jerr error
-	g.addLocked(rec, &jerr)
-	if jerr == nil {
+	_, err := g.addLocked(rec, true)
+	if err == nil {
 		g.checkCompleteLocked()
 	}
-	return jerr
+	return err
 }
 
 // Done is closed once every expected cell has a successful record.
@@ -326,13 +292,7 @@ func (g *Ingest) Done() <-chan struct{} { return g.done }
 func (g *Ingest) Pending() []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var out []string
-	for _, id := range g.order {
-		if rec, ok := g.got[id]; !ok || rec.Err != "" {
-			out = append(out, id)
-		}
-	}
-	return out
+	return g.cells.pending()
 }
 
 // Claim reserves up to max pending, unleased cells for worker under the
@@ -351,12 +311,12 @@ func (g *Ingest) Claim(worker string, max int) []string {
 	expiry := now.Add(g.leaseTTL)
 	g.renewLocked(worker, expiry)
 	var out []string
-	for _, id := range g.order {
+	for i, id := range g.cells.order {
 		if len(out) >= max {
 			break
 		}
-		if rec, ok := g.got[id]; ok && rec.Err == "" {
-			continue // covered
+		if g.cells.covered(i) {
+			continue
 		}
 		if l, ok := g.leases[id]; ok && l.worker != worker && l.expiry.After(now) {
 			continue // someone else holds it
@@ -409,11 +369,11 @@ func (g *Ingest) Status() IngestStatus {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	st := IngestStatus{
-		Total:      len(g.order),
-		Received:   g.received,
-		Failed:     g.failed,
-		Duplicates: g.dups,
-		Unknown:    g.unknown,
+		Total:      len(g.cells.order),
+		Received:   g.cells.received,
+		Failed:     g.cells.failed,
+		Duplicates: g.cells.dups,
+		Unknown:    g.cells.unknown,
 		Cached:     g.cached,
 	}
 	st.Pending = st.Total - st.Received
@@ -446,13 +406,7 @@ func (g *Ingest) Status() IngestStatus {
 func (g *Ingest) Records() []CellRecord {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]CellRecord, 0, len(g.got))
-	for _, id := range g.order {
-		if rec, ok := g.got[id]; ok {
-			out = append(out, rec)
-		}
-	}
-	return out
+	return g.cells.records()
 }
 
 // authorized reports whether the request may use this Ingest's surface:
@@ -537,9 +491,9 @@ func (g *Ingest) handleCellGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.mu.Lock()
-	rec, ok := g.got[id]
+	rec, ok := g.cells.success(id)
 	g.mu.Unlock()
-	if !ok || rec.Err != "" {
+	if !ok {
 		http.Error(w, "no successful record for cell "+id, http.StatusNotFound)
 		return
 	}
@@ -587,13 +541,11 @@ func (g *Ingest) handleCells(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad cell batch: %v", err), http.StatusBadRequest)
 		return
 	}
-	for _, rec := range recs {
-		if err := CheckCellSchema(rec); err != nil {
-			// 4xx: retrying cannot fix a schema mismatch, so the worker's
-			// sink fails fast and the operator sees the real problem.
-			http.Error(w, fmt.Sprintf("rejected batch: %v", err), http.StatusBadRequest)
-			return
-		}
+	if err := checkCellSchemas(recs); err != nil {
+		// 4xx: retrying cannot fix a schema mismatch, so the worker's sink
+		// fails fast and the operator sees the real problem.
+		http.Error(w, fmt.Sprintf("rejected batch: %v", err), http.StatusBadRequest)
+		return
 	}
 	var resp IngestResponse
 	g.mu.Lock()
@@ -612,16 +564,16 @@ func (g *Ingest) handleCells(w http.ResponseWriter, r *http.Request) {
 	g.renewLocked(label, now.Add(g.leaseTTL))
 	var journalFailure error
 	for _, rec := range recs {
-		accepted, duplicate, unknown := g.addLocked(rec, &journalFailure)
-		if journalFailure != nil {
+		var v cellVerdict
+		if v, journalFailure = g.addLocked(rec, true); journalFailure != nil {
 			break
 		}
-		switch {
-		case accepted:
+		switch v {
+		case cellNew, cellReplaced:
 			resp.Accepted++
-		case duplicate:
+		case cellDuplicate:
 			resp.Duplicates++
-		case unknown:
+		case cellUnknown:
 			resp.Unknown++
 			if resp.FirstUnknown == "" {
 				resp.FirstUnknown = rec.ID
@@ -643,7 +595,7 @@ func (g *Ingest) handleCells(w http.ResponseWriter, r *http.Request) {
 		// completing records are durable.
 		g.checkCompleteLocked()
 	}
-	resp.Pending = len(g.order) - g.received
+	resp.Pending = len(g.cells.order) - g.cells.received
 	resp.Complete = resp.Pending == 0
 	g.mu.Unlock()
 	if journalFailure != nil {

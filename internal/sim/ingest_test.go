@@ -20,7 +20,7 @@ func gridAndRecords(t *testing.T) ([]SweepJob, []CellRecord) {
 	t.Helper()
 	tr := shardTestTrace(t, 1)
 	planner := shardTestPlanner(t)
-	jobs, err := FleetGrid(tr, planner, BMLConfig{}, nil)
+	jobs, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestRawTraceIntegratorDifferential(t *testing.T) {
 		for _, sc := range []Scenario{ScenarioUpperBoundGlobal, ScenarioUpperBoundPerDay, ScenarioBML, ScenarioLowerBound} {
 			tickJob := SweepJob{Trace: tr, Planner: planner, Scenario: sc, Options: []Option{WithTickEngine()}}
 			integJob := SweepJob{Trace: tr, Planner: planner, Scenario: sc}
-			res := Sweep([]SweepJob{tickJob, integJob}, 2)
+			res := sweepAll([]SweepJob{tickJob, integJob}, 2)
 			if res[0].Err != nil || res[1].Err != nil {
 				t.Fatalf("%s: %v / %v", sc, res[0].Err, res[1].Err)
 			}

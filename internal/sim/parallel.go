@@ -201,8 +201,8 @@ func (j SweepJob) runWith(cache *sweepCache) (*Result, error) {
 }
 
 // SweepResult pairs a job with its outcome. Index is the job's position in
-// the grid slice handed to Sweep/SweepStream; Wall is the cell's wall-clock
-// cost (streamed into CellRecord telemetry).
+// the grid slice handed to SweepStream; Wall is the cell's wall-clock cost
+// (streamed into CellRecord telemetry).
 type SweepResult struct {
 	Job    SweepJob
 	Index  int
@@ -211,29 +211,11 @@ type SweepResult struct {
 	Wall   time.Duration
 }
 
-// Sweep executes a grid of scenario × trace × configuration jobs across a
-// bounded worker pool and returns one SweepResult per job, in job order.
-// workers ≤ 0 uses GOMAXPROCS. Individual job failures are reported in
-// their SweepResult rather than aborting the sweep, so a large experiment
-// grid survives one bad cell. Sweep retains every result; grids too large
-// to hold in memory should use SweepStream and let each cell leave the
-// process as it completes.
-func Sweep(jobs []SweepJob, workers int) []SweepResult {
-	out := make([]SweepResult, len(jobs))
-	// The accumulate-everything emit cannot fail, so SweepStream cannot
-	// either.
-	_ = SweepStream(jobs, workers, func(r SweepResult) error {
-		out[r.Index] = r
-		return nil
-	})
-	return out
-}
-
 // RunAll executes all four scenarios concurrently, as each is independent.
 // With a core per scenario the evaluation's wall time is the slowest
 // scenario's; with fewer cores it approaches the scenarios' summed CPU
 // time divided by the cores, so every scenario's cost counts, not only the
-// slowest one's. It returns the first error encountered.
+// slowest one's. It returns the first error in scenario order.
 func RunAll(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option) (*ScenarioSet, error) {
 	if tr == nil || planner == nil {
 		return nil, errors.New("sim: nil trace or planner")
@@ -244,21 +226,18 @@ func RunAll(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option
 		{Name: "bml", Trace: tr, Planner: planner, Scenario: ScenarioBML, BML: cfg, Options: opts},
 		{Name: "lowerbound", Trace: tr, Planner: planner, Scenario: ScenarioLowerBound, Options: opts},
 	}
-	results := Sweep(jobs, len(jobs))
 	var set ScenarioSet
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		switch jobs[i].Scenario {
-		case ScenarioUpperBoundGlobal:
-			set.UpperBoundGlobal = r.Result
-		case ScenarioUpperBoundPerDay:
-			set.UpperBoundPerDay = r.Result
-		case ScenarioBML:
-			set.BML = r.Result
-		case ScenarioLowerBound:
-			set.LowerBound = r.Result
+	slots := []**Result{&set.UpperBoundGlobal, &set.UpperBoundPerDay, &set.BML, &set.LowerBound}
+	errs := make([]error, len(jobs))
+	// The emit below cannot fail, so neither can the stream.
+	_ = SweepStream(jobs, len(jobs), func(r SweepResult) error {
+		*slots[r.Index] = r.Result
+		errs[r.Index] = r.Err
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return &set, nil

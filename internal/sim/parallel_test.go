@@ -196,6 +196,17 @@ func TestRunBMLRecordedPartialLastBucket(t *testing.T) {
 	}
 }
 
+// sweepAll runs jobs through SweepStream and returns every result in job
+// order — the in-process oracle the differential suites compare against.
+func sweepAll(jobs []SweepJob, workers int) []SweepResult {
+	out := make([]SweepResult, len(jobs))
+	_ = SweepStream(jobs, workers, func(r SweepResult) error {
+		out[r.Index] = r
+		return nil
+	})
+	return out
+}
+
 // TestSweepFleetScaleGrid exercises the scenario × trace × fleet grid: the
 // FleetScale knob multiplies each job's offered load, so the scheduler
 // provisions proportionally larger fleets while per-job results stay
@@ -214,7 +225,7 @@ func TestSweepFleetScaleGrid(t *testing.T) {
 			})
 		}
 	}
-	results := Sweep(jobs, 0)
+	results := sweepAll(jobs, 0)
 	byName := make(map[string]*Result, len(results))
 	for _, r := range results {
 		if r.Err != nil {
@@ -241,7 +252,7 @@ func TestSweepFleetScaleGrid(t *testing.T) {
 // TestSweepFleetScaleInvalid reports bad scales as per-job errors.
 func TestSweepFleetScaleInvalid(t *testing.T) {
 	tr := dayTrace(t, 1, 100)
-	res := Sweep([]SweepJob{{Trace: tr, Planner: fastPlanner(t), Scenario: ScenarioBML, FleetScale: math.NaN()}}, 1)
+	res := sweepAll([]SweepJob{{Trace: tr, Planner: fastPlanner(t), Scenario: ScenarioBML, FleetScale: math.NaN()}}, 1)
 	if res[0].Err == nil {
 		t.Error("NaN fleet scale accepted")
 	}

@@ -324,29 +324,8 @@ func Grid(traces []TraceAxis, planner *bml.Planner, configs []ConfigAxis, fleets
 	return jobs, nil
 }
 
-// ConfigGrid enumerates a scenario × fleet × config grid over one trace —
-// the single-trace ablation grid.
-func ConfigGrid(tr *trace.Trace, planner *bml.Planner, configs []ConfigAxis, fleets []int, opts ...Option) ([]SweepJob, error) {
-	return Grid([]TraceAxis{{Trace: tr}}, planner, configs, fleets, opts...)
-}
-
-// TraceGrid enumerates a scenario × trace × fleet grid under one config.
-func TraceGrid(traces []TraceAxis, planner *bml.Planner, cfg BMLConfig, fleets []int, opts ...Option) ([]SweepJob, error) {
-	return Grid(traces, planner, []ConfigAxis{{Name: "default", Config: cfg}}, fleets, opts...)
-}
-
-// FleetGrid enumerates the scenario × fleet experiment grid over one trace
-// under one config — the pre-ablation grid shape, retained as the common
-// case: cell names stay exactly the v1 names ("<scenario>/fleet=<n>").
-func FleetGrid(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, fleets []int, opts ...Option) ([]SweepJob, error) {
-	if tr == nil || planner == nil {
-		return nil, fmt.Errorf("sim: fleet grid needs a trace and a planner")
-	}
-	return ConfigGrid(tr, planner, []ConfigAxis{{Name: "default", Config: cfg}}, fleets, opts...)
-}
-
 // ParseFleets parses a comma-separated list of fleet targets ("0,100,1000")
-// into the FleetGrid fleet axis, deduplicated and sorted ascending so that
+// into Grid's fleet axis, deduplicated and sorted ascending so that
 // every ordering of the same targets enumerates the same canonical grid.
 func ParseFleets(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {

@@ -63,7 +63,7 @@ func TestParseShard(t *testing.T) {
 func TestShardJobsPartition(t *testing.T) {
 	tr := shardTestTrace(t, 1)
 	planner := shardTestPlanner(t)
-	jobs, err := FleetGrid(tr, planner, BMLConfig{}, []int{0, 10, 40})
+	jobs, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, []int{0, 10, 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +154,12 @@ func TestShardedStreamMergeMatchesSweep(t *testing.T) {
 	}
 	tr := shardTestTrace(t, 2)
 	planner := shardTestPlanner(t)
-	jobs, err := FleetGrid(tr, planner, BMLConfig{}, []int{0, 25})
+	jobs, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, []int{0, 25})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	single := Sweep(jobs, 0)
+	single := sweepAll(jobs, 0)
 	want := make(map[string]CellRecord, len(single))
 	for _, r := range single {
 		if r.Err != nil {
@@ -229,7 +229,7 @@ func TestShardedStreamMergeMatchesSweep(t *testing.T) {
 func TestMergeDetectsIncompleteAndForeign(t *testing.T) {
 	tr := shardTestTrace(t, 1)
 	planner := shardTestPlanner(t)
-	jobs, err := FleetGrid(tr, planner, BMLConfig{}, nil)
+	jobs, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestMergeDetectsIncompleteAndForeign(t *testing.T) {
 func TestMergeCellsDuplicateSuccessKeepsFirst(t *testing.T) {
 	tr := shardTestTrace(t, 1)
 	planner := shardTestPlanner(t)
-	jobs, err := FleetGrid(tr, planner, BMLConfig{}, nil)
+	jobs, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestLoadTraceAxesRejectsBaseFilenameCollision(t *testing.T) {
 func TestSweepStreamEmitErrorCancels(t *testing.T) {
 	tr := shardTestTrace(t, 1)
 	planner := shardTestPlanner(t)
-	jobs, err := FleetGrid(tr, planner, BMLConfig{}, []int{0, 5, 10, 20})
+	jobs, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, []int{0, 5, 10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestSweepStreamEmitErrorCancels(t *testing.T) {
 func TestSweepStreamGracefulDrain(t *testing.T) {
 	tr := shardTestTrace(t, 1)
 	planner := shardTestPlanner(t)
-	jobs, err := FleetGrid(tr, planner, BMLConfig{}, []int{0, 5, 10, 20})
+	jobs, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, []int{0, 5, 10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,10 +507,12 @@ func TestCellRecordJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFleetGridCanonical pins that the fleet axis is canonical: every
+// spelling and ordering of the same fleet targets enumerates the same cells.
 func TestFleetGridCanonical(t *testing.T) {
 	tr := shardTestTrace(t, 1)
 	planner := shardTestPlanner(t)
-	a, err := FleetGrid(tr, planner, BMLConfig{}, []int{100, 0})
+	a, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, []int{100, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +520,7 @@ func TestFleetGridCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FleetGrid(tr, planner, BMLConfig{}, fleets)
+	b, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, fleets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@
 // un-quantized World Cup segments.
 //
 // Results report total and per-day energy (the series of Figure 5) plus
-// QoS and reconfiguration statistics. RunAll and Sweep (parallel.go) fan
+// QoS and reconfiguration statistics. RunAll and SweepStream fan
 // scenario × trace × fleet grids out across cores; SweepJob.FleetScale
 // multiplies a job's offered load so grids can exercise thousand-node
 // clusters. Beyond one process, grids shard deterministically across

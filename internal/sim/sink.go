@@ -321,16 +321,6 @@ func (s *HTTPSink) post(payload []byte) error {
 	return nil
 }
 
-// SweepStreamTo runs jobs through SweepStream, emitting every completed
-// cell into sink as a CellRecord, then closes (flushes) the sink. The
-// first stream or emit error is returned; Close runs regardless so
-// buffered records are not silently dropped on cancellation. It is
-// SweepStreamToCache without a cache.
-func SweepStreamTo(jobs []SweepJob, workers int, sink CellSink) error {
-	_, err := SweepStreamToCache(jobs, workers, sink, nil)
-	return err
-}
-
 // HTTPClientWithCA builds an HTTP client (default sink/cache timeout) that
 // trusts the PEM certificates in caFile in addition to nothing else — the
 // client half of a TLS coordinator (-tls-cert/-tls-key) using a

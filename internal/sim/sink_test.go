@@ -219,12 +219,12 @@ func TestNetworkKillResumeMatchesSweep(t *testing.T) {
 	}
 	tr := shardTestTrace(t, 2)
 	planner := shardTestPlanner(t)
-	jobs, err := FleetGrid(tr, planner, BMLConfig{}, []int{0, 25})
+	jobs, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, []int{0, 25})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	single := Sweep(jobs, 0)
+	single := sweepAll(jobs, 0)
 	want := make(map[string]CellRecord, len(single))
 	for _, r := range single {
 		if r.Err != nil {
@@ -281,7 +281,7 @@ func TestNetworkKillResumeMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SweepStreamTo(shard1, 2, sink1); err != nil {
+	if _, err := SweepStreamToCache(shard1, 2, sink1, nil); err != nil {
 		t.Fatalf("worker 1: %v", err)
 	}
 
@@ -310,7 +310,7 @@ func TestNetworkKillResumeMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SweepStreamTo(redispatch, 2, sink2); err != nil {
+	if _, err := SweepStreamToCache(redispatch, 2, sink2, nil); err != nil {
 		t.Fatalf("resume worker: %v", err)
 	}
 
@@ -379,14 +379,14 @@ func TestNetworkKillResumeMatchesSweep(t *testing.T) {
 func TestHTTPSinkRetryAfterDroppedResponseIsHarmless(t *testing.T) {
 	tr := shardTestTrace(t, 1)
 	planner := shardTestPlanner(t)
-	jobs, err := FleetGrid(tr, planner, BMLConfig{}, []int{0, 25})
+	jobs, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, []int{0, 25})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The clean reference: one in-process sweep.
 	want := make(map[string]CellRecord, len(jobs))
-	for _, r := range Sweep(jobs, 0) {
+	for _, r := range sweepAll(jobs, 0) {
 		if r.Err != nil {
 			t.Fatalf("reference sweep cell %s: %v", r.Job.Name, r.Err)
 		}
@@ -422,7 +422,7 @@ func TestHTTPSinkRetryAfterDroppedResponseIsHarmless(t *testing.T) {
 
 	var slept []time.Duration
 	s := instantSink(t, srv.URL, &slept, WithSinkBatch(3), WithSinkRetries(5, time.Millisecond))
-	if err := SweepStreamTo(jobs, 2, s); err != nil {
+	if _, err := SweepStreamToCache(jobs, 2, s, nil); err != nil {
 		t.Fatalf("stream through flaky coordinator: %v", err)
 	}
 
@@ -474,13 +474,13 @@ func TestHTTPSinkRetryAfterDroppedResponseIsHarmless(t *testing.T) {
 func TestSweepStreamToFlushesOnCancel(t *testing.T) {
 	tr := shardTestTrace(t, 1)
 	planner := shardTestPlanner(t)
-	jobs, err := FleetGrid(tr, planner, BMLConfig{}, nil)
+	jobs, err := Grid([]TraceAxis{{Trace: tr}}, planner, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("sink broke")
 	s := &countingSink{failAt: 2, err: sentinel}
-	err = SweepStreamTo(jobs, 1, s)
+	_, err = SweepStreamToCache(jobs, 1, s, nil)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}

@@ -136,29 +136,8 @@ func WriteCellRecord(w io.Writer, rec CellRecord) error {
 // lines (a truncated final line from a crashed worker is reported as an
 // error with its line number).
 func ReadCellRecords(r io.Reader) ([]CellRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var out []CellRecord
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec CellRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("sim: cell record line %d: %w", line, err)
-		}
-		if rec.ID == "" {
-			return nil, fmt.Errorf("sim: cell record line %d: missing id", line)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	recs, _, err := scanCellRecords(r, "cell record", false)
+	return recs, err
 }
 
 // ErrStopStream is the graceful-drain signal for SweepStream: when emit
@@ -178,9 +157,19 @@ var ErrStopStream = errors.New("sim: stop streaming new cells")
 // error. Use ReadCellRecords for worker output files, where a truncated
 // line must be surfaced so the missing cell gets re-run from diagnostics.
 func ReadJournal(r io.Reader) (recs []CellRecord, truncated bool, err error) {
+	return scanCellRecords(r, "journal", true)
+}
+
+// scanCellRecords is the one JSONL decode loop behind ReadCellRecords and
+// ReadJournal: blank lines are skipped, a line without an id is an error,
+// and a line that is not JSON is an error — unless tornTail is set and it
+// turns out to be the last non-blank line, in which case it is dropped and
+// reported as truncated. what names the input in error messages.
+func scanCellRecords(r io.Reader, what string, tornTail bool) ([]CellRecord, bool, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var pendingErr error
+	var out []CellRecord
+	var torn error // a malformed line, forgiven only if nothing follows it
 	line := 0
 	for sc.Scan() {
 		line++
@@ -188,24 +177,26 @@ func ReadJournal(r io.Reader) (recs []CellRecord, truncated bool, err error) {
 		if len(raw) == 0 {
 			continue
 		}
-		if pendingErr != nil {
-			// The malformed line was not the last one: corruption.
-			return nil, false, pendingErr
+		if torn != nil {
+			return nil, false, torn
 		}
 		var rec CellRecord
-		if jerr := json.Unmarshal(raw, &rec); jerr != nil {
-			pendingErr = fmt.Errorf("sim: journal line %d: %w", line, jerr)
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			torn = fmt.Errorf("sim: %s line %d: %w", what, line, err)
+			if !tornTail {
+				return nil, false, torn
+			}
 			continue
 		}
 		if rec.ID == "" {
-			return nil, false, fmt.Errorf("sim: journal line %d: missing id", line)
+			return nil, false, fmt.Errorf("sim: %s line %d: missing id", what, line)
 		}
-		recs = append(recs, rec)
+		out = append(out, rec)
 	}
-	if serr := sc.Err(); serr != nil {
-		return nil, false, serr
+	if err := sc.Err(); err != nil {
+		return nil, false, err
 	}
-	return recs, pendingErr != nil, nil
+	return out, torn != nil, nil
 }
 
 // SweepStream executes jobs across a bounded worker pool, handing each
@@ -219,7 +210,8 @@ func ReadJournal(r io.Reader) (recs []CellRecord, truncated bool, err error) {
 // per distinct trace × window, not per cell). An emit error cancels the
 // remaining cells and is returned — except ErrStopStream, which drains
 // in-flight cells through emit first (graceful stop). Individual cell
-// failures are delivered in their SweepResult like Sweep does.
+// failures are delivered in their SweepResult rather than aborting the
+// stream, so a large experiment grid survives one bad cell.
 func SweepStream(jobs []SweepJob, workers int, emit func(SweepResult) error) error {
 	if emit == nil {
 		return errors.New("sim: SweepStream needs an emit callback")
@@ -303,6 +295,17 @@ func CheckCellSchema(rec CellRecord) error {
 		ErrCellSchema, rec.ID, v, CellSchema)
 }
 
+// checkCellSchemas is CheckCellSchema over a whole record set, reporting
+// the first mismatch.
+func checkCellSchemas(recs []CellRecord) error {
+	for _, rec := range recs {
+		if err := CheckCellSchema(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MergeStats describes what MergeCells saw: how many records arrived, how
 // many were duplicate re-runs of the same cell, and which expected cells
 // are missing, foreign to the grid, or failed.
@@ -322,59 +325,42 @@ func (s MergeStats) Complete() bool {
 // MergeCells validates streamed records against the expected grid and
 // returns one record per expected cell, restored to grid order. Re-run
 // cells (the same cell ID appearing in several inputs, e.g. a retried CI
-// matrix job) are deduplicated with a canonical ordering: the FIRST
-// successful record in input order wins — a later success, even one with
-// a different wall time or daily breakdown from a re-run, never replaces
-// it, so merged output is a deterministic function of the record
-// sequence — and a successful record always replaces a failed one. The
-// Ingest coordinator applies the same rule, so file merges and network
-// ingests of the same records agree. The merge fails — with
-// the full accounting in MergeStats — if any expected cell is missing or
-// only failed, or if a record belongs to a different grid (wrong trace,
+// matrix job) are deduplicated by the cellSet rule — the first successful
+// record in input order wins and a success replaces a failure — which the
+// Ingest coordinator shares, so file merges and network ingests of the
+// same records agree. Duplicates counts every repeat of a cell, including
+// a success that replaced a failure. The merge fails — with the full
+// accounting in MergeStats — if any expected cell is missing or only
+// failed, or if a record belongs to a different grid (wrong trace,
 // scenario set, or fleet axis).
 func MergeCells(expected []SweepJob, records []CellRecord) ([]CellRecord, MergeStats, error) {
-	ids := CellIDs(expected)
-	want := make(map[string]int, len(ids))
-	for i, id := range ids {
-		want[id] = i
-	}
 	stats := MergeStats{Records: len(records)}
-	byID := make(map[string]CellRecord, len(ids))
+	// A mixed-schema record set is a hard error, not a foreign record: v1
+	// IDs would otherwise all report as Unknown.
+	if err := checkCellSchemas(records); err != nil {
+		return nil, stats, err
+	}
+	cells := newCellSet(CellIDs(expected))
 	for _, rec := range records {
-		if err := CheckCellSchema(rec); err != nil {
-			// A mixed-schema record set is a hard error, not a foreign
-			// record: v1 IDs would otherwise all report as Unknown.
-			return nil, stats, err
-		}
-		if _, ok := want[rec.ID]; !ok {
+		if v, _ := cells.add(rec, nil); v == cellUnknown {
 			stats.Unknown = append(stats.Unknown, rec.ID)
-			continue
-		}
-		prev, seen := byID[rec.ID]
-		if !seen {
-			byID[rec.ID] = rec
-			continue
-		}
-		stats.Duplicates++
-		if prev.Err != "" && rec.Err == "" {
-			byID[rec.ID] = rec
 		}
 	}
-	out := make([]CellRecord, 0, len(ids))
-	for _, id := range ids {
-		rec, ok := byID[id]
+	stats.Duplicates = cells.dups + cells.replaced
+	out := make([]CellRecord, 0, len(cells.order))
+	for i, id := range cells.order {
 		switch {
-		case !ok:
+		case !cells.held[i]:
 			stats.Missing = append(stats.Missing, id)
-		case rec.Err != "":
+		case !cells.covered(i):
 			stats.Failed = append(stats.Failed, id)
 		default:
-			out = append(out, rec)
+			out = append(out, cells.best[i])
 		}
 	}
 	if !stats.Complete() {
 		return out, stats, fmt.Errorf("sim: merge incomplete: %d/%d cells ok (%d missing, %d failed, %d foreign records)",
-			len(out), len(ids), len(stats.Missing), len(stats.Failed), len(stats.Unknown))
+			len(out), len(cells.order), len(stats.Missing), len(stats.Failed), len(stats.Unknown))
 	}
 	return out, stats, nil
 }

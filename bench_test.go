@@ -135,9 +135,11 @@ func BenchmarkFig4CombinationCurve(b *testing.B) {
 	planner := getPlanner(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tab := planner.Table(1331)
-		if tab.Len() != 1332 {
-			b.Fatalf("table len %d", tab.Len())
+		tab := planner.Lookup(1331)
+		for r := 0; r <= 1331; r++ {
+			if c := tab.At(float64(r)); c.Capacity() < float64(r) {
+				b.Fatalf("combination at %d serves %v", r, c.Capacity())
+			}
 		}
 		if err := report.Fig4Series(io.Discard, planner, 100); err != nil {
 			b.Fatal(err)

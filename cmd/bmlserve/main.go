@@ -141,12 +141,12 @@ func run() error {
 	// Reactive controller: nil predictor plans from the observed arrival
 	// rate (converted back to hardware scale by RateScale). MinRate keeps
 	// at least a minimal combination alive through idle periods. The
-	// table is sized for the full emulated data center (the paper's
+	// lookup's range covers the full emulated data center (the paper's
 	// 4-Big over-provisioned baseline) with room for the QoS boost.
 	lb := farm.LoadBalancer()
 	controller, err := ctrl.New(ctrl.Config{
 		Farm:                farm,
-		Table:               planner.Table(planner.Big().MaxPerf * 4 * 1.5),
+		Table:               planner.Lookup(planner.Big().MaxPerf * 4 * 1.5),
 		TimeScale:           time.Second,
 		DecideEvery:         *interval,
 		RateScale:           *rateScale,

@@ -46,7 +46,7 @@ func main() {
 
 	front := httptest.NewServer(farm.LoadBalancer())
 	defer front.Close()
-	table := planner.Table(planner.Big().MaxPerf * 2)
+	table := planner.Lookup(planner.Big().MaxPerf * 2)
 
 	// Start with a single Medium instance.
 	if err := farm.Reconfigure(ctx, map[string]int{profile.Chromebook: 1}); err != nil {

@@ -530,18 +530,12 @@ func TestPlannerPowerNeverBelowExact(t *testing.T) {
 
 func TestPlannerTable(t *testing.T) {
 	p := newPaperPlanner(t)
-	tab := p.Table(100)
-	if tab.Len() != 101 {
-		t.Fatalf("table len = %d, want 101", tab.Len())
-	}
-	if tab.MaxRate() != 100 {
-		t.Errorf("MaxRate = %v", tab.MaxRate())
-	}
+	tab := p.Lookup(100)
 	for _, r := range []float64{0, 1, 9, 10, 50, 99.5, 100, 200} {
 		want := p.Combination(math.Min(math.Ceil(r), 100))
 		got := tab.At(r)
 		if !got.SameNodes(want) {
-			t.Errorf("Table.At(%v) = %v, want %v", r, got, want)
+			t.Errorf("Lookup(100).At(%v) = %v, want %v", r, got, want)
 		}
 	}
 }

@@ -41,7 +41,6 @@ type exactTable struct {
 	archs   []profile.Arch
 	sizes   []int     // arch max perf in grid units
 	cost    []float64 // optimal power to serve k units; +Inf if k == 0 -> 0
-	full    []float64 // optimal power using fully loaded nodes only
 	fullArc []int     // knapsack parent: arch used at k (-1 none)
 	partArc []int     // partial arch chosen at k (-1 if pure full)
 	partX   []int     // partial load in units when partArc >= 0
@@ -52,16 +51,12 @@ type exactTable struct {
 // by construction elsewhere (profiles validate MaxPerf > 0; callers choose
 // step <= smallest MaxPerf).
 func newExactTable(archs []profile.Arch, maxRate, step float64) *exactTable {
-	n := int(math.Ceil(maxRate/step - 1e-9))
-	if n < 0 {
-		n = 0
-	}
+	n := gridIndex(maxRate, step, math.MaxInt)
 	t := &exactTable{
 		step:    step,
 		archs:   append([]profile.Arch(nil), archs...),
 		sizes:   make([]int, len(archs)),
 		cost:    make([]float64, n+1),
-		full:    make([]float64, n+1),
 		fullArc: make([]int, n+1),
 		partArc: make([]int, n+1),
 		partX:   make([]int, n+1),
@@ -73,16 +68,17 @@ func newExactTable(archs []profile.Arch, maxRate, step float64) *exactTable {
 		}
 		t.sizes[i] = sz
 	}
-	// Unbounded knapsack for minFull.
-	t.full[0] = 0
+	// Unbounded knapsack for minFull: the optimal power using fully loaded
+	// nodes only.
+	full := make([]float64, n+1)
 	t.fullArc[0] = -1
 	for k := 1; k <= n; k++ {
-		t.full[k] = math.Inf(1)
+		full[k] = math.Inf(1)
 		t.fullArc[k] = -1
 		for i := range archs {
 			if sz := t.sizes[i]; sz <= k {
-				if c := t.full[k-sz] + float64(archs[i].MaxPower); c < t.full[k] {
-					t.full[k] = c
+				if c := full[k-sz] + float64(archs[i].MaxPower); c < full[k] {
+					full[k] = c
 					t.fullArc[k] = i
 				}
 			}
@@ -92,7 +88,7 @@ func newExactTable(archs []profile.Arch, maxRate, step float64) *exactTable {
 	// architecture using a sliding-window minimum over
 	// g(j) = full[j] - slope_i * j for j in [k-size_i+1, k-1]
 	// (partial load x = k - j in [1, size_i-1]).
-	copy(t.cost, t.full)
+	copy(t.cost, full)
 	for k := range t.partArc {
 		t.partArc[k] = -1
 	}
@@ -104,10 +100,10 @@ func newExactTable(archs []profile.Arch, maxRate, step float64) *exactTable {
 		slope := (float64(a.MaxPower) - float64(a.IdlePower)) / float64(sz)
 		idle := float64(a.IdlePower)
 		// Monotone deque over indices j with key g(j) = full[j] - slope*j.
-		g := func(j int) float64 { return t.full[j] - slope*float64(j) }
+		g := func(j int) float64 { return full[j] - slope*float64(j) }
 		var deque []int
 		push := func(j int) {
-			if math.IsInf(t.full[j], 1) {
+			if math.IsInf(full[j], 1) {
 				return
 			}
 			for len(deque) > 0 && g(deque[len(deque)-1]) >= g(j) {
@@ -137,16 +133,9 @@ func newExactTable(archs []profile.Arch, maxRate, step float64) *exactTable {
 }
 
 // units converts a rate to grid units, rounding up (a fractional residual
-// demand still needs capacity for the full unit).
+// demand still needs capacity for the full unit) and clamping to the table.
 func (t *exactTable) units(rate float64) int {
-	if rate <= 0 {
-		return 0
-	}
-	k := int(math.Ceil(rate/t.step - 1e-9))
-	if k > len(t.cost)-1 {
-		k = len(t.cost) - 1
-	}
-	return k
+	return gridIndex(rate, t.step, t.maxUnits())
 }
 
 // powerAt returns the optimal power for the given rate, or +Inf if the rate
@@ -236,6 +225,21 @@ func NewExactSolver(candidates []profile.Arch, maxRate, step float64) (*ExactSol
 		}
 	}
 	return &ExactSolver{t: newExactTable(candidates, maxRate, step)}, nil
+}
+
+// Prefix returns the solver NewExactSolver would build over [0, maxRate]
+// with s's candidates and step, as a view that shares s's tables. The DP is
+// prefix-consistent (entry k depends only on entries below k), so the
+// view's answers, clamping included, equal a fresh solver's. ok is false
+// when maxRate is invalid or needs more grid units than s covers.
+func (s *ExactSolver) Prefix(maxRate float64) (view *ExactSolver, ok bool) {
+	n := gridIndex(maxRate, s.t.step, math.MaxInt)
+	if !(maxRate >= 0) || n > s.t.maxUnits() {
+		return nil, false
+	}
+	t := *s.t
+	t.cost, t.fullArc, t.partArc, t.partX = t.cost[:n+1], t.fullArc[:n+1], t.partArc[:n+1], t.partX[:n+1]
+	return &ExactSolver{t: &t}, true
 }
 
 // PowerAt returns the optimal power for rate (clamped to the precomputed

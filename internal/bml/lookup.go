@@ -2,62 +2,82 @@ package bml
 
 import (
 	"math"
-	"sync"
+	"sync/atomic"
 )
 
-// Lookup is the rate→combination interface the scheduler consumes. *Table
-// (dense precomputation) and *LazyTable (memoized on demand) both satisfy
-// it; they return identical combinations for identical rates.
+// Lookup is the rate→combination interface the scheduler consumes.
+// Planner.Lookup serves it from the planner's shared memo.
 type Lookup interface {
 	// At returns the ideal combination for the given rate, rounding demand
 	// up to the planner's grid and clamping to the lookup's maximum rate.
 	At(rate float64) Combination
 }
 
-// LazyTable memoizes Combination queries on the planner's rate grid
-// instead of precomputing a dense table. A dense Table over a rate range R
-// costs O(R/step) memory up front, which is prohibitive for fleet-scaled
-// simulations whose peak rates reach tens of millions; a simulation only
-// ever queries as many distinct grid rates as it sees distinct predictions,
-// so the lazy form stays small. It is safe for concurrent use (scenario
-// sweeps share planners across goroutines).
-type LazyTable struct {
+// memoCap bounds the planner's combination memo: grid indexes below it are
+// computed once and kept for the planner's lifetime, while indexes at or
+// past it (fleet-scaled rates) are computed on every lookup and never
+// stored. A long-lived planner therefore holds at most memoCap entries,
+// whatever rates it serves.
+const memoCap = 1 << 16
+
+// memoChunk is the number of grid indexes per lazily allocated memo chunk,
+// so a planner that only serves paper-scale rates allocates a few chunks.
+const memoChunk = 1 << 8
+
+// combinationMemo maps a grid index k below memoCap to Combination(k·step).
+// Chunks and entries are published with compare-and-swap, so lookups from
+// any number of goroutines never block. Two goroutines racing on one new
+// entry both compute it and agree, since an entry is a pure function of k.
+type combinationMemo [memoCap / memoChunk]atomic.Pointer[[memoChunk]atomic.Pointer[Combination]]
+
+// Lookup returns the rate→combination lookup over [0, maxRate]. Every
+// lookup of one planner reads the same memo: an entry does not depend on
+// maxRate, which only sets where At clamps. Building one is O(1),
+// and it is safe for concurrent use.
+func (p *Planner) Lookup(maxRate float64) Lookup {
+	return &planLookup{p: p, maxIdx: gridIndex(maxRate, p.step, math.MaxInt)}
+}
+
+type planLookup struct {
 	p      *Planner
 	maxIdx int
-
-	mu   sync.Mutex
-	memo map[int]Combination
 }
 
-// LazyTable returns a memoizing rate→combination lookup over [0, maxRate],
-// equivalent to Table(maxRate) entry for entry.
-func (p *Planner) LazyTable(maxRate float64) *LazyTable {
-	n := int(math.Ceil(maxRate/p.step - 1e-9))
-	if n < 0 {
-		n = 0
-	}
-	return &LazyTable{p: p, maxIdx: n, memo: make(map[int]Combination)}
+func (l *planLookup) At(rate float64) Combination {
+	return l.p.combinationAt(gridIndex(rate, l.p.step, l.maxIdx))
 }
 
-// At returns the combination for the given rate with Table.At's exact
-// rounding and clamping semantics, computing and caching it on first use.
-func (t *LazyTable) At(rate float64) Combination {
-	k := 0
-	if rate > 0 {
-		k = int(math.Ceil(rate/t.p.step - 1e-9))
-		if k > t.maxIdx {
-			k = t.maxIdx
-		}
+// combinationAt returns Combination(k·step) through the memo.
+func (p *Planner) combinationAt(k int) Combination {
+	if k >= memoCap {
+		return p.Combination(float64(k) * p.step)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok := t.memo[k]; ok {
-		return c
+	dir := &p.memo[k/memoChunk]
+	chunk := dir.Load()
+	if chunk == nil {
+		dir.CompareAndSwap(nil, new([memoChunk]atomic.Pointer[Combination]))
+		chunk = dir.Load()
 	}
-	c := t.p.Combination(float64(k) * t.p.step)
-	t.memo[k] = c
+	e := &chunk[k%memoChunk]
+	if c := e.Load(); c != nil {
+		return *c
+	}
+	c := p.Combination(float64(k) * p.step)
+	e.CompareAndSwap(nil, &c)
 	return c
 }
 
-// MaxRate returns the largest grid rate the lookup serves.
-func (t *LazyTable) MaxRate() float64 { return float64(t.maxIdx) * t.p.step }
+// gridIndex rounds x up to whole grid units of size step and clamps the
+// result to [0, max] in float space, before any conversion to int: NaN and
+// x ≤ 0 give 0, and anything at or past max units, +Inf included, gives
+// max.
+func gridIndex(x, step float64, max int) int {
+	u := math.Ceil(x/step - 1e-9)
+	switch {
+	case !(u > 0):
+		return 0
+	case u >= float64(max):
+		return max
+	}
+	return int(u)
+}

@@ -15,7 +15,8 @@ import (
 // loaded), then use the minimum-utilization thresholds to pick the class
 // that serves the remainder.
 //
-// A Planner is immutable after construction and safe for concurrent use.
+// A Planner is immutable after construction, apart from its combination
+// memo (see Lookup), and safe for concurrent use.
 type Planner struct {
 	candidates []profile.Arch    // Big→Little
 	thresholds []Threshold       // aligned with candidates
@@ -23,6 +24,7 @@ type Planner struct {
 	roles      map[string]string // name → Big/Medium/Little label
 	inventory  map[string]int    // optional per-class node limits; nil = unlimited
 	step       float64
+	memo       combinationMemo // Combination(k·step), shared by every Lookup
 }
 
 // PlannerOption customizes planner construction.
@@ -125,9 +127,6 @@ func (p *Planner) Removals() []Removal {
 
 // Role returns the Big/Medium/Little label of a surviving class.
 func (p *Planner) Role(name string) string { return p.roles[name] }
-
-// Step returns the rate grid granularity.
-func (p *Planner) Step() float64 { return p.step }
 
 // Big returns the most powerful surviving class.
 func (p *Planner) Big() profile.Arch { return p.candidates[0] }
@@ -289,42 +288,3 @@ func (p *Planner) BMLLinear() *power.LinearModel {
 	}
 	return m
 }
-
-// Table precomputes combinations for every grid rate in [0, maxRate] —
-// the "ideal BML combination" lookup used by the scheduler and Figure 4.
-func (p *Planner) Table(maxRate float64) *Table {
-	n := int(math.Ceil(maxRate/p.step - 1e-9))
-	if n < 0 {
-		n = 0
-	}
-	t := &Table{step: p.step, combos: make([]Combination, n+1)}
-	for k := 0; k <= n; k++ {
-		t.combos[k] = p.Combination(float64(k) * p.step)
-	}
-	return t
-}
-
-// Table is a precomputed rate→combination lookup.
-type Table struct {
-	step   float64
-	combos []Combination
-}
-
-// At returns the combination for the given rate, rounding demand up to the
-// grid and clamping to the precomputed range.
-func (t *Table) At(rate float64) Combination {
-	if rate <= 0 {
-		return t.combos[0]
-	}
-	k := int(math.Ceil(rate/t.step - 1e-9))
-	if k >= len(t.combos) {
-		k = len(t.combos) - 1
-	}
-	return t.combos[k]
-}
-
-// MaxRate returns the largest precomputed rate.
-func (t *Table) MaxRate() float64 { return float64(len(t.combos)-1) * t.step }
-
-// Len returns the number of precomputed entries.
-func (t *Table) Len() int { return len(t.combos) }

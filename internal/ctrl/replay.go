@@ -28,7 +28,7 @@ type ReplayConfig struct {
 	// live decide interval (one decision per bucket) and the comparison's
 	// time bucket. Required.
 	Quantum int
-	// Planner supplies candidate architectures and the combination table.
+	// Planner supplies candidate architectures and the combination lookup.
 	// Required.
 	Planner *bml.Planner
 	// Sim configures the rig both sides share (sim.LiveRig); leave
@@ -103,12 +103,12 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The QoS boost looks up rates beyond the trace maximum the shared
-	// table was sized for, and Lookup clamps out-of-range queries. Extend
-	// the live table's range for the boosted lookups; for every in-range
-	// rate it returns the same combination as the simulator's table.
+	// The QoS boost looks up rates beyond the trace maximum the rig's
+	// lookup clamps at. Widen the live lookup's range for the boosted
+	// rates; it reads the same planner memo, so for every in-range rate it
+	// returns the simulator's combination.
 	if boost := cfg.QoSBoost; boost > 1 {
-		table = cfg.Planner.LazyTable(cfg.Trace.Max() * headroom * boost)
+		table = cfg.Planner.Lookup(cfg.Trace.Max() * headroom * boost)
 	}
 	archs := cfg.Planner.Candidates()
 	farm, err := webapp.NewFarm(archs, webapp.InstanceConfig{

@@ -139,6 +139,18 @@ func ParseSpec(r io.Reader) (Spec, error) {
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
 		return Spec{}, fmt.Errorf("%w: trailing data after the spec object", ErrSpec)
 	}
+	// An empty list means what an absent one does (the default axis), and
+	// the spec keeps one form of it, so equal specs compare equal and
+	// survive a JSON round trip.
+	for i := range spec.Experiments {
+		e := &spec.Experiments[i]
+		if len(e.Traces) == 0 {
+			e.Traces = nil
+		}
+		if len(e.Fleets) == 0 {
+			e.Fleets = nil
+		}
+	}
 	if err := spec.Validate(); err != nil {
 		return Spec{}, err
 	}

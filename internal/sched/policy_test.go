@@ -33,7 +33,7 @@ func rigWith(t *testing.T, tr *trace.Trace, mutate func(*Config)) (*Scheduler, *
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Table:     planner.Table(tr.Max() * 2),
+		Table:     planner.Lookup(tr.Max() * 2),
 		Predictor: pred,
 		Cluster:   cl,
 	}
@@ -219,7 +219,7 @@ func TestInvalidPolicyConfigs(t *testing.T) {
 	planner, _ := bml.NewPlanner(fastArchs(), bml.WithPreFilteredCandidates())
 	pred := predict.NewOracle(tr)
 	cl, _ := cluster.New(planner.Candidates())
-	base := Config{Table: planner.Table(10), Predictor: pred, Cluster: cl}
+	base := Config{Table: planner.Lookup(10), Predictor: pred, Cluster: cl}
 
 	badApp := app.StatelessWebServer()
 	badApp.Name = ""

@@ -59,10 +59,9 @@ func Window(candidates []profile.Arch, factor float64) (int, error) {
 
 // Config assembles a scheduler.
 type Config struct {
-	// Table is the rate→combination lookup from the planner: a dense
-	// *bml.Table for paper-scale rates or a memoizing *bml.LazyTable for
-	// fleet-scaled runs whose rate range makes dense precomputation
-	// prohibitive.
+	// Table is the rate→combination lookup from the planner
+	// (bml.Planner.Lookup), a clamped view of the planner's memo that
+	// every run sharing the planner reads.
 	Table bml.Lookup
 	// Predictor forecasts load; the paper uses predict.LookaheadMax.
 	Predictor predict.Predictor

@@ -50,7 +50,7 @@ func newRig(t *testing.T, tr *trace.Trace, headroom float64) (*Scheduler, *clust
 		t.Fatal(err)
 	}
 	sc, err := New(Config{
-		Table:     planner.Table(tr.Max() * math.Max(headroom, 1)),
+		Table:     planner.Lookup(tr.Max() * math.Max(headroom, 1)),
 		Predictor: pred,
 		Cluster:   cl,
 		Headroom:  headroom,
@@ -117,7 +117,7 @@ func TestNewValidation(t *testing.T) {
 	_ = sc
 	pred := predict.NewOracle(tr)
 	planner, _ := bml.NewPlanner(fastArchs(), bml.WithPreFilteredCandidates())
-	table := planner.Table(10)
+	table := planner.Lookup(10)
 	cases := []Config{
 		{Table: nil, Predictor: pred, Cluster: cl},
 		{Table: table, Predictor: nil, Cluster: cl},

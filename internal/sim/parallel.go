@@ -46,7 +46,7 @@ type SweepJob struct {
 	// "default" for the zero BMLConfig; the config fingerprint in the
 	// cell ID carries identity either way).
 	ConfigName string
-	// Planner supplies candidate classes and the combination table. The
+	// Planner supplies candidate classes and the combination lookup. The
 	// homogeneous scenarios use Planner.Big(); LowerBound uses
 	// Planner.Candidates().
 	Planner *bml.Planner
@@ -58,27 +58,27 @@ type SweepJob struct {
 	// the fleet the scheduler provisions by roughly the same factor —
 	// the knob that turns a scenario × trace grid into a scenario × trace
 	// × fleet grid exercising thousand-node clusters. Zero or one leaves
-	// the trace unchanged. Large scales push the LowerBound scenario's
-	// dense DP setup toward O(scale) memory; the other scenarios stay
-	// cheap thanks to the cluster's transition heap and the planner's
-	// lazy combination lookup.
+	// the trace unchanged. Large scales grow the LowerBound scenario's
+	// exact DP to O(scale) memory, built once per sweep (sweepCache); the
+	// BML scenario stays cheap thanks to the cluster's transition heap and
+	// the planner's bounded combination memo (bml.Planner.Lookup).
 	FleetScale float64
 	// Options forwards engine options (e.g. WithTickEngine) to the run.
 	Options []Option
 }
 
-// sweepCache shares per-trace work across the cells of one sweep or
-// shard. Fleet-scaled trace copies are O(trace) each and identical for
-// every scenario at the same scale; the BML predictor's trace.SlidingMax
-// precomputation is likewise O(trace) and identical for every cell over
-// the same (scaled) trace and window — ROADMAP flags it as the dominant
-// fixed cost of large-fleet runs, which the fleet benchmarks amortize by
-// hand. Computation happens under the lock so concurrent cells wait for
-// one precomputation instead of racing to repeat it.
+// sweepCache shares per-trace and per-planner work across the cells of
+// one sweep or shard: fleet-scaled trace copies, the BML predictors'
+// O(trace) precomputation, and one LowerBound exact solver per planner
+// (the DP for a peak R is a prefix of any larger one). BML cells need no
+// entry for their combination lookups: they read the planner's own memo.
+// Computation happens under the lock so concurrent cells wait for one
+// precomputation instead of racing to repeat it.
 type sweepCache struct {
-	mu     sync.Mutex
-	scaled map[scaleKey]*trace.Trace
-	preds  map[predKey]predict.Predictor
+	mu      sync.Mutex
+	scaled  map[scaleKey]*trace.Trace
+	preds   map[predKey]predict.Predictor
+	solvers map[*bml.Planner]*bml.ExactSolver
 }
 
 type scaleKey struct {
@@ -94,17 +94,15 @@ type predKey struct {
 
 func newSweepCache() *sweepCache {
 	return &sweepCache{
-		scaled: map[scaleKey]*trace.Trace{},
-		preds:  map[predKey]predict.Predictor{},
+		scaled:  map[scaleKey]*trace.Trace{},
+		preds:   map[predKey]predict.Predictor{},
+		solvers: map[*bml.Planner]*bml.ExactSolver{},
 	}
 }
 
 // scaledTrace returns tr scaled by f, computing each distinct (trace,
 // factor) once per cache lifetime.
 func (c *sweepCache) scaledTrace(tr *trace.Trace, f float64) (*trace.Trace, error) {
-	if c == nil {
-		return tr.Scale(f)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := scaleKey{tr: tr, f: f}
@@ -127,23 +125,16 @@ func (c *sweepCache) scaledTrace(tr *trace.Trace, f float64) (*trace.Trace, erro
 // is race-free. The builder is exactly what buildBMLRig would run, so
 // cached and uncached runs are identical.
 func (c *sweepCache) predictor(tr *trace.Trace, window int, spec string) (predict.Predictor, error) {
-	build := func() (predict.Predictor, error) {
-		p, err := predictorFromSpec(tr, spec, window)
-		if p != nil || err != nil {
-			return p, err
-		}
-		return predict.NewLookaheadMax(tr, window)
-	}
-	if c == nil {
-		return build()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := predKey{tr: tr, window: window, spec: spec}
 	if p, ok := c.preds[key]; ok {
 		return p, nil
 	}
-	p, err := build()
+	p, err := predictorFromSpec(tr, spec, window)
+	if p == nil && err == nil {
+		p, err = predict.NewLookaheadMax(tr, window)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -151,15 +142,33 @@ func (c *sweepCache) predictor(tr *trace.Trace, window int, spec string) (predic
 	return p, nil
 }
 
-// run executes the job's scenario without cross-cell sharing.
-func (j SweepJob) run() (*Result, error) { return j.runWith(nil) }
+// exactSolver returns the exact solver RunLowerBound would build for a
+// trace peaking at maxRate over the planner's candidates: a prefix view of
+// the sweep's one solver for that planner, which is rebuilt, larger, only
+// when a cell needs more grid units than it covers.
+func (c *sweepCache) exactSolver(p *bml.Planner, maxRate float64) (*bml.ExactSolver, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s := c.solvers[p]; s != nil {
+		if view, ok := s.Prefix(maxRate); ok {
+			return view, nil
+		}
+	}
+	s, err := bml.NewExactSolver(p.Candidates(), maxRate, 1)
+	if err != nil {
+		return nil, err
+	}
+	c.solvers[p] = s
+	return s, nil
+}
 
-// runWith executes the job's scenario, consulting cache (when non-nil) for
-// the fleet-scaled trace and the BML predictor. The cached predictor is
-// exactly what buildBMLRig would construct (predict.NewLookaheadMax over
-// the scaled trace at the scheduler's window), so cached and uncached
-// runs are identical.
-func (j SweepJob) runWith(cache *sweepCache) (*Result, error) {
+// run executes the job's scenario, consulting the sweep's cache for the
+// fleet-scaled trace, the BML predictor and the LowerBound's exact solver.
+// The cached predictor is exactly what buildBMLRig would construct
+// (predict.NewLookaheadMax over the scaled trace at the scheduler's
+// window) and the cached solver answers exactly as RunLowerBound's own,
+// so a cell's result does not depend on the cells it shares a sweep with.
+func (j SweepJob) run(cache *sweepCache) (*Result, error) {
 	if j.Trace == nil || j.Planner == nil {
 		return nil, errors.New("sim: sweep job needs a trace and a planner")
 	}
@@ -177,7 +186,7 @@ func (j SweepJob) runWith(cache *sweepCache) (*Result, error) {
 		return RunUpperBoundPerDay(tr, j.Planner.Big(), j.Options...)
 	case ScenarioBML:
 		cfg := j.BML
-		if cfg.Predictor == nil && cache != nil {
+		if cfg.Predictor == nil {
 			wf := cfg.WindowFactor
 			if wf == 0 {
 				wf = sched.DefaultWindowFactor
@@ -194,7 +203,11 @@ func (j SweepJob) runWith(cache *sweepCache) (*Result, error) {
 		}
 		return RunBML(tr, j.Planner, cfg, j.Options...)
 	case ScenarioLowerBound:
-		return RunLowerBound(tr, j.Planner.Candidates(), j.Options...)
+		solver, err := cache.exactSolver(j.Planner, tr.Max())
+		if err != nil {
+			return nil, err
+		}
+		return runLowerBound(tr, solver, j.Options...)
 	default:
 		return nil, fmt.Errorf("sim: unknown scenario %q", j.Scenario)
 	}

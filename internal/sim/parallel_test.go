@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -255,5 +256,57 @@ func TestSweepFleetScaleInvalid(t *testing.T) {
 	res := sweepAll([]SweepJob{{Trace: tr, Planner: fastPlanner(t), Scenario: ScenarioBML, FleetScale: math.NaN()}}, 1)
 	if res[0].Err == nil {
 		t.Error("NaN fleet scale accepted")
+	}
+}
+
+// TestSweepSharedExactSolverMatchesRunLowerBound runs a two-trace grid over
+// fleets {0, 50, 500} in shuffled cell order, so the sweep's one exact
+// solver per planner is grown and sliced in an arbitrary order while BML
+// cells read the planner's shared combination memo, and holds every
+// LowerBound cell to a standalone RunLowerBound and every BML cell to a
+// standalone RunBML, field by field.
+func TestSweepSharedExactSolverMatchesRunLowerBound(t *testing.T) {
+	planner := fastPlanner(t)
+	var axes []TraceAxis
+	for i, peak := range []float64{250, 180} {
+		tr, err := dayTrace(t, 1, peak).Quantize(600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		axes = append(axes, TraceAxis{Name: fmt.Sprintf("t%d", i), Trace: tr})
+	}
+	jobs, err := Grid(axes, planner, nil, []int{0, 50, 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rand.New(rand.NewSource(7)).Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
+	lowerBounds := 0
+	for _, r := range sweepAll(jobs, 4) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Job.Name, r.Err)
+		}
+		tr := r.Job.Trace
+		if f := r.Job.FleetScale; f != 0 && f != 1 {
+			if tr, err = tr.Scale(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want *Result
+		switch r.Job.Scenario {
+		case ScenarioLowerBound:
+			lowerBounds++
+			want, err = RunLowerBound(tr, planner.Candidates())
+		case ScenarioBML:
+			want, err = RunBML(tr, planner, r.Job.BML)
+		default:
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, r.Job.Name, r.Result, want)
+	}
+	if lowerBounds != 6 {
+		t.Errorf("%d LowerBound cells, want 6", lowerBounds)
 	}
 }

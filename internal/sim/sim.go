@@ -184,13 +184,8 @@ type BMLConfig struct {
 	AmortizeSeconds float64
 }
 
-// denseTableLimit is the largest grid size for which buildBMLRig
-// precomputes a dense combination table; beyond it the memoized lazy
-// lookup serves identical combinations without the up-front cost.
-const denseTableLimit = 1 << 16
-
 // LiveRig builds the decision components of a BML run — combination
-// table, predictor, and effective headroom — exactly as the simulator's
+// lookup, predictor, and effective headroom — exactly as the simulator's
 // scenario would build them. The live controller (internal/ctrl) plans
 // from these so that sim-versus-live differential tests compare two
 // consumers of the identical rig, not two reimplementations of it.
@@ -227,17 +222,9 @@ func LiveRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (bml.Lookup, 
 			headroom = 1
 		}
 	}
-	// Dense tables cost O(maxRate/step) up front; fleet-scaled traces push
-	// peak rates into the millions, where the memoizing lazy lookup (same
-	// combinations, computed on first query) is the only sane choice.
-	maxRate := tr.Max() * headroom
-	var table bml.Lookup
-	if maxRate/planner.Step() > denseTableLimit {
-		table = planner.LazyTable(maxRate)
-	} else {
-		table = planner.Table(maxRate)
-	}
-	return table, pred, headroom, nil
+	// The lookup is a clamped view of the planner's memo, which every cell
+	// that shares the planner reads instead of rebuilding.
+	return planner.Lookup(tr.Max() * headroom), pred, headroom, nil
 }
 
 // buildBMLRig assembles the scheduler and cluster for a BML run. The
@@ -453,11 +440,17 @@ func RunLowerBound(tr *trace.Trace, candidates []profile.Arch, opts ...Option) (
 	if tr == nil {
 		return nil, errors.New("sim: nil trace")
 	}
-	o := buildOptions(opts)
 	solver, err := bml.NewExactSolver(candidates, tr.Max(), 1)
 	if err != nil {
 		return nil, err
 	}
+	return runLowerBound(tr, solver, opts...)
+}
+
+// runLowerBound integrates the LowerBound scenario with a solver covering
+// [0, tr.Max()]: a fresh one, or a sweep's shared solver (sweepCache).
+func runLowerBound(tr *trace.Trace, solver *bml.ExactSolver, opts ...Option) (*Result, error) {
+	o := buildOptions(opts)
 	res := newResult("LowerBound Theoretical", tr.Days())
 	if !o.tick {
 		if err := foldLowerBound(tr, solver, res); err != nil {

@@ -241,7 +241,7 @@ func SweepStream(jobs []SweepJob, workers int, emit func(SweepResult) error) err
 			defer wg.Done()
 			for i := range idx {
 				start := time.Now()
-				res, err := jobs[i].runWith(cache)
+				res, err := jobs[i].run(cache)
 				r := SweepResult{Job: jobs[i], Index: i, Result: res, Err: err, Wall: time.Since(start)}
 				mu.Lock()
 				if emitErr == nil || errors.Is(emitErr, ErrStopStream) {

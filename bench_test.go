@@ -340,7 +340,8 @@ func BenchmarkAblationMigrationCost(b *testing.B) {
 // engineBenchTrace generates a WC'98-shaped trace of the given length and
 // quantizes it to 5-minute plateaus — the piecewise-constant load shape of
 // per-minute-aggregated access logs.
-// Cached per day-count: the month-long generation is itself expensive.
+// Cached per day-count so the benchmarks sharing a trace time only their
+// own work, not generation and quantization.
 var engineTraces = map[int]*trace.Trace{}
 
 func engineBenchTrace(b *testing.B, days int) *trace.Trace {
@@ -652,6 +653,18 @@ func BenchmarkPlannerCombination(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateWorldCup measures synthesizing the default 92-day 1 Hz
+// trace, the set-up cost every from-scratch Figure 5 run pays first.
+func BenchmarkGenerateWorldCup(b *testing.B) {
+	cfg := trace.DefaultWorldCupConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.GenerateWorldCup(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSlidingMax measures the look-ahead precomputation over one day.
 func BenchmarkSlidingMax(b *testing.B) {
 	tr := getBenchTrace(b)
@@ -660,6 +673,7 @@ func BenchmarkSlidingMax(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer() // generating the shared trace is not the measured work
 	for i := 0; i < b.N; i++ {
 		if _, err := day.SlidingMax(378); err != nil {
 			b.Fatal(err)

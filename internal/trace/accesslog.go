@@ -65,7 +65,7 @@ func FromAccessLog(r io.Reader) (tr *Trace, skipped int, err error) {
 	for sec, n := range counts {
 		values[sec-min] = float64(n)
 	}
-	tr, err = New(values)
+	tr, err = adopt(values)
 	return tr, skipped, err
 }
 

@@ -53,7 +53,7 @@ func Read(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: read: %w", err)
 	}
-	return New(values)
+	return adopt(values)
 }
 
 // Write serializes the trace in the bare one-rate-per-line form, prefixed

@@ -38,8 +38,16 @@ var (
 	ErrInvalidValue = errors.New("trace: values must be finite and non-negative")
 )
 
-// New constructs a trace from per-second values, validating each.
+// New constructs a trace from per-second values, validating each. The
+// trace keeps its own copy of values.
 func New(values []float64) (*Trace, error) {
+	return adopt(append([]float64(nil), values...))
+}
+
+// adopt validates values and wraps them in a trace without copying. The
+// caller hands over ownership: values must not be reachable from anywhere
+// else, or the trace would not be immutable.
+func adopt(values []float64) (*Trace, error) {
 	if len(values) == 0 {
 		return nil, ErrEmpty
 	}
@@ -48,9 +56,7 @@ func New(values []float64) (*Trace, error) {
 			return nil, fmt.Errorf("%w (index %d: %v)", ErrInvalidValue, i, v)
 		}
 	}
-	t := &Trace{values: make([]float64, len(values))}
-	copy(t.values, values)
-	return t, nil
+	return &Trace{values: values}, nil
 }
 
 // MustNew is New but panics on error; for tests and literals known valid.
@@ -189,8 +195,10 @@ func (t *Trace) SlidingMax(width int) ([]float64, error) {
 		return out, nil
 	}
 	// Backward pass, block by block: suffix[i] = max of
-	// values[i .. end of i's block].
-	suffix := make([]float64, n)
+	// values[i .. end of i's block]. It is written into out: the forward
+	// pass reads suffix[i] before it writes out[i] and never reads it
+	// again, so the two can share one array.
+	suffix := out
 	for start := ((n - 1) / width) * width; start >= 0; start -= width {
 		end := start + width
 		if end > n {
@@ -307,7 +315,7 @@ func (t *Trace) Quantize(width int) (*Trace, error) {
 			out[i] = mean
 		}
 	}
-	return New(out)
+	return adopt(out)
 }
 
 // Scale returns a copy with every sample multiplied by f (>= 0).
@@ -319,7 +327,7 @@ func (t *Trace) Scale(f float64) (*Trace, error) {
 	for i, v := range t.values {
 		out[i] = v * f
 	}
-	return New(out)
+	return adopt(out)
 }
 
 // Resample returns a trace where each output sample is the mean of factor
@@ -340,7 +348,7 @@ func (t *Trace) Resample(factor int) (*Trace, error) {
 		}
 		out[i] = sum / float64(factor)
 	}
-	return New(out)
+	return adopt(out)
 }
 
 // DailyPeaks returns the maximum load of each complete day (1-based day d

@@ -131,25 +131,41 @@ func TestMaxInWindow(t *testing.T) {
 	}
 }
 
+// TestSlidingMaxMatchesNaive checks SlidingMax against MaxInWindow's
+// direct scan at the block-decomposition edges (width 1, n−1, n, n+1 and
+// beyond, a single-sample trace under every width), and that the result is
+// a fresh array: the trace is untouched when the caller writes to it.
 func TestSlidingMaxMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	vals := make([]float64, 500)
-	for i := range vals {
-		vals[i] = rng.Float64() * 100
-	}
-	tr := MustNew(vals)
-	for _, width := range []int{1, 2, 7, 50, 499, 500, 1000} {
-		fast, err := tr.SlidingMax(width)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, n := range []int{1, 2, 3, 5, 63, 64, 65, 130, 500} {
+		vals := make([]float64, n)
 		for i := range vals {
-			if want := tr.MaxInWindow(i, width); fast[i] != want {
-				t.Fatalf("width %d, i %d: SlidingMax = %v, naive = %v", width, i, fast[i], want)
+			vals[i] = rng.Float64() * 100
+		}
+		tr := MustNew(vals)
+		for _, width := range []int{1, 2, 7, 50, n - 1, n, n + 1, 2*n + 3, 1000} {
+			if width <= 0 {
+				continue
+			}
+			fast, err := tr.SlidingMax(width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fast) != n {
+				t.Fatalf("n %d, width %d: len %d", n, width, len(fast))
+			}
+			for i := range vals {
+				if want := tr.MaxInWindow(i, width); fast[i] != want {
+					t.Fatalf("n %d, width %d, i %d: SlidingMax = %v, naive = %v", n, width, i, fast[i], want)
+				}
+			}
+			fast[0] = -1
+			if tr.At(0) != vals[0] {
+				t.Fatalf("n %d, width %d: SlidingMax's result aliases the trace", n, width)
 			}
 		}
 	}
-	if _, err := tr.SlidingMax(0); err == nil {
+	if _, err := MustNew([]float64{1}).SlidingMax(0); err == nil {
 		t.Error("zero width accepted")
 	}
 }
@@ -307,8 +323,8 @@ func TestGenerateWorldCupBasicInvariants(t *testing.T) {
 	if tr.Len() != 4*SecondsPerDay {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if got := tr.Max(); math.Abs(got-1000) > 1e-6 {
-		t.Errorf("Max = %v, want exactly PeakRate", got)
+	if got := tr.Max(); math.Abs(got-1000) > 1000*0x1p-52 {
+		t.Errorf("Max = %v, want PeakRate up to one rounding", got)
 	}
 	for i := 0; i < tr.Len(); i += 997 {
 		if tr.At(i) < 0 {

@@ -26,9 +26,10 @@ import (
 //     BML-versus-lower-bound overhead spread;
 //   - multiplicative per-second noise.
 //
-// PeakRate scales the whole trace so the global maximum equals it. The
-// paper's UpperBound Global contains 4 Big (Paravance) machines, so the
-// default peak is chosen inside (3, 4] × 1331 req/s.
+// PeakRate scales the whole trace so the global maximum equals it, up to
+// one rounding (see GenerateWorldCup). The paper's UpperBound Global
+// contains 4 Big (Paravance) machines, so the default peak is chosen
+// inside (3, 4] × 1331 req/s.
 type WorldCupConfig struct {
 	Days     int     // number of days to generate (default 92)
 	PeakRate float64 // global maximum load in requests/s (default 5000)
@@ -49,8 +50,10 @@ func DefaultWorldCupConfig() WorldCupConfig {
 }
 
 // GenerateWorldCup synthesizes the trace. The result always has
-// cfg.Days × 86400 one-second samples and a global maximum of exactly
-// cfg.PeakRate.
+// cfg.Days × 86400 one-second samples. Its global maximum is cfg.PeakRate
+// up to the one rounding of the final v*scale multiply: within
+// cfg.PeakRate·2⁻⁵², not always exactly equal. A peak so large that the
+// scale overflows is rejected.
 func GenerateWorldCup(cfg WorldCupConfig) (*Trace, error) {
 	if cfg.Days <= 0 {
 		return nil, fmt.Errorf("trace: invalid day count %d", cfg.Days)
@@ -72,9 +75,13 @@ func GenerateWorldCup(cfg WorldCupConfig) (*Trace, error) {
 		return nil, fmt.Errorf("trace: invalid burst level %v", burstLevel)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := cfg.Days * SecondsPerDay
-	values := make([]float64, n)
+	values := make([]float64, cfg.Days*SecondsPerDay)
 
+	// The diurnal shape and the match-spike bumps depend only on the
+	// second of the day, so each is tabulated once per call with the
+	// same expression the per-second loop would evaluate.
+	base := dayShape(diurnal)
+	bumps := map[[2]float64][]float64{}
 	matchDays := matchSchedule(cfg.Days, rng)
 	maxRaw := 0.0
 	for d := 0; d < cfg.Days; d++ {
@@ -83,18 +90,32 @@ func GenerateWorldCup(cfg WorldCupConfig) (*Trace, error) {
 		week := weeklyFactor(day)
 		spikes := matchDays[day]
 		bursts := flashCrowds(day, len(spikes) > 0, burstLevel, rng)
-		for s := 0; s < SecondsPerDay; s++ {
-			tod := float64(s) / SecondsPerDay // time of day in [0,1)
-			base := diurnal(tod)
-			v := ramp * week * base
-			for _, sp := range spikes {
-				v *= 1 + sp.amplitude*gaussianBump(tod, sp.center, sp.width)
+		vals := values[d*SecondsPerDay : (d+1)*SecondsPerDay]
+		for s := range vals {
+			vals[s] = ramp * week * base[s]
+		}
+		for _, sp := range spikes {
+			key := [2]float64{sp.center, sp.width}
+			bump, ok := bumps[key]
+			if !ok {
+				bump = dayShape(func(tod float64) float64 { return gaussianBump(tod, sp.center, sp.width) })
+				bumps[key] = bump
 			}
-			for _, b := range bursts {
+			for s := range vals {
+				vals[s] *= 1 + sp.amplitude*bump[s]
+			}
+		}
+		// Each burst touches only its own seconds. The per-sample multiply
+		// order (base, spikes, bursts in index order, noise) is part of
+		// the output: changing it moves the trace's fingerprint.
+		for _, b := range bursts {
+			for s := b.start; s < b.start+b.duration; s++ {
 				if f := b.factorAt(s); f > 1 {
-					v *= f
+					vals[s] *= f
 				}
 			}
+		}
+		for s, v := range vals {
 			if cfg.Noise > 0 {
 				g := rng.NormFloat64()
 				if g > 3 {
@@ -107,18 +128,29 @@ func GenerateWorldCup(cfg WorldCupConfig) (*Trace, error) {
 			if v < 0 {
 				v = 0
 			}
-			values[d*SecondsPerDay+s] = v
+			vals[s] = v
 			if v > maxRaw {
 				maxRaw = v
 			}
 		}
 	}
-	// Normalize the global maximum to PeakRate exactly.
 	scale := cfg.PeakRate / maxRaw
+	if math.IsInf(scale, 0) {
+		return nil, fmt.Errorf("trace: peak rate %v is out of range: scaling the raw maximum %v to it overflows", cfg.PeakRate, maxRaw)
+	}
 	for i := range values {
 		values[i] *= scale
 	}
-	return New(values)
+	return adopt(values)
+}
+
+// dayShape tabulates f at every second of the day.
+func dayShape(f func(tod float64) float64) []float64 {
+	out := make([]float64, SecondsPerDay)
+	for s := range out {
+		out[s] = f(float64(s) / SecondsPerDay)
+	}
+	return out
 }
 
 // diurnal is the within-day shape: a night trough around 04:00, rising

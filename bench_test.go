@@ -681,6 +681,33 @@ func BenchmarkSlidingMax(b *testing.B) {
 	}
 }
 
+var fullTrace *trace.Trace
+
+// BenchmarkNewLookaheadMax measures building the paper's predictor (a
+// 378 s look-ahead max) over the default 92-day 1 Hz trace: the per-trace
+// set-up of every raw Figure 5 BML run, and its memory.
+func BenchmarkNewLookaheadMax(b *testing.B) {
+	if fullTrace == nil {
+		tr, err := trace.GenerateWorldCup(trace.DefaultWorldCupConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		fullTrace = tr
+	}
+	// One untimed build pays the process's first-use allocations, so a
+	// -benchtime 1x run reads the same allocs/op as a long one.
+	if _, err := predict.NewLookaheadMax(fullTrace, 378); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer() // generating the trace is not the measured work
+	for i := 0; i < b.N; i++ {
+		if _, err := predict.NewLookaheadMax(fullTrace, 378); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSchedulerDay measures one simulated day of the full BML
 // scheduler (predictor + combination lookup + cluster automata).
 func BenchmarkSchedulerDay(b *testing.B) {

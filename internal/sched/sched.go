@@ -36,7 +36,8 @@ import (
 const DefaultWindowFactor = 2
 
 // Window computes the look-ahead window in seconds for a candidate set: the
-// factor times the longest On duration, rounded up to a whole second.
+// factor times the longest On duration, rounded up to a whole second and at
+// least one. A window too large for an int is an error, not a wrapped value.
 func Window(candidates []profile.Arch, factor float64) (int, error) {
 	if factor <= 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 		return 0, fmt.Errorf("sched: invalid window factor %v", factor)
@@ -50,11 +51,11 @@ func Window(candidates []profile.Arch, factor float64) (int, error) {
 			longest = a.OnDuration
 		}
 	}
-	w := int(math.Ceil(longest.Seconds() * factor))
-	if w < 1 {
-		w = 1
+	w := math.Ceil(longest.Seconds() * factor)
+	if w >= math.MaxInt {
+		return 0, fmt.Errorf("sched: window factor %v gives a %g s window, too large for an int", factor, w)
 	}
-	return w, nil
+	return max(int(w), 1), nil
 }
 
 // Config assembles a scheduler.
@@ -92,7 +93,7 @@ type Config struct {
 // safe for concurrent use.
 type Scheduler struct {
 	table           bml.Lookup
-	pred            predict.Predictor
+	pred            runPredictor
 	cl              *cluster.Cluster
 	headroom        float64
 	app             *app.Spec
@@ -165,7 +166,7 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	return &Scheduler{
 		table:           cfg.Table,
-		pred:            cfg.Predictor,
+		pred:            runsOf(cfg.Predictor),
 		cl:              cfg.Cluster,
 		headroom:        h,
 		app:             cfg.App,

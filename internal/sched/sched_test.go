@@ -97,6 +97,21 @@ func TestWindowValidation(t *testing.T) {
 	}
 }
 
+// TestWindowOverflow pins that a factor whose window does not fit an int
+// fails instead of wrapping to a negative value and clamping to one
+// second, and that a huge window that fits is returned exactly.
+func TestWindowOverflow(t *testing.T) {
+	for _, f := range []float64{5e16, 1e300, math.MaxFloat64} {
+		if w, err := Window(profile.PaperMachines(), f); err == nil {
+			t.Errorf("factor %g: window %d accepted", f, w)
+		}
+	}
+	w, err := Window(profile.PaperMachines(), 1e10)
+	if err != nil || w != 1_890_000_000_000 {
+		t.Errorf("factor 1e10: window %d, %v; want 189e10 s", w, err)
+	}
+}
+
 func TestWindowMinimumOneSecond(t *testing.T) {
 	a := fastArchs()
 	for i := range a {

@@ -6,15 +6,16 @@ import (
 	"repro/internal/bml"
 	"repro/internal/cluster"
 	"repro/internal/power"
+	"repro/internal/predict"
 )
 
 // This file is the interval integrator's scheduler interface. DecideSpan
 // discovers how many seconds a decision outcome repeats for: it executes
-// the decision at the span start, then scans forward one second at a time
-// classifying each second's would-be outcome — no-op, overhead-aware skip,
-// or action — stopping at the first second that would act. The scan
-// touches no fleet state, so an engine can integrate the whole quiescent
-// span in one demand fold instead of one step per second.
+// the decision at the span start, then scans forward one run of equal
+// predictions at a time classifying each run's would-be outcome — no-op,
+// overhead-aware skip, or action — stopping at the first second that would
+// act. The scan touches no fleet state, so an engine can integrate the
+// whole quiescent span in one demand fold instead of one step per second.
 
 // DecideSpan runs the decision logic at second t, then returns the first
 // second in (t, limit] at which the engine must call DecideSpan again:
@@ -51,20 +52,27 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 	// so the current counts are computed once for the whole span.
 	cur := s.cl.Counts()
 	// The outcome of a scanned second is a pure function of its prediction
-	// (the fleet is frozen during the scan), so a second whose prediction
-	// equals the previous one repeats the previous classification — only
-	// its per-second counter effects are replayed. Look-ahead predictions
-	// hold for long stretches, which makes this the scan's common case.
+	// (the fleet is frozen during the scan), so the scan steps one run of
+	// equal predictions at a time: it classifies the run's first second and
+	// replays that second's per-second counter effects for the rest of the
+	// run in bulk. A run whose scaled prediction equals the previous run's
+	// repeats the previous classification. Look-ahead predictions hold for
+	// long stretches (about 109 s on the World Cup trace), which makes a
+	// run, not a second, the scan's unit of work.
 	prevP := math.NaN() // never equal on the first iteration
 	prevSkip, prevAdjusted := false, false
-	for u := t + 1; u < limit; u++ {
-		p := s.pred.Predict(u) * s.headroom
+	for u, end := t+1, 0; u < limit; u = end {
+		var raw float64
+		raw, end = s.pred.PredictRun(u)
+		end = min(end, limit)
+		reps := end - u
+		p := raw * s.headroom
 		if p == prevP {
 			if prevAdjusted {
-				s.adjustments++
+				s.adjustments += reps
 			}
 			if prevSkip {
-				s.skipped++
+				s.skipped += reps
 			}
 			continue
 		}
@@ -73,12 +81,12 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 		if s.app == nil {
 			// Fast path: no malleability adjustment is possible, so the
 			// no-op test is a positional slot-vs-counts compare with no
-			// allocation — this is the integrator's per-second inner loop.
+			// allocation.
 			if countsMatchSlots(target, cur) {
 				continue
 			}
 			if s.overheadAware && !s.reconfigurationWorthIt(target.Counts(), p) {
-				s.skipped++
+				s.skipped += reps
 				prevSkip = true
 				continue
 			}
@@ -91,19 +99,43 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 		switch {
 		case sameCounts(counts, cur):
 			if adjusted {
-				s.adjustments++
+				s.adjustments += reps
 			}
 		case s.overheadAware && !s.reconfigurationWorthIt(counts, p):
 			if adjusted {
-				s.adjustments++
+				s.adjustments += reps
 			}
-			s.skipped++
+			s.skipped += reps
 			prevSkip = true
 		default:
 			return rep, u, nil
 		}
 	}
 	return rep, limit, nil
+}
+
+// runPredictor is a predictor that reports where each run of equal
+// predictions ends (predict.LookaheadMax does): PredictRun(t) returns
+// Predict(t) and the first second after t whose prediction differs.
+type runPredictor interface {
+	predict.Predictor
+	PredictRun(t int) (float64, int)
+}
+
+// secondRuns presents a predictor that does not report runs as one whose
+// runs are one second long, so DecideSpan has a single scan for every
+// predictor.
+type secondRuns struct{ predict.Predictor }
+
+// PredictRun implements runPredictor.
+func (p secondRuns) PredictRun(t int) (float64, int) { return p.Predict(t), t + 1 }
+
+// runsOf returns pred's own runs when it reports them, else one-second runs.
+func runsOf(pred predict.Predictor) runPredictor {
+	if rp, ok := pred.(runPredictor); ok {
+		return rp
+	}
+	return secondRuns{pred}
 }
 
 // countsMatchSlots reports whether the combination's node counts equal the

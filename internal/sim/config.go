@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/predict"
+	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -51,7 +52,8 @@ var configNameRE = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)
 //
 //	default,name=h13:headroom=1.3,name=oa:overhead-aware=true
 //
-// Keys: name (required), headroom (≥1), window-factor (>0), predictor
+// Keys: name (required), headroom (≥1), window-factor (>0, and small
+// enough that the Table I machines' window fits an int), predictor
 // (lookahead|oracle|lastvalue|ewma|pattern), ewma-alpha ((0,1], only with
 // predictor=ewma), overhead-aware (bool), amortize (seconds, requires
 // overhead-aware=true), critical (bool: the §III critical-class app spec),
@@ -163,6 +165,10 @@ func parseConfigSpec(spec string) (ConfigAxis, error) {
 	} else if ok {
 		if wf <= 0 {
 			return ConfigAxis{}, fmt.Errorf("window-factor %g: want > 0", wf)
+		}
+		// Every grid runs on the Table I machines; their window must fit.
+		if _, err := sched.Window(profile.PaperMachines(), wf); err != nil {
+			return ConfigAxis{}, fmt.Errorf("window-factor %g: %v", wf, err)
 		}
 		cfg.WindowFactor = wf
 	}

@@ -188,6 +188,8 @@ func TestParseConfigs(t *testing.T) {
 		"name=x:headroom=1:headroom=2",             // duplicate key
 		"name=x:headroom=NaN",                      // NaN passes every range check
 		"name=x:window-factor=Inf",                 // non-finite window
+		"name=x:window-factor=1e300",               // window overflows int
+		"name=x:window-factor=5e16",                // 189 s × 5e16 overflows int
 		"name=x:boot-fault=nan",                    // NaN probability
 		"name=x:overhead-aware=true:amortize=+Inf", // non-finite horizon
 		"name=x:predictor=ewma:ewma-alpha=NaN",     // NaN alpha

@@ -69,9 +69,11 @@ type SweepJob struct {
 
 // sweepCache shares per-trace and per-planner work across the cells of
 // one sweep or shard: fleet-scaled trace copies, the BML predictors'
-// O(trace) precomputation, and one LowerBound exact solver per planner
-// (the DP for a peak R is a prefix of any larger one). BML cells need no
-// entry for their combination lookups: they read the planner's own memo.
+// precomputation (one pass over the trace; the look-ahead predictor keeps
+// only its runs of equal predictions, about 1.4 MB for 92 days), and one
+// LowerBound exact solver per planner (the DP for a peak R is a prefix of
+// any larger one). BML cells need no entry for their combination lookups:
+// they read the planner's own memo.
 // Computation happens under the lock so concurrent cells wait for one
 // precomputation instead of racing to repeat it.
 type sweepCache struct {
@@ -119,7 +121,7 @@ func (c *sweepCache) scaledTrace(tr *trace.Trace, f float64) (*trace.Trace, erro
 
 // predictor returns the predictor a cell's config selects for (tr, window)
 // — the paper's look-ahead-max by default, or whatever PredictorSpec names
-// — sharing each predictor's O(trace) precomputation across every cell of
+// — sharing each predictor's one-pass precomputation across every cell of
 // the sweep that replays the same trace under the same spec. Predictors
 // are immutable after construction, so sharing one across concurrent runs
 // is race-free. The builder is exactly what buildBMLRig would run, so

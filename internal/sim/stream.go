@@ -206,8 +206,8 @@ func scanCellRecords(r io.Reader, what string, tornTail bool) ([]CellRecord, boo
 // returns: the stream's working set is the cells currently in flight,
 // which is what lets one process chew through fleet-scaled grids far
 // larger than memory. Per-trace predictor precomputation and fleet-scaled
-// trace copies are shared across the stream's cells (one trace.SlidingMax
-// per distinct trace × window, not per cell). An emit error cancels the
+// trace copies are shared across the stream's cells (one look-ahead
+// predictor per distinct trace × window, not per cell). An emit error cancels the
 // remaining cells and is returned — except ErrStopStream, which drains
 // in-flight cells through emit first (graceful stop). Individual cell
 // failures are delivered in their SweepResult rather than aborting the

@@ -2,9 +2,10 @@
 // application performance metric (requests/s in the paper) sampled on a
 // fixed grid. It provides trace construction and validation, CSV
 // import/export, slicing and per-day utilities, summary statistics, an O(n)
-// sliding-window maximum (the paper's look-ahead prediction primitive), and
-// a synthetic generator shaped like the 1998 World Cup access logs the
-// paper's evaluation replays (days 6–92).
+// sliding-window maximum reported as runs of equal values (the paper's
+// look-ahead prediction primitive), and a synthetic generator shaped like
+// the 1998 World Cup access logs the paper's evaluation replays (days
+// 6–92).
 package trace
 
 import (
@@ -26,6 +27,7 @@ const SecondsPerDay = 86400
 // cached and traces be shared freely across concurrent simulations.
 type Trace struct {
 	values []float64
+	max    float64 // global maximum, computed once in adopt (see Max)
 
 	// Fingerprint cache (computed at most once; see Fingerprint).
 	fpOnce sync.Once
@@ -44,19 +46,26 @@ func New(values []float64) (*Trace, error) {
 	return adopt(append([]float64(nil), values...))
 }
 
-// adopt validates values and wraps them in a trace without copying. The
-// caller hands over ownership: values must not be reachable from anywhere
-// else, or the trace would not be immutable.
+// adopt validates values and wraps them in a trace without copying,
+// computing the maximum in the same pass. The caller hands over ownership:
+// values must not be reachable from anywhere else, or the trace would not
+// be immutable.
 func adopt(values []float64) (*Trace, error) {
 	if len(values) == 0 {
 		return nil, ErrEmpty
 	}
+	max := 0.0
 	for i, v := range values {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		// One range test rejects negatives, NaN (it fails every
+		// comparison) and ±Inf.
+		if !(v >= 0 && v <= math.MaxFloat64) {
 			return nil, fmt.Errorf("%w (index %d: %v)", ErrInvalidValue, i, v)
 		}
+		if v > max {
+			max = v
+		}
 	}
-	return &Trace{values: values}, nil
+	return &Trace{values: values, max: max}, nil
 }
 
 // MustNew is New but panics on error; for tests and literals known valid.
@@ -128,16 +137,9 @@ func (t *Trace) Day(d int) (*Trace, error) {
 // Days returns how many complete days the trace covers.
 func (t *Trace) Days() int { return len(t.values) / SecondsPerDay }
 
-// Max returns the global maximum load.
-func (t *Trace) Max() float64 {
-	max := 0.0
-	for _, v := range t.values {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
+// Max returns the global maximum load. It is computed once, when the
+// trace is built, so per-cell callers pay nothing for it.
+func (t *Trace) Max() float64 { return t.max }
 
 // Mean returns the average load.
 func (t *Trace) Mean() float64 {
@@ -178,76 +180,104 @@ func (t *Trace) MaxInWindow(from, width int) float64 {
 	return max
 }
 
-// SlidingMax precomputes MaxInWindow(i, width) for every i in O(n), so
-// per-second schedulers avoid the O(width) scan. It decomposes the trace
-// into width-aligned blocks: every window — width seconds wide, or shorter
-// when clamped at the trace end — spans at most two blocks, so its max is
-// the suffix max of the first and the prefix max of the second. Two tight
-// comparison passes beat the classic monotone deque by a large constant,
-// and this runs over the full trace on every simulation's predictor build.
+// SlidingMax returns MaxInWindow(i, width) for every i: the dense form of
+// SlidingMaxRuns, one value per second.
 func (t *Trace) SlidingMax(width int) ([]float64, error) {
-	if width <= 0 {
-		return nil, fmt.Errorf("trace: invalid window width %d", width)
-	}
-	n := len(t.values)
-	out := make([]float64, n)
-	if n == 0 {
-		return out, nil
-	}
-	// Backward pass, block by block: suffix[i] = max of
-	// values[i .. end of i's block]. It is written into out: the forward
-	// pass reads suffix[i] before it writes out[i] and never reads it
-	// again, so the two can share one array.
-	suffix := out
-	for start := ((n - 1) / width) * width; start >= 0; start -= width {
-		end := start + width
-		if end > n {
-			end = n
+	out := make([]float64, len(t.values))
+	err := t.SlidingMaxRuns(width, func(from, to int, max float64) {
+		for i := from; i < to; i++ {
+			out[i] = max
 		}
-		m := t.values[end-1]
-		suffix[end-1] = m
-		for j := end - 2; j >= start; j-- {
-			if v := t.values[j]; v > m {
-				m = v
-			}
-			suffix[j] = m
-		}
-	}
-	// Forward pass: walk the window's right edge r = min(i+width-1, n-1),
-	// maintaining prefix = max of values[start of r's block .. r]
-	// incrementally (r visits each index once, in order; block boundaries
-	// are tracked by counters so the loop is division-free).
-	r := width - 1
-	if r > n-1 {
-		r = n - 1
-	}
-	prefix := 0.0                 // set when r first enters a block past i's
-	iEnd := width                 // exclusive end of i's current block
-	rEnd := r/width*width + width // index at which r enters its next block
-	for i := 0; i < n; i++ {
-		if i == iEnd {
-			iEnd += width
-		}
-		if r < iEnd {
-			// Same block: the window is exactly [i, block end] — the clamp
-			// and the block end coincide — which is what suffix holds.
-			out[i] = suffix[i]
-		} else if prefix > suffix[i] {
-			out[i] = prefix
-		} else {
-			out[i] = suffix[i]
-		}
-		if r < n-1 {
-			r++
-			if r == rEnd {
-				prefix = t.values[r] // r entered a new block
-				rEnd += width
-			} else if v := t.values[r]; v > prefix {
-				prefix = v
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// suffixRecord marks a second at which a block's suffix maximum rises
+// (scanning backward): the suffix max is m at pos and at every earlier
+// second down to, not including, the next record's pos.
+type suffixRecord struct {
+	pos int
+	m   float64
+}
+
+// SlidingMaxRuns computes MaxInWindow(i, width) for every i in O(n) and
+// reports it run-length encoded: emit is called once per maximal run
+// [from, to) of seconds whose window maxima have equal bits, in order, the
+// runs covering [0, Len()). It never allocates an array of trace length.
+//
+// It decomposes the trace into width-aligned blocks (the van Herk /
+// Gil-Werman scheme): every window — width seconds wide, or shorter when
+// clamped at the trace end — spans at most two blocks, so its max is the
+// suffix max of the first and the prefix max of the second. The blocks are
+// processed in order. A backward pass over one block keeps only the
+// positions where its suffix max rises — a scratch list of at most
+// min(width, n) records, and a handful on real load traces; the forward
+// pass then walks those records while growing the next block's prefix max.
+// A width past the trace end gives the same windows as width n, so the
+// blocks never exceed the trace.
+func (t *Trace) SlidingMaxRuns(width int, emit func(from, to int, max float64)) error {
+	if width <= 0 {
+		return fmt.Errorf("trace: invalid window width %d", width)
+	}
+	vals := t.values
+	n := len(vals)
+	w := min(width, n)
+	rec := make([]suffixRecord, 0, 32) // stays on the stack unless a block needs more
+	// The NaN sentinel matches no valid sample, so second 0 opens a run.
+	runFrom, runMax, runBits := 0, 0.0, math.Float64bits(math.NaN())
+	for start := 0; start < n; start += w {
+		end := min(start+w, n)
+		// Backward pass: the suffix max of values[j .. end-1] for each j in
+		// the block, kept as the records where it rises.
+		rec = rec[:0]
+		m := vals[end-1]
+		rec = append(rec, suffixRecord{end - 1, m})
+		for j := end - 2; j >= start; j-- {
+			if v := vals[j]; v > m {
+				m = v
+				rec = append(rec, suffixRecord{j, m})
+			}
+		}
+		// Forward pass. At second i the window is [i, i+w-1] clamped to
+		// the trace: the block's suffix max at i, and — once i is past the
+		// block start and the block is not the last — the prefix max of
+		// values[end .. min(i+w-1, n-1)] in the next block. The prefix
+		// starts at -Inf, which never beats a suffix max and which the
+		// first folded sample replaces.
+		k := len(rec) - 1
+		suffix, bound := rec[k].m, rec[k].pos
+		prefix := math.Inf(-1)
+		r := end // next sample folded into prefix
+		for i := start; i < end; i++ {
+			if i > bound {
+				k--
+				suffix, bound = rec[k].m, rec[k].pos
+			}
+			out := suffix
+			if prefix > suffix {
+				out = prefix
+			}
+			if b := math.Float64bits(out); b != runBits {
+				if i > 0 {
+					emit(runFrom, i, runMax)
+				}
+				runFrom, runMax, runBits = i, out, b
+			}
+			if r < n {
+				if v := vals[r]; v > prefix {
+					prefix = v
+				}
+				r++
+			}
+		}
+	}
+	if n > 0 {
+		emit(runFrom, n, runMax)
+	}
+	return nil
 }
 
 // NextChange returns the first second u > i at which the load differs from

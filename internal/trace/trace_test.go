@@ -425,3 +425,55 @@ func TestGenerateWorldCupValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxMatchesScan checks the maximum cached at construction against a
+// direct scan of the samples, for a trace from every constructor.
+func TestMaxMatchesScan(t *testing.T) {
+	scan := func(tr *Trace) float64 {
+		m := 0.0
+		for _, v := range tr.Values() {
+			if v > m {
+				m = v
+			}
+		}
+		return m
+	}
+	base := MustNew([]float64{3, 0, 9.5, math.Copysign(0, -1), 9.25, 1})
+	cfg := DefaultWorldCupConfig()
+	cfg.Days = 2
+	wc, err := GenerateWorldCup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, wc); err != nil {
+		t.Fatal(err)
+	}
+	built := map[string]func() (*Trace, error){
+		"New":              func() (*Trace, error) { return New([]float64{2, 7, 7, 1}) },
+		"New all -0":       func() (*Trace, error) { return New([]float64{math.Copysign(0, -1)}) },
+		"Quantize":         func() (*Trace, error) { return base.Quantize(4) },
+		"Scale":            func() (*Trace, error) { return base.Scale(1.7) },
+		"Resample":         func() (*Trace, error) { return base.Resample(2) },
+		"Slice":            func() (*Trace, error) { return base.Slice(3, 6) },
+		"Read":             func() (*Trace, error) { return Read(bytes.NewReader(buf.Bytes())) },
+		"GenerateWorldCup": func() (*Trace, error) { return wc, nil },
+		"FromAccessLog": func() (*Trace, error) {
+			tr, _, err := FromAccessLog(strings.NewReader(strings.Join([]string{
+				clfLine("01/Jul/1998:12:00:00 +0000"),
+				clfLine("01/Jul/1998:12:00:02 +0000"),
+				clfLine("01/Jul/1998:12:00:02 +0000"),
+			}, "\n")))
+			return tr, err
+		},
+	}
+	for name, build := range built {
+		tr, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := tr.Max(), scan(tr); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: Max = %v, scan = %v", name, got, want)
+		}
+	}
+}

@@ -25,9 +25,18 @@
 // claims ("the interval integrator is ≥10x the tick loop on a raw
 // trace") without flaking on slow runners.
 //
+// Allocations are gated too, and tightly: allocs/op and B/op are nearly
+// deterministic for a fixed input, so a row that records allocs_per_op or
+// bytes_per_op fails when the run measures more than allocFactor (1.1)
+// times either number. A row whose allocations differ at -benchtime 1x from
+// the recorded medians (first-iteration warm-up, scheduling-dependent
+// buffers) names the reason in "alloc_exempt" and is gated on ns/op only.
+// A gated row whose run output carries no allocation numbers fails: run
+// with -benchmem.
+//
 // Usage:
 //
-//	go test -run xxx -bench 'EngineDayTrace|FleetScaling' -benchtime 1x . | tee bench.txt
+//	go test -run xxx -bench 'EngineDayTrace|FleetScaling' -benchtime 1x -benchmem . | tee bench.txt
 //	go run ./scripts/benchcheck -baseline BENCH_sim.json -results bench.txt -factor 10
 package main
 
@@ -50,9 +59,14 @@ import (
 // than the global default without tightening the noisy short ones.
 type baseline struct {
 	Results []struct {
-		Benchmark string  `json:"benchmark"`
-		NsPerOp   float64 `json:"ns_per_op"`
-		MaxFactor float64 `json:"max_factor,omitempty"`
+		Benchmark   string  `json:"benchmark"`
+		NsPerOp     float64 `json:"ns_per_op"`
+		MaxFactor   float64 `json:"max_factor,omitempty"`
+		AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+		BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+		// AllocExempt, when set, says why the row's allocation numbers
+		// are not gated.
+		AllocExempt string `json:"alloc_exempt,omitempty"`
 	} `json:"results"`
 	// Ratios gates measured-vs-measured speedups within one run: the
 	// Faster benchmark's ns/op must be at least MinFactor below the
@@ -146,14 +160,31 @@ func main() {
 			threshold = b.MaxFactor
 		}
 		compared++
-		ratio := got / b.NsPerOp
+		ratio := got.ns / b.NsPerOp
 		status := "ok"
 		if ratio > threshold {
 			status = "REGRESSION"
 			regressions++
 		}
 		fmt.Printf("%-55s baseline %12.0f ns/op  measured %12.0f ns/op  ratio %5.2fx  (max %gx)  %s\n",
-			b.Benchmark, b.NsPerOp, got, ratio, threshold, status)
+			b.Benchmark, b.NsPerOp, got.ns, ratio, threshold, status)
+		if b.AllocExempt != "" {
+			continue
+		}
+		for _, g := range []struct {
+			unit       string
+			base, meas float64
+		}{{"allocs/op", b.AllocsPerOp, got.allocs}, {"B/op", b.BytesPerOp, got.bytes}} {
+			if g.base == 0 {
+				continue
+			}
+			status := allocStatus(g.base, g.meas)
+			if status != "ok" {
+				regressions++
+			}
+			fmt.Printf("%-55s baseline %12.0f %-9s measured %12.0f %-9s (max %gx)  %s\n",
+				"", g.base, g.unit, g.meas, g.unit, allocFactor, status)
+		}
 	}
 	if compared == 0 {
 		log.Fatal("no measured benchmark matched the baseline — name drift between bench_test.go and BENCH_sim.json?")
@@ -174,12 +205,13 @@ func main() {
 		if !inResults[r.Faster] || !inResults[r.Slower] {
 			log.Fatalf("ratio %s vs %s: both benchmarks must also appear in %s results", r.Faster, r.Slower, *baselinePath)
 		}
-		fast, okF := measured[r.Faster]
-		slow, okS := measured[r.Slower]
+		fastM, okF := measured[r.Faster]
+		slowM, okS := measured[r.Slower]
 		if !okF || !okS {
 			log.Printf("ratio %s vs %s: skipped (allow-missing benchmark)", r.Faster, r.Slower)
 			continue
 		}
+		fast, slow := fastM.ns, slowM.ns
 		if fast <= 0 {
 			log.Fatalf("ratio %s vs %s: non-positive measured ns/op %g", r.Faster, r.Slower, fast)
 		}
@@ -200,15 +232,41 @@ func main() {
 	fmt.Printf("%d benchmarks within their thresholds (default %gx)\n", compared, *factor)
 }
 
-// parseBenchOutput extracts "BenchmarkName ns/op" pairs from go test -bench
-// output. Names are normalized by stripping the trailing -GOMAXPROCS
-// suffix so they match the snapshot's names; when several runs collapse to
-// one name (-cpu variants, -count repeats) the slowest is kept, so a
-// baseline entry — and its max_factor — always gates the worst measured
-// variant (conservative for a gate). Sub-benchmark names (Benchmark/sub)
-// stay distinct after suffix stripping: each needs its own baseline entry.
-func parseBenchOutput(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
+// allocFactor is the allocation gate's bound: allocs/op and B/op barely
+// move between runs of one input, so 10% over the recorded value is a
+// regression, not noise.
+const allocFactor = 1.1
+
+// allocStatus is the allocation gate for one number: "ok" when measured
+// stays within base × allocFactor, else why the row fails. A negative
+// measured value means the run reported no allocation columns.
+func allocStatus(base, measured float64) string {
+	switch {
+	case measured < 0:
+		return "NOT MEASURED (run with -benchmem)"
+	case measured > base*allocFactor:
+		return "REGRESSION"
+	}
+	return "ok"
+}
+
+// measurement is one benchmark's numbers in a run. allocs and bytes are -1
+// when the output line carries no allocation columns (no -benchmem and no
+// b.ReportAllocs).
+type measurement struct {
+	ns, allocs, bytes float64
+}
+
+// parseBenchOutput extracts each benchmark's ns/op, allocs/op and B/op
+// from go test -bench output. Names are normalized by stripping the
+// trailing -GOMAXPROCS suffix so they match the snapshot's names; when
+// several runs collapse to one name (-cpu variants, -count repeats) the
+// largest value of each number is kept, so a baseline entry — and its
+// max_factor — always gates the worst measured variant (conservative for
+// a gate). Sub-benchmark names (Benchmark/sub) stay distinct after suffix
+// stripping: each needs its own baseline entry.
+func parseBenchOutput(r io.Reader) (map[string]measurement, error) {
+	out := map[string]measurement{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
 	for sc.Scan() {
@@ -222,19 +280,34 @@ func parseBenchOutput(r io.Reader) (map[string]float64, error) {
 				name = name[:i]
 			}
 		}
+		m := measurement{ns: -1, allocs: -1, bytes: -1}
 		for i := 2; i < len(fields); i++ {
-			if fields[i] != "ns/op" {
+			var dst *float64
+			switch fields[i] {
+			case "ns/op":
+				dst = &m.ns
+			case "allocs/op":
+				dst = &m.allocs
+			case "B/op":
+				dst = &m.bytes
+			default:
 				continue
 			}
-			ns, err := strconv.ParseFloat(fields[i-1], 64)
+			v, err := strconv.ParseFloat(fields[i-1], 64)
 			if err != nil {
 				return nil, fmt.Errorf("line %q: %v", sc.Text(), err)
 			}
-			if ns > out[name] {
-				out[name] = ns
-			}
-			break
+			*dst = v
 		}
+		if m.ns < 0 {
+			continue
+		}
+		if prev, ok := out[name]; ok {
+			m.ns = max(m.ns, prev.ns)
+			m.allocs = max(m.allocs, prev.allocs)
+			m.bytes = max(m.bytes, prev.bytes)
+		}
+		out[name] = m
 	}
 	return out, sc.Err()
 }

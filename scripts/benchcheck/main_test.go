@@ -26,7 +26,7 @@ PASS
 	if len(out) != 1 {
 		t.Fatalf("variants did not collapse to one name: %v", out)
 	}
-	if got := out["BenchmarkEngineDayTrace"]; got != 250000 {
+	if got := out["BenchmarkEngineDayTrace"].ns; got != 250000 {
 		t.Errorf("collapsed ns/op = %v, want 250000 (the slowest variant)", got)
 	}
 }
@@ -51,8 +51,8 @@ BenchmarkFleetScaling/fleet=50-8 	       1	   700000 ns/op
 		t.Fatalf("sub-benchmarks merged: %v", out)
 	}
 	for name, ns := range want {
-		if out[name] != ns {
-			t.Errorf("%s = %v, want %v", name, out[name], ns)
+		if out[name].ns != ns {
+			t.Errorf("%s = %v, want %v", name, out[name].ns, ns)
 		}
 	}
 }
@@ -76,8 +76,8 @@ BenchmarkGrow/size-200-8 	       1	    22000 ns/op
 		"BenchmarkGrow/size-200": 22000,
 	}
 	for name, ns := range want {
-		if out[name] != ns {
-			t.Errorf("%s = %v, want %v (full map: %v)", name, out[name], ns, out)
+		if out[name].ns != ns {
+			t.Errorf("%s = %v, want %v (full map: %v)", name, out[name].ns, ns, out)
 		}
 	}
 }
@@ -98,12 +98,56 @@ BenchmarkReal-8 	       1	    5000 ns/op
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || out["BenchmarkReal"] != 5000 {
+	if len(out) != 1 || out["BenchmarkReal"].ns != 5000 {
 		t.Errorf("noise leaked into results: %v", out)
 	}
 
 	if _, err := parseBenchOutput(strings.NewReader(
 		"BenchmarkBad-8 \t 1 \t not-a-number ns/op\n")); err == nil {
 		t.Error("malformed ns/op value did not fail the parse")
+	}
+}
+
+// TestParseBenchOutputAllocations pins the allocation columns: allocs/op
+// and B/op are read beside ns/op, collapsed variants keep the largest of
+// each, and a line without -benchmem columns reads as unmeasured (-1).
+func TestParseBenchOutputAllocations(t *testing.T) {
+	out, err := parseBenchOutput(strings.NewReader(`
+BenchmarkA-2 	       1	   150000 ns/op	  4096 B/op	      12 allocs/op
+BenchmarkA-4 	       1	   100000 ns/op	  8192 B/op	      10 allocs/op
+BenchmarkB-2 	       1	   500 ns/op	  3.5 kWh
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := out["BenchmarkA"], (measurement{ns: 150000, allocs: 12, bytes: 8192}); got != want {
+		t.Errorf("BenchmarkA = %+v, want %+v", got, want)
+	}
+	if got, want := out["BenchmarkB"], (measurement{ns: 500, allocs: -1, bytes: -1}); got != want {
+		t.Errorf("BenchmarkB = %+v, want %+v", got, want)
+	}
+	if _, err := parseBenchOutput(strings.NewReader(
+		"BenchmarkBad-8 \t 1 \t 10 ns/op \t x allocs/op\n")); err == nil {
+		t.Error("malformed allocs/op value did not fail the parse")
+	}
+}
+
+// TestAllocStatus pins the allocation gate's edges: at or under
+// base × allocFactor passes, anything over fails, and an unmeasured number
+// fails rather than passing silently.
+func TestAllocStatus(t *testing.T) {
+	for _, c := range []struct {
+		base, measured float64
+		ok             bool
+	}{
+		{100, 100, true},
+		{100, 110, true},
+		{100, 111, false},
+		{100, 50, true},
+		{100, -1, false},
+	} {
+		if got := allocStatus(c.base, c.measured); (got == "ok") != c.ok {
+			t.Errorf("allocStatus(%g, %g) = %q, want ok=%t", c.base, c.measured, got, c.ok)
+		}
 	}
 }

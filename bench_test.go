@@ -22,6 +22,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/app"
@@ -705,6 +707,68 @@ func BenchmarkNewLookaheadMax(b *testing.B) {
 		if _, err := predict.NewLookaheadMax(fullTrace, 378); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+type namedTrace struct {
+	name string
+	tr   *trace.Trace
+}
+
+// ioBenchTraces returns the one-day traces BenchmarkReadTrace and
+// BenchmarkWriteTrace run on: quantized to 5-minute plateaus (a few
+// hundred distinct lines) and raw 1 Hz (every line distinct).
+func ioBenchTraces(b *testing.B) []namedTrace {
+	return []namedTrace{
+		{"quantized", engineBenchTrace(b, 1)},
+		{"raw", engineBenchTraceRaw(b, 1)},
+	}
+}
+
+// BenchmarkWriteTrace measures writing a one-day trace file.
+func BenchmarkWriteTrace(b *testing.B) {
+	for _, c := range ioBenchTraces(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			// One untimed write pays the process's first-use
+			// allocations, so a -benchtime 1x run reads the same
+			// allocs/op as a long one.
+			if err := trace.Write(io.Discard, c.tr); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := trace.Write(io.Discard, c.tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadTrace measures parsing a one-day (86,400-line) trace file,
+// the load every file-based bmlpaper experiment pays before its first cell.
+func BenchmarkReadTrace(b *testing.B) {
+	for _, c := range ioBenchTraces(b) {
+		var file bytes.Buffer
+		if err := trace.Write(&file, c.tr); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			// An op allocates 3.3 MB, about what a collection leaves
+			// free below the default heap goal, so a collection would
+			// start inside a -benchtime 1x iteration and add runtime
+			// allocations of its own.
+			defer debug.SetGCPercent(debug.SetGCPercent(400))
+			runtime.GC()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := trace.Read(bytes.NewReader(file.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

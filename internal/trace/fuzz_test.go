@@ -8,10 +8,13 @@ import (
 )
 
 // FuzzRead feeds arbitrary bytes to the trace file parser. It must never
-// panic, and any trace it accepts must survive a Write→Read round trip
-// bit for bit (Write prints each sample in its shortest exact form).
+// panic, it must agree with readReference (the same samples bit for bit,
+// or the same error text), and any trace it accepts must survive a
+// Write→Read round trip bit for bit (Write prints each sample in its
+// shortest exact form).
 func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkReadMatchesReference(t, body)
 		tr, err := Read(bytes.NewReader(body))
 		if err != nil {
 			return

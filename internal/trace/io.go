@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
-	"strings"
 )
 
 // This file provides the trace file format the simulator consumes: one
@@ -13,58 +15,69 @@ import (
 // ("7,123.4"). Lines starting with '#' and blank lines are ignored. The
 // two-column form must be densely indexed from 0 upward; it exists so real
 // World Cup–derived per-second request counts can be dropped in directly.
+// Neither direction allocates per line: Read parses each run of equal rate
+// text once, and Write formats each run of equal samples once, so a
+// quantized trace costs one conversion per plateau, not per second.
 
-// Read parses a trace from r.
+// Read parses a trace from r. A line, with its line ending, must be
+// shorter than 1 MiB.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	var values []float64
+	var prev []byte // the last rate text parsed, copied: the scanner reuses its buffer
+	var rate float64
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		var rate float64
-		if comma := strings.IndexByte(text, ','); comma >= 0 {
-			idxStr := strings.TrimSpace(text[:comma])
-			rateStr := strings.TrimSpace(text[comma+1:])
-			idx, err := strconv.Atoi(idxStr)
+		field := text
+		if comma := bytes.IndexByte(text, ','); comma >= 0 {
+			idxField := bytes.TrimSpace(text[:comma])
+			field = bytes.TrimSpace(text[comma+1:])
+			idx, err := strconv.Atoi(string(idxField))
 			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad index %q: %v", line, idxStr, err)
+				return nil, fmt.Errorf("trace: line %d: bad index %q: %v", line, idxField, err)
 			}
 			if idx != len(values) {
 				return nil, fmt.Errorf("trace: line %d: non-contiguous index %d (want %d)", line, idx, len(values))
 			}
-			rate, err = strconv.ParseFloat(rateStr, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad rate %q: %v", line, rateStr, err)
-			}
-		} else {
+		}
+		// ParseFloat is a pure function of its text, so equal text may
+		// reuse the previous value bit for bit.
+		if len(values) == 0 || !bytes.Equal(field, prev) {
 			var err error
-			rate, err = strconv.ParseFloat(text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad rate %q: %v", line, text, err)
+			if rate, err = strconv.ParseFloat(string(field), 64); err != nil {
+				return nil, fmt.Errorf("trace: line %d: bad rate %q: %v", line, field, err)
 			}
+			prev = append(prev[:0], field...)
 		}
 		values = append(values, rate)
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return nil, fmt.Errorf("trace: line %d: longer than 1 MiB", line+1)
+	} else if err != nil {
 		return nil, fmt.Errorf("trace: read: %w", err)
 	}
 	return adopt(values)
 }
 
 // Write serializes the trace in the bare one-rate-per-line form, prefixed
-// with a comment header.
+// with a comment header. Each sample prints as %g would print it.
 func Write(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# trace: %d samples at 1 Hz\n", t.Len()); err != nil {
+	text := strconv.AppendInt([]byte("# trace: "), int64(t.Len()), 10)
+	if _, err := bw.Write(append(text, " samples at 1 Hz\n"...)); err != nil {
 		return err
 	}
-	for _, v := range t.values {
-		if _, err := fmt.Fprintf(bw, "%g\n", v); err != nil {
+	for i, v := range t.values {
+		if i == 0 || math.Float64bits(v) != math.Float64bits(t.values[i-1]) {
+			text = append(strconv.AppendFloat(text[:0], v, 'g', -1, 64), '\n')
+		}
+		if _, err := bw.Write(text); err != nil {
 			return err
 		}
 	}

@@ -629,16 +629,43 @@ func BenchmarkFleetScaling(b *testing.B) {
 }
 
 // BenchmarkExactSolver measures the DP table construction cost (the
-// LowerBound scenario's dominant setup).
+// LowerBound scenario's dominant setup) for the paper's candidates:
+// units=5400 covers one cluster's peak, units=625000 the LowerBound
+// scenario at fleet 500 on a paper-grid trace.
 func BenchmarkExactSolver(b *testing.B) {
 	cands, _, err := bml.SelectCandidates(profile.PaperMachines(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	for _, units := range []float64{5400, 625000} {
+		b.Run(fmt.Sprintf("units=%.0f", units), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bml.NewExactSolver(cands, units, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlannerExactGrowth grows a fresh planner's exact table through
+// the paper grid's LowerBound peaks, 5,000 → 62,500 → 625,000 units, the
+// sequence a cold sweep over fleets {0, 50, 500} asks for. Planner
+// construction is not timed.
+func BenchmarkPlannerExactGrowth(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := bml.NewExactSolver(cands, 5400, 1); err != nil {
+		b.StopTimer()
+		planner, err := bml.NewPlanner(profile.PaperMachines())
+		if err != nil {
 			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, peak := range []float64{5000, 62500, 625000} {
+			if _, err := planner.Exact(peak); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

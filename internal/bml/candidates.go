@@ -123,7 +123,11 @@ func PruneNonCrossing(candidates []profile.Arch, step float64) (kept []profile.A
 			others := make([]profile.Arch, 0, len(cur)-1)
 			others = append(others, cur[:i]...)
 			others = append(others, cur[i+1:]...)
-			if everCheapest(x, others, step) {
+			cheapest, err := everCheapest(x, others, step)
+			if err != nil {
+				return nil, removed, err
+			}
+			if cheapest {
 				continue
 			}
 			removed = append(removed, Removal{
@@ -146,7 +150,7 @@ func PruneNonCrossing(candidates []profile.Arch, step float64) (kept []profile.A
 // some rate r in (0, x.MaxPerf], than both the optimal combination of the
 // smaller architectures in others and every bigger architecture's single
 // partially loaded node.
-func everCheapest(x profile.Arch, others []profile.Arch, step float64) bool {
+func everCheapest(x profile.Arch, others []profile.Arch, step float64) (bool, error) {
 	var smaller, bigger []profile.Arch
 	for _, o := range others {
 		if o.MaxPerf < x.MaxPerf {
@@ -157,7 +161,10 @@ func everCheapest(x profile.Arch, others []profile.Arch, step float64) bool {
 	}
 	var opt *exactTable
 	if len(smaller) > 0 {
-		opt = newExactTable(smaller, x.MaxPerf, step)
+		var err error
+		if opt, err = newExactTable(smaller, x.MaxPerf, step); err != nil {
+			return false, err
+		}
 	}
 	for r := step; r <= x.MaxPerf+1e-9; r += step {
 		px := float64(x.PowerAt(r))
@@ -171,10 +178,10 @@ func everCheapest(x profile.Arch, others []profile.Arch, step float64) bool {
 			}
 		}
 		if px < best-1e-9 {
-			return true
+			return true, nil
 		}
 	}
-	return false
+	return false, nil
 }
 
 // SelectCandidates runs the full candidate pipeline (Step 2 dominance

@@ -3,6 +3,9 @@ package bml
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/power"
 	"repro/internal/profile"
@@ -35,101 +38,150 @@ import (
 // The inner minimum over x is a min-plus convolution with a linear function
 // of x, computed in O(1) amortized per k with a monotone deque.
 
-// exactTable holds the DP results on a fixed rate grid.
+// maxExactArchs is the largest candidate set the table accepts: it names
+// an architecture in one byte, as 1 + its index, with 0 for none.
+const maxExactArchs = math.MaxUint8
+
+// maxExactUnits is the largest grid index the table accepts, so that a
+// partial load (at most the index itself) fits in an int32.
+const maxExactUnits = math.MaxInt32
+
+// exactTable holds the DP results on a fixed rate grid, 14 bytes per grid
+// unit. A table is never written after it is built.
 type exactTable struct {
 	step    float64
 	archs   []profile.Arch
 	sizes   []int     // arch max perf in grid units
-	cost    []float64 // optimal power to serve k units; +Inf if k == 0 -> 0
-	fullArc []int     // knapsack parent: arch used at k (-1 none)
-	partArc []int     // partial arch chosen at k (-1 if pure full)
-	partX   []int     // partial load in units when partArc >= 0
+	cost    []float64 // optimal power to serve k units; +Inf if not coverable
+	fullArc []uint8   // knapsack parent: 1 + arch used at k (0 none)
+	partArc []uint8   // 1 + partial arch chosen at k (0 if pure full)
+	partX   []int32   // partial load in units when partArc[k] > 0
+}
+
+// dpClass is one architecture's constants and its monotone deque over
+// indices j with key g(j) = minFull[j] - slope*j, kept in a ring whose
+// length is a power of two. The deque holds indices of one window, at most
+// min(size, k) of them, so a ring longer than that never fills.
+type dpClass struct {
+	maxPower, idle, slope float64 // slope = (MaxPower-IdlePower)/size
+	ring                  []dequeEntry
+	head, n               int
+}
+
+type dequeEntry struct {
+	j int
+	g float64
 }
 
 // newExactTable builds the DP up to maxRate (inclusive) on the given grid
 // step. Architectures with MaxPerf smaller than one grid unit are rejected
 // by construction elsewhere (profiles validate MaxPerf > 0; callers choose
 // step <= smallest MaxPerf).
-func newExactTable(archs []profile.Arch, maxRate, step float64) *exactTable {
-	n := gridIndex(maxRate, step, math.MaxInt)
+func newExactTable(archs []profile.Arch, maxRate, step float64) (*exactTable, error) {
+	return buildExactTable(archs, gridIndex(maxRate, step, math.MaxInt), step)
+}
+
+// buildExactTable computes entries 0..n. The loop is the DP with the unit
+// k outermost:
+//
+//   - minFull[k] is an unbounded knapsack over the architectures, which
+//     reads minFull back at most the largest size, kept in a ring;
+//   - cost[k] starts from minFull[k] and is improved, architecture by
+//     architecture in candidate order, by one partial node whose load
+//     x = k - j lies in [1, size-1], through a sliding-window minimum over
+//     g(j) for j in [k-size+1, k-1].
+func buildExactTable(archs []profile.Arch, n int, step float64) (*exactTable, error) {
+	if len(archs) > maxExactArchs {
+		return nil, fmt.Errorf("bml: %d candidate architectures, the exact table holds at most %d", len(archs), maxExactArchs)
+	}
+	if n > maxExactUnits {
+		return nil, fmt.Errorf("bml: exact table of %d grid units, past the limit of %d", n, maxExactUnits)
+	}
 	t := &exactTable{
 		step:    step,
 		archs:   append([]profile.Arch(nil), archs...),
 		sizes:   make([]int, len(archs)),
 		cost:    make([]float64, n+1),
-		fullArc: make([]int, n+1),
-		partArc: make([]int, n+1),
-		partX:   make([]int, n+1),
+		fullArc: make([]uint8, n+1),
+		partArc: make([]uint8, n+1),
+		partX:   make([]int32, n+1),
 	}
+	classes := make([]dpClass, len(archs))
+	maxSz := 0
 	for i, a := range archs {
 		sz := int(math.Round(a.MaxPerf / step))
 		if sz < 1 {
 			sz = 1
 		}
 		t.sizes[i] = sz
+		maxSz = max(maxSz, sz)
+		classes[i] = dpClass{
+			maxPower: float64(a.MaxPower),
+			idle:     float64(a.IdlePower),
+			slope:    (float64(a.MaxPower) - float64(a.IdlePower)) / float64(sz),
+			ring:     make([]dequeEntry, ringLen(min(sz, n))),
+		}
 	}
-	// Unbounded knapsack for minFull: the optimal power using fully loaded
-	// nodes only.
-	full := make([]float64, n+1)
-	t.fullArc[0] = -1
+	sizes := t.sizes
+	full := make([]float64, ringLen(min(maxSz, n))) // minFull[k] at k&mask
+	mask := len(full) - 1
 	for k := 1; k <= n; k++ {
-		full[k] = math.Inf(1)
-		t.fullArc[k] = -1
-		for i := range archs {
-			if sz := t.sizes[i]; sz <= k {
-				if c := full[k-sz] + float64(archs[i].MaxPower); c < full[k] {
-					full[k] = c
-					t.fullArc[k] = i
+		fk, arc := math.Inf(1), uint8(0)
+		for i := range classes {
+			if sz := sizes[i]; sz <= k {
+				if c := full[(k-sz)&mask] + classes[i].maxPower; c < fk {
+					fk, arc = c, uint8(i+1)
 				}
 			}
 		}
-	}
-	// cost[k]: start from pure-full, then improve with one partial node per
-	// architecture using a sliding-window minimum over
-	// g(j) = full[j] - slope_i * j for j in [k-size_i+1, k-1]
-	// (partial load x = k - j in [1, size_i-1]).
-	copy(t.cost, full)
-	for k := range t.partArc {
-		t.partArc[k] = -1
-	}
-	for i, a := range archs {
-		sz := t.sizes[i]
-		if sz < 2 {
-			continue // a 1-unit node is always "full"; no partial loads exist
-		}
-		slope := (float64(a.MaxPower) - float64(a.IdlePower)) / float64(sz)
-		idle := float64(a.IdlePower)
-		// Monotone deque over indices j with key g(j) = full[j] - slope*j.
-		g := func(j int) float64 { return full[j] - slope*float64(j) }
-		var deque []int
-		push := func(j int) {
-			if math.IsInf(full[j], 1) {
-				return
+		full[k&mask] = fk
+		t.fullArc[k] = arc
+		ck := fk
+		for i := range classes {
+			sz := sizes[i]
+			if sz < 2 {
+				continue // a 1-unit node is always "full"; no partial loads exist
 			}
-			for len(deque) > 0 && g(deque[len(deque)-1]) >= g(j) {
-				deque = deque[:len(deque)-1]
+			q := &classes[i]
+			ring, qmask, head, qn := q.ring, len(q.ring)-1, q.head, q.n
+			if j := k - 1; !math.IsInf(full[j&mask], 1) {
+				g := full[j&mask] - q.slope*float64(j)
+				for qn > 0 && ring[(head+qn-1)&qmask].g >= g {
+					qn--
+				}
+				ring[(head+qn)&qmask] = dequeEntry{j: j, g: g}
+				qn++
 			}
-			deque = append(deque, j)
-		}
-		for k := 1; k <= n; k++ {
-			push(k - 1)
-			lo := k - sz + 1
-			for len(deque) > 0 && deque[0] < lo {
-				deque = deque[1:]
+			for lo := k - sz + 1; qn > 0 && ring[head].j < lo; qn-- {
+				head = (head + 1) & qmask
 			}
-			if len(deque) == 0 {
+			q.head, q.n = head, qn
+			if qn == 0 {
 				continue
 			}
-			j := deque[0]
-			c := idle + slope*float64(k) + g(j) // = full[j] + idle + slope*(k-j)
-			if c < t.cost[k]-1e-12 {
-				t.cost[k] = c
-				t.partArc[k] = i
-				t.partX[k] = k - j
+			e := ring[head]
+			c := q.idle + q.slope*float64(k) + e.g // = minFull[j] + idle + slope*(k-j)
+			if c < ck-1e-12 {
+				ck = c
+				t.partArc[k] = uint8(i + 1)
+				t.partX[k] = int32(k - e.j)
 			}
 		}
+		t.cost[k] = ck
 	}
-	return t
+	return t, nil
+}
+
+// ringLen returns the smallest power of two above n.
+func ringLen(n int) int {
+	return 1 << bits.Len(uint(n))
+}
+
+// prefix returns a view of entries 0..n, which must exist.
+func (t *exactTable) prefix(n int) *exactTable {
+	v := *t
+	v.cost, v.fullArc, v.partArc, v.partX = v.cost[:n+1], v.fullArc[:n+1], v.partArc[:n+1], v.partX[:n+1]
+	return &v
 }
 
 // units converts a rate to grid units, rounding up (a fractional residual
@@ -170,19 +222,20 @@ func (t *exactTable) combinationAt(rate float64) Combination {
 	if k == 0 {
 		return c
 	}
-	if i := t.partArc[k]; i >= 0 {
-		c.addPartial(t.archs[i], float64(t.partX[k])*t.step)
-		k -= t.partX[k]
+	if i := t.partArc[k]; i > 0 {
+		x := int(t.partX[k])
+		c.addPartial(t.archs[i-1], float64(x)*t.step)
+		k -= x
 	}
 	for k > 0 {
 		i := t.fullArc[k]
-		if i < 0 {
+		if i == 0 {
 			// Rate not exactly coverable; report the infeasible remainder.
 			c.Infeasible = float64(k) * t.step
 			break
 		}
-		c.addFull(t.archs[i], 1)
-		k -= t.sizes[i]
+		c.addFull(t.archs[i-1], 1)
+		k -= t.sizes[i-1]
 	}
 	return c
 }
@@ -216,15 +269,26 @@ func NewExactSolver(candidates []profile.Arch, maxRate, step float64) (*ExactSol
 	if step <= 0 || math.IsNaN(step) || math.IsInf(step, 0) {
 		return nil, fmt.Errorf("bml: invalid rate step %v", step)
 	}
-	if maxRate < 0 || math.IsNaN(maxRate) || math.IsInf(maxRate, 0) {
-		return nil, fmt.Errorf("bml: invalid max rate %v", maxRate)
+	if err := validMaxRate(maxRate); err != nil {
+		return nil, err
 	}
 	for _, a := range candidates {
 		if err := a.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	return &ExactSolver{t: newExactTable(candidates, maxRate, step)}, nil
+	t, err := newExactTable(candidates, maxRate, step)
+	if err != nil {
+		return nil, err
+	}
+	return &ExactSolver{t: t}, nil
+}
+
+func validMaxRate(maxRate float64) error {
+	if maxRate < 0 || math.IsNaN(maxRate) || math.IsInf(maxRate, 0) {
+		return fmt.Errorf("bml: invalid max rate %v", maxRate)
+	}
+	return nil
 }
 
 // Prefix returns the solver NewExactSolver would build over [0, maxRate]
@@ -237,9 +301,53 @@ func (s *ExactSolver) Prefix(maxRate float64) (view *ExactSolver, ok bool) {
 	if !(maxRate >= 0) || n > s.t.maxUnits() {
 		return nil, false
 	}
-	t := *s.t
-	t.cost, t.fullArc, t.partArc, t.partX = t.cost[:n+1], t.fullArc[:n+1], t.partArc[:n+1], t.partX[:n+1]
-	return &ExactSolver{t: &t}, true
+	return &ExactSolver{t: s.t.prefix(n)}, true
+}
+
+// exactMemo is a planner's one exact table (see Planner.Exact): readers
+// load the published table without locking, and a reader that needs more
+// units builds a larger one under mu.
+type exactMemo struct {
+	mu    sync.Mutex // held while a table is built
+	table atomic.Pointer[exactTable]
+}
+
+// at returns a view of entries 0..n of the memo's table over archs on the
+// given step, first replacing the table with a fresh build of exactly n
+// units when n is past its top. Views handed out before stay valid.
+func (m *exactMemo) at(archs []profile.Arch, n int, step float64) (*exactTable, error) {
+	if t := m.table.Load(); t != nil && n <= t.maxUnits() {
+		return t.prefix(n), nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t := m.table.Load()
+	if t == nil || n > t.maxUnits() {
+		var err error
+		if t, err = buildExactTable(archs, n, step); err != nil {
+			return nil, err
+		}
+		m.table.Store(t)
+	}
+	return t.prefix(n), nil
+}
+
+// Exact returns the solver NewExactSolver(p.Candidates(), maxRate, 1)
+// would build, the LowerBound Theoretical scenario's unit rate grid
+// whatever the planner's step, as an O(1) prefix view of one table the
+// planner keeps for its lifetime. Its answers are bit-identical to the
+// fresh solver's. A maxRate past the table's top replaces the table with
+// one built up to maxRate; views handed out before stay valid. Safe for
+// concurrent use.
+func (p *Planner) Exact(maxRate float64) (*ExactSolver, error) {
+	if err := validMaxRate(maxRate); err != nil {
+		return nil, err
+	}
+	t, err := p.exact.at(p.candidates, gridIndex(maxRate, 1, math.MaxInt), 1)
+	if err != nil {
+		return nil, err
+	}
+	return &ExactSolver{t: t}, nil
 }
 
 // PowerAt returns the optimal power for rate (clamped to the precomputed

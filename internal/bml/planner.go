@@ -15,8 +15,13 @@ import (
 // loaded), then use the minimum-utilization thresholds to pick the class
 // that serves the remainder.
 //
-// A Planner is immutable after construction, apart from its combination
-// memo (see Lookup), and safe for concurrent use.
+// A Planner is immutable apart from its memo, and safe for concurrent use.
+// The memo holds the combinations of Lookup, at most memoCap grid units,
+// and the exact table of Exact: 14 bytes per unit of the unit rate grid,
+// covering exactly the largest LowerBound peak the planner has served. For
+// a largest peak of R units it is 14 × R bytes (8.8 MB for the paper
+// grid's largest peak, 625,000 units); when a larger peak replaces it, the
+// old table stays live until its last view is dropped.
 type Planner struct {
 	candidates []profile.Arch    // Big→Little
 	thresholds []Threshold       // aligned with candidates
@@ -25,6 +30,7 @@ type Planner struct {
 	inventory  map[string]int    // optional per-class node limits; nil = unlimited
 	step       float64
 	memo       combinationMemo // Combination(k·step), shared by every Lookup
+	exact      exactMemo       // the exact table, shared by every Exact view
 }
 
 // PlannerOption customizes planner construction.

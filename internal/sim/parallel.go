@@ -59,9 +59,11 @@ type SweepJob struct {
 	// the knob that turns a scenario × trace grid into a scenario × trace
 	// × fleet grid exercising thousand-node clusters. Zero or one leaves
 	// the trace unchanged. Large scales grow the LowerBound scenario's
-	// exact DP to O(scale) memory, built once per sweep (sweepCache); the
-	// BML scenario stays cheap thanks to the cluster's transition heap and
-	// the planner's bounded combination memo (bml.Planner.Lookup).
+	// exact DP to O(scale) memory, 14 bytes per rate unit of the largest
+	// scaled peak, held once per planner (bml.Planner.Exact) and shared by
+	// every sweep, experiment and claim that uses the planner; the BML
+	// scenario stays cheap thanks to the cluster's transition heap and the
+	// planner's bounded combination memo (bml.Planner.Lookup).
 	FleetScale float64
 	// Options forwards engine options (e.g. WithTickEngine) to the run.
 	Options []Option
@@ -70,17 +72,16 @@ type SweepJob struct {
 // sweepCache shares per-trace and per-planner work across the cells of
 // one sweep or shard: fleet-scaled trace copies, the BML predictors'
 // precomputation (one pass over the trace; the look-ahead predictor keeps
-// only its runs of equal predictions, about 1.4 MB for 92 days), and one
-// LowerBound exact solver per planner (the DP for a peak R is a prefix of
-// any larger one). BML cells need no entry for their combination lookups:
-// they read the planner's own memo.
-// Computation happens under the lock so concurrent cells wait for one
-// precomputation instead of racing to repeat it.
+// only its runs of equal predictions, about 1.4 MB for 92 days). Neither
+// BML nor LowerBound cells need an entry for per-planner work: they read
+// the planner's own combination memo (bml.Planner.Lookup) and exact table
+// (bml.Planner.Exact), which are built under the planner's locks, not
+// this one. Computation happens under the lock so concurrent cells wait for
+// one precomputation instead of racing to repeat it.
 type sweepCache struct {
-	mu      sync.Mutex
-	scaled  map[scaleKey]*trace.Trace
-	preds   map[predKey]predict.Predictor
-	solvers map[*bml.Planner]*bml.ExactSolver
+	mu     sync.Mutex
+	scaled map[scaleKey]*trace.Trace
+	preds  map[predKey]predict.Predictor
 }
 
 type scaleKey struct {
@@ -96,9 +97,8 @@ type predKey struct {
 
 func newSweepCache() *sweepCache {
 	return &sweepCache{
-		scaled:  map[scaleKey]*trace.Trace{},
-		preds:   map[predKey]predict.Predictor{},
-		solvers: map[*bml.Planner]*bml.ExactSolver{},
+		scaled: map[scaleKey]*trace.Trace{},
+		preds:  map[predKey]predict.Predictor{},
 	}
 }
 
@@ -144,32 +144,13 @@ func (c *sweepCache) predictor(tr *trace.Trace, window int, spec string) (predic
 	return p, nil
 }
 
-// exactSolver returns the exact solver RunLowerBound would build for a
-// trace peaking at maxRate over the planner's candidates: a prefix view of
-// the sweep's one solver for that planner, which is rebuilt, larger, only
-// when a cell needs more grid units than it covers.
-func (c *sweepCache) exactSolver(p *bml.Planner, maxRate float64) (*bml.ExactSolver, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s := c.solvers[p]; s != nil {
-		if view, ok := s.Prefix(maxRate); ok {
-			return view, nil
-		}
-	}
-	s, err := bml.NewExactSolver(p.Candidates(), maxRate, 1)
-	if err != nil {
-		return nil, err
-	}
-	c.solvers[p] = s
-	return s, nil
-}
-
 // run executes the job's scenario, consulting the sweep's cache for the
-// fleet-scaled trace, the BML predictor and the LowerBound's exact solver.
-// The cached predictor is exactly what buildBMLRig would construct
-// (predict.NewLookaheadMax over the scaled trace at the scheduler's
-// window) and the cached solver answers exactly as RunLowerBound's own,
-// so a cell's result does not depend on the cells it shares a sweep with.
+// fleet-scaled trace and the BML predictor, and the planner for the
+// LowerBound's exact solver. The cached predictor is exactly what
+// buildBMLRig would construct (predict.NewLookaheadMax over the scaled
+// trace at the scheduler's window) and the planner's solver answers
+// exactly as RunLowerBound's own, so a cell's result does not depend on
+// the cells it shares a sweep with.
 func (j SweepJob) run(cache *sweepCache) (*Result, error) {
 	if j.Trace == nil || j.Planner == nil {
 		return nil, errors.New("sim: sweep job needs a trace and a planner")
@@ -205,7 +186,7 @@ func (j SweepJob) run(cache *sweepCache) (*Result, error) {
 		}
 		return RunBML(tr, j.Planner, cfg, j.Options...)
 	case ScenarioLowerBound:
-		solver, err := cache.exactSolver(j.Planner, tr.Max())
+		solver, err := j.Planner.Exact(tr.Max())
 		if err != nil {
 			return nil, err
 		}

@@ -448,7 +448,8 @@ func RunLowerBound(tr *trace.Trace, candidates []profile.Arch, opts ...Option) (
 }
 
 // runLowerBound integrates the LowerBound scenario with a solver covering
-// [0, tr.Max()]: a fresh one, or a sweep's shared solver (sweepCache).
+// [0, tr.Max()]: a fresh one, or a view of the planner's shared table
+// (bml.Planner.Exact).
 func runLowerBound(tr *trace.Trace, solver *bml.ExactSolver, opts ...Option) (*Result, error) {
 	o := buildOptions(opts)
 	res := newResult("LowerBound Theoretical", tr.Days())

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,45 @@ import (
 func testRecord(id string) CellRecord {
 	return CellRecord{Schema: CellSchema, ID: id, Name: "x", Scenario: "bml", FleetScale: 1,
 		TraceHash: "00000000000000aa", TraceLen: 1, TotalJ: 1, Availability: 1, WallMS: 1}
+}
+
+// TestReadCellRecordsSmallBodyAllocs: a coordinator POST, a DirCache
+// entry and an HTTPCache reply are usually one record of about 1 KB, so
+// decoding one must not pay for a 64 KiB line buffer. A line far past the
+// scanner's default size must still decode.
+func TestReadCellRecordsSmallBodyAllocs(t *testing.T) {
+	rec := testRecord("bml|x|fleet=1|trace=00000000000000aa:1|cfg=0")
+	for d := 0; d < 40; d++ {
+		rec.DailyJ = append(rec.DailyJ, 1234567.891011*float64(d+1))
+	}
+	var body bytes.Buffer
+	if err := WriteCellRecord(&body, rec); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if recs, err := ReadCellRecords(bytes.NewReader(body.Bytes())); err != nil || len(recs) != 1 {
+			t.Fatalf("ReadCellRecords = %d records, %v", len(recs), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16<<10 {
+		t.Errorf("decoding one %d-byte record allocates %d bytes, want at most 16 KiB", body.Len(), per)
+	}
+
+	for d := 0; d < 20000; d++ {
+		rec.DailyJ = append(rec.DailyJ, float64(d))
+	}
+	body.Reset()
+	if err := WriteCellRecord(&body, rec); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadCellRecords(bytes.NewReader(body.Bytes()))
+	if err != nil || len(recs) != 1 || len(recs[0].DailyJ) != len(rec.DailyJ) {
+		t.Fatalf("a %d-byte record: %d records, %v", body.Len(), len(recs), err)
+	}
 }
 
 // instantSink returns an HTTPSink whose backoff sleeps are recorded, not

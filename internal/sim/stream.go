@@ -166,8 +166,10 @@ func ReadJournal(r io.Reader) (recs []CellRecord, truncated bool, err error) {
 // turns out to be the last non-blank line, in which case it is dropped and
 // reported as truncated. what names the input in error messages.
 func scanCellRecords(r io.Reader, what string, tornTail bool) ([]CellRecord, bool, error) {
+	// The buffer starts at the scanner's default size and grows to the
+	// longest line: most bodies are one record of about 1 KB.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	sc.Buffer(nil, 16<<20)
 	var out []CellRecord
 	var torn error // a malformed line, forgiven only if nothing follows it
 	line := 0

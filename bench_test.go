@@ -494,6 +494,27 @@ func BenchmarkEngineMonthAllScenarios(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineMonthAllScenariosRaw runs the whole four-scenario
+// evaluation through RunAll on the un-quantized month, the shape of
+// perfbench's fig5-raw workload: every second is a run of its own, so the
+// static scenarios' per-sample walk weighs as much as BML's engine. The
+// trace and the planner's exact table are built before the timer starts.
+func BenchmarkEngineMonthAllScenariosRaw(b *testing.B) {
+	tr := engineBenchTraceRaw(b, 30)
+	planner := getPlanner(b)
+	if _, err := planner.Exact(tr.Max()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunAll(tr, planner, sim.BMLConfig{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(4*float64(tr.Len())/float64(b.Elapsed().Nanoseconds())*float64(b.N)*1e9, "simsec/s")
+}
+
 // BenchmarkSweepGrid measures a 3 traces × 4 scenarios sweep through the
 // worker pool — the experiment-grid workload.
 func BenchmarkSweepGrid(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/power"
 	"repro/internal/profile"
 )
 
@@ -412,6 +413,17 @@ func TestExactSolverFractionalInterpolation(t *testing.T) {
 	if got := float64(solver.PowerAt(0.5)); got >= float64(solver.PowerAt(1)) {
 		t.Errorf("PowerAt(0.5) = %v, want below PowerAt(1)=%v", got, solver.PowerAt(1))
 	}
+}
+
+// ExactPower returns the theoretical minimum power to serve rate with the
+// given candidate architectures (unlimited inventory), on a grid of the
+// given step: one fresh ExactSolver's answer at rate.
+func ExactPower(candidates []profile.Arch, rate, step float64) (power.Watts, error) {
+	s, err := NewExactSolver(candidates, rate, step)
+	if err != nil {
+		return 0, err
+	}
+	return s.PowerAt(rate), nil
 }
 
 func TestExactPowerConvenience(t *testing.T) {

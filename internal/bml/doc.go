@@ -20,7 +20,7 @@
 //   - Final step: Planner.Combination computes the ideal machine multiset
 //     for a target performance rate — full Big nodes first, then the
 //     threshold-guided choice for the remainder — and Planner.PowerAt the
-//     corresponding power. ExactPower provides the dynamic-programming
+//     corresponding power. ExactSolver provides the dynamic-programming
 //     optimum used as the theoretical reference.
 //
 // All rates are expressed in the application metric (requests/s in the

@@ -243,18 +243,6 @@ func (t *exactTable) combinationAt(rate float64) Combination {
 // maxUnits returns the largest representable grid index.
 func (t *exactTable) maxUnits() int { return len(t.cost) - 1 }
 
-// ExactPower returns the theoretical minimum power to serve rate with the
-// given candidate architectures (unlimited inventory), on a grid of the
-// given step. This is the per-rate quantity the LowerBound Theoretical
-// scenario integrates. For repeated queries build an ExactSolver instead.
-func ExactPower(candidates []profile.Arch, rate, step float64) (power.Watts, error) {
-	s, err := NewExactSolver(candidates, rate, step)
-	if err != nil {
-		return 0, err
-	}
-	return s.PowerAt(rate), nil
-}
-
 // ExactSolver exposes the DP table as a reusable solver for rates in
 // [0, maxRate].
 type ExactSolver struct {

@@ -108,6 +108,17 @@ func (t *Tracker) ObserveRuns(offered, dt []float64, capacity float64) error {
 	return err
 }
 
+// FullyServed returns the tracker of intervals that were all served in
+// full: seconds is their summed duration and demand the compensated sum of
+// offered·dt, each added in interval order. Serving every rate in full
+// makes ObserveRuns add to the served integral exactly what it adds to the
+// demand integral and record no violation, so the result is bit-identical
+// to observing the same intervals with an infinite capacity. The static
+// fold kernels keep one such chain for all the scenarios they fold.
+func FullyServed(seconds float64, demand power.Accumulator) Tracker {
+	return Tracker{seconds: seconds, demand: demand, served: demand}
+}
+
 // Seconds returns the observed duration.
 func (t *Tracker) Seconds() float64 { return t.seconds }
 

@@ -1,8 +1,12 @@
 package qos
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
+
+	"repro/internal/power"
 )
 
 func TestZeroValueReady(t *testing.T) {
@@ -99,6 +103,56 @@ func TestObserveRunsMatchesObserveLoop(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("capacity %v: ObserveRuns = %+v, Observe loop = %+v", capacity, got, want)
+		}
+	}
+}
+
+// TestFullyServedMatchesObserveRuns holds a tracker built from one
+// full-service chain (seconds += dt, demand·dt into one compensated sum)
+// bit-identical to observing the same runs with an infinite capacity:
+// random runs, zero demand, the smallest subnormal and demands whose
+// integral overflows.
+func TestFullyServedMatchesObserveRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := make([]float64, 5000)
+	randomDt := make([]float64, len(random))
+	for k := range random {
+		random[k] = rng.Float64() * 3000
+		if rng.Intn(10) == 0 {
+			random[k] = 0
+		}
+		randomDt[k] = float64(1 + rng.Intn(600))
+	}
+	for _, c := range []struct {
+		name        string
+		offered, dt []float64
+	}{
+		{"random", random, randomDt},
+		{"zero", []float64{0, 0, 0}, []float64{1, 5, 86400}},
+		{"subnormal", []float64{5e-324, 0, 5e-324, 1, 5e-324}, []float64{1, 2, 3, 1, 7}},
+		{"huge", []float64{math.MaxFloat64 / 2, 1, math.MaxFloat64 / 2, math.MaxFloat64 / 2}, []float64{1, 1, 1, 3}},
+	} {
+		var want Tracker
+		if err := want.ObserveRuns(c.offered, c.dt, math.Inf(1)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var seconds float64
+		var demand power.Accumulator
+		for k, o := range c.offered {
+			seconds += c.dt[k]
+			demand.Add(o * c.dt[k])
+		}
+		got := FullyServed(seconds, demand)
+		if math.Float64bits(got.Seconds()) != math.Float64bits(want.Seconds()) ||
+			math.Float64bits(got.TotalRequests()) != math.Float64bits(want.TotalRequests()) ||
+			got.ViolationSeconds() != 0 {
+			t.Errorf("%s: FullyServed = %v s, %v requests, %v violation s; ObserveRuns = %v, %v, %v", c.name,
+				got.Seconds(), got.TotalRequests(), got.ViolationSeconds(), want.Seconds(), want.TotalRequests(), want.ViolationSeconds())
+		}
+		// %v prints each float's shortest exact form, so equal strings mean
+		// equal bits here, NaN sums of the overflowing case included.
+		if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+			t.Errorf("%s: FullyServed = %s, ObserveRuns(+Inf) = %s", c.name, g, w)
 		}
 	}
 }

@@ -13,13 +13,13 @@ type Option func(*options)
 type options struct {
 	// tick selects the 1 Hz oracle loop. Otherwise BML runs on the interval
 	// integrator (integrator.go) and the static scenarios on the per-day
-	// fold kernels (static.go).
+	// fold kernel (static.go).
 	tick bool
 }
 
 // WithTickEngine selects the legacy 1 Hz tick loop: one scheduler step and
 // one joule-sample per simulated second. It is kept as the differential-
-// testing oracle for the interval integrator and the static fold kernels,
+// testing oracle for the interval integrator and the static fold kernel,
 // and for exact replication of the paper's original integration scheme.
 func WithTickEngine() Option { return func(o *options) { o.tick = true } }
 

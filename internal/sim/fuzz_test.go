@@ -165,3 +165,64 @@ func FuzzReadJournal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseShard holds the -shard parser to three properties: it never
+// panics, every accepted spec is in range (0 <= Index < Count), and every
+// accepted spec re-parses from its String form to the identical spec.
+func FuzzParseShard(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseShard(s)
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%q accepted an out-of-range spec %+v: %v", s, spec, err)
+		}
+		back, err := ParseShard(spec.String())
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, but its rendering %q does not: %v", s, spec, spec.String(), err)
+		}
+		if back != spec {
+			t.Fatalf("%q: round trip through %q changed the spec: %+v, want %+v", s, spec.String(), back, spec)
+		}
+	})
+}
+
+// formatFleets renders a fleet axis back into the -fleets grammar: the
+// writer half of the ParseFleets round trip.
+func formatFleets(fleets []int) string {
+	parts := make([]string, len(fleets))
+	for i, n := range fleets {
+		parts[i] = strconv.Itoa(n)
+	}
+	return strings.Join(parts, ",")
+}
+
+// FuzzParseFleets holds the -fleets parser to three properties: it never
+// panics, every accepted list is a non-empty, strictly ascending list of
+// targets >= 0 (the canonical grid axis), and every accepted list
+// re-parses from its rendered form to the identical list.
+func FuzzParseFleets(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		fleets, err := ParseFleets(s)
+		if err != nil {
+			return
+		}
+		if len(fleets) == 0 {
+			t.Fatalf("%q accepted an empty fleet axis", s)
+		}
+		for i, n := range fleets {
+			if n < 0 || (i > 0 && n <= fleets[i-1]) {
+				t.Fatalf("%q accepted a non-canonical fleet axis %v", s, fleets)
+			}
+		}
+		written := formatFleets(fleets)
+		back, err := ParseFleets(written)
+		if err != nil {
+			t.Fatalf("%q parsed to %v, but its rendering %q does not: %v", s, fleets, written, err)
+		}
+		if !reflect.DeepEqual(back, fleets) {
+			t.Fatalf("%q: round trip through %q changed the axis: %v, want %v", s, written, back, fleets)
+		}
+	})
+}

@@ -207,15 +207,59 @@ type SweepResult struct {
 	Wall   time.Duration
 }
 
-// RunAll executes all four scenarios concurrently, as each is independent.
-// With a core per scenario the evaluation's wall time is the slowest
-// scenario's; with fewer cores it approaches the scenarios' summed CPU
-// time divided by the cores, so every scenario's cost counts, not only the
-// slowest one's. It returns the first error in scenario order.
+// RunAll executes the four scenarios as two concurrent jobs: BML, and one
+// walk of the trace that folds the three static scenarios together
+// (foldStatic), so the evaluation's wall time is the slower of the two
+// with two cores and their summed CPU time with one. The static walk
+// finds each run of equal samples once for all three scenarios and folds
+// their shared QoS integral once. Under WithTickEngine the four scenarios
+// run as four jobs, each on its own oracle loop. RunAll returns the first
+// error in scenario order.
 func RunAll(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts ...Option) (*ScenarioSet, error) {
 	if tr == nil || planner == nil {
 		return nil, errors.New("sim: nil trace or planner")
 	}
+	if buildOptions(opts).tick {
+		return runAllJobs(tr, planner, cfg, opts)
+	}
+	var bmlRes *Result
+	var bmlErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		bmlRes, bmlErr = RunBML(tr, planner, cfg, opts...)
+	}()
+
+	// The static walk, with the preconditions the single-scenario runs
+	// check: a valid Big class for the UpperBounds, the planner's exact
+	// table for the LowerBound (as a LowerBound sweep cell reads it).
+	big := planner.Big()
+	bigErr := big.Validate()
+	solver, exactErr := planner.Exact(tr.Max())
+	res, errs := foldStatic(tr, big, solver, [staticSlots]bool{bigErr == nil, bigErr == nil, exactErr == nil})
+	if bigErr != nil {
+		errs[slotGlobal], errs[slotPerDay] = bigErr, bigErr
+	}
+	if exactErr != nil {
+		errs[slotLower] = exactErr
+	}
+	<-done
+
+	for _, err := range []error{errs[slotGlobal], errs[slotPerDay], bmlErr, errs[slotLower]} {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return &ScenarioSet{
+		UpperBoundGlobal: res[slotGlobal],
+		UpperBoundPerDay: res[slotPerDay],
+		BML:              bmlRes,
+		LowerBound:       res[slotLower],
+	}, nil
+}
+
+// runAllJobs runs the four scenarios as four concurrent sweep jobs.
+func runAllJobs(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, opts []Option) (*ScenarioSet, error) {
 	jobs := []SweepJob{
 		{Name: "ub-global", Trace: tr, Planner: planner, Scenario: ScenarioUpperBoundGlobal, Options: opts},
 		{Name: "ub-perday", Trace: tr, Planner: planner, Scenario: ScenarioUpperBoundPerDay, Options: opts},

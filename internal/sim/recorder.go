@@ -80,7 +80,7 @@ func RunBMLRecorded(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, bucket
 			}
 			dt := float64(j - i)
 			rec.Load[b] += d * dt
-			rec.StaticPower[b] += fleetPowerN(nStatic, d, big.MaxPerf, float64(big.MaxPower), float64(big.IdlePower)) * dt
+			rec.StaticPower[b] += packLoad(d, big.MaxPerf, float64(big.MaxPower), float64(big.IdlePower)).draw(nStatic, float64(big.MaxPower), float64(big.IdlePower)) * dt
 			i = j
 		}
 		seconds[b] += float64(next - t)

@@ -28,10 +28,10 @@
 //
 // The static scenarios (both UpperBounds and the LowerBound) have no
 // scheduler: their draw is a pure function of the instantaneous load and a
-// per-day sizing, and the fold kernels of static.go integrate each day
-// window run by run of equal samples at O(S) cost, bit-identical to the
-// per-sample event loop they replaced (kept in static_reference_test.go
-// as the reference).
+// per-day sizing, and the fold kernel of static.go integrates each day
+// window run by run of equal samples at O(S) cost, all three scenarios in
+// one walk under RunAll, bit-identical to the per-sample event loop it
+// replaced (kept in static_reference_test.go as the reference).
 //
 // The legacy 1 Hz tick loop — one scheduler step and one joule-sample per
 // simulated second, the paper's original integration scheme — survives
@@ -324,13 +324,7 @@ func runBML(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, wantLog bool, 
 // center: n = ceil(globalPeak / big.MaxPerf) machines of the Big class,
 // always on, load packed onto as few nodes as possible.
 func RunUpperBoundGlobal(tr *trace.Trace, big profile.Arch, opts ...Option) (*Result, error) {
-	if tr == nil {
-		return nil, errors.New("sim: nil trace")
-	}
-	if err := big.Validate(); err != nil {
-		return nil, err
-	}
-	return runHomogeneousStatic(tr, big, globalSizing(tr, big), "UpperBound Global", buildOptions(opts))
+	return runUpperBound(tr, big, slotGlobal, buildOptions(opts))
 }
 
 // globalSizing sizes UpperBound Global: ceil(globalPeak / big.MaxPerf)
@@ -348,19 +342,13 @@ func globalSizing(tr *trace.Trace, big profile.Arch) func(day int) int {
 // costs between days are not charged, which only makes this upper bound
 // more favorable.
 func RunUpperBoundPerDay(tr *trace.Trace, big profile.Arch, opts ...Option) (*Result, error) {
-	if tr == nil {
-		return nil, errors.New("sim: nil trace")
-	}
-	if err := big.Validate(); err != nil {
-		return nil, err
-	}
-	return runHomogeneousStatic(tr, big, perDaySizing(tr, big), "UpperBound PerDay", buildOptions(opts))
+	return runUpperBound(tr, big, slotPerDay, buildOptions(opts))
 }
 
-// perDaySizing sizes UpperBound PerDay: ceil(dayPeak / big.MaxPerf)
-// machines for each complete day, and at least one.
-func perDaySizing(tr *trace.Trace, big profile.Arch) func(day int) int {
-	peaks := tr.DailyPeaks()
+// perDaySizing sizes UpperBound PerDay from the trace's daily peaks:
+// ceil(dayPeak / big.MaxPerf) machines for each complete day, and at
+// least one.
+func perDaySizing(peaks []float64, big profile.Arch) func(day int) int {
 	return func(day int) int {
 		n := 1
 		if day < len(peaks) {
@@ -377,25 +365,33 @@ func perDaySizing(tr *trace.Trace, big profile.Arch) func(day int) int {
 	}
 }
 
-// runHomogeneousStatic integrates a homogeneous fleet whose size is a
-// per-day constant. Load is packed fill-first; shortfall (possible only on
-// the trailing partial-day fallback) is recorded as QoS loss.
-func runHomogeneousStatic(tr *trace.Trace, arch profile.Arch, sizeForDay func(day int) int, name string, o options) (*Result, error) {
-	res := newResult(name, tr.Days())
-	if !o.tick {
-		if err := foldHomogeneous(tr, arch, sizeForDay, res); err != nil {
-			return nil, err
-		}
-		res.finalize()
-		return res, nil
+// runUpperBound runs the UpperBound scenario of slot (slotGlobal or
+// slotPerDay) on the engine o selects.
+func runUpperBound(tr *trace.Trace, big profile.Arch, slot int, o options) (*Result, error) {
+	if tr == nil {
+		return nil, errors.New("sim: nil trace")
 	}
+	if err := big.Validate(); err != nil {
+		return nil, err
+	}
+	if !o.tick {
+		return runStaticSlot(tr, big, nil, slot)
+	}
+	sizeForDay := globalSizing(tr, big)
+	if slot == slotPerDay {
+		sizeForDay = perDaySizing(tr.DailyPeaks(), big)
+	}
+	// The 1 Hz oracle: load packed fill-first, shortfall (possible only on
+	// PerDay's trailing partial-day fallback) recorded as QoS loss.
+	res := newResult(staticNames[slot], tr.Days())
+	maxPower, idlePower := float64(big.MaxPower), float64(big.IdlePower)
 	for t := 0; t < tr.Len(); t++ {
 		day := t / trace.SecondsPerDay
 		n := sizeForDay(day)
 		demand := tr.At(t)
-		served := math.Min(demand, float64(n)*arch.MaxPerf)
-		total := fleetPowerN(n, served, arch.MaxPerf, float64(arch.MaxPower), float64(arch.IdlePower))
-		idle := float64(n) * float64(arch.IdlePower)
+		served := math.Min(demand, float64(n)*big.MaxPerf)
+		total := packLoad(served, big.MaxPerf, maxPower, idlePower).draw(n, maxPower, idlePower)
+		idle := float64(n) * idlePower
 		res.Breakdown.Idle += power.Joules(idle)
 		res.Breakdown.Dynamic += power.Joules(total - idle)
 		res.addEnergy(t, power.Joules(total))
@@ -407,30 +403,49 @@ func runHomogeneousStatic(tr *trace.Trace, arch profile.Arch, sizeForDay func(da
 	return res, nil
 }
 
-// fleetPowerN returns the draw of n always-on nodes of one architecture —
-// maxPerf peak rate per node, drawing maxPower at peak and idlePower idle —
-// serving load packed onto as few nodes as possible; unused nodes idle. It
-// takes scalars rather than a profile.Arch so that it inlines into the
-// static fold kernels; the partially loaded node draws what
+// packing is load packed fill-first onto as few always-on nodes of one
+// architecture as possible — maxPerf peak rate per node, drawing maxPower
+// at peak and idlePower idle — before the fleet size is known: the part of
+// a homogeneous fleet's draw that does not depend on it. draw finishes the
+// draw for n nodes, so packLoad(load, …).draw(n, …) is the draw of n nodes
+// serving load, and the static fold kernel packs each run once for both
+// UpperBound fleets. Both take scalars rather than a profile.Arch so that
+// they inline into the hot loops; the partially loaded node draws what
 // profile.Arch.PowerAt would, by the same expression.
-func fleetPowerN(n int, load, maxPerf, maxPower, idlePower float64) float64 {
+type packing struct {
+	full       int     // nodes at their peak rate
+	p          float64 // their draw
+	partial    float64 // the draw of the partially loaded node
+	hasPartial bool    // whether one node is partially loaded
+}
+
+// packLoad packs load onto nodes of maxPerf peak rate.
+func packLoad(load, maxPerf, maxPower, idlePower float64) packing {
 	full := int(load / maxPerf)
-	if full > n {
-		full = n
-	}
+	k := packing{full: full, p: float64(full) * maxPower}
 	rem := load - float64(full)*maxPerf
-	p := float64(full) * maxPower
-	used := full
-	if rem > 1e-12 && used < n {
+	if rem > 1e-12 {
+		k.hasPartial = true
 		if rem >= maxPerf {
-			p += maxPower
+			k.partial = maxPower
 		} else {
-			p += float64(idlePower + (rem/maxPerf)*(maxPower-idlePower))
+			k.partial = float64(idlePower + (rem/maxPerf)*(maxPower-idlePower))
 		}
+	}
+	return k
+}
+
+// draw returns the draw of n nodes serving the packed load: a load beyond
+// n full nodes keeps all n at peak, and the nodes it leaves unused idle.
+func (k packing) draw(n int, maxPower, idlePower float64) float64 {
+	p, used := k.p, k.full
+	if used > n {
+		p, used = float64(n)*maxPower, n
+	} else if k.hasPartial && used < n {
+		p += k.partial
 		used++
 	}
-	p += float64(n-used) * idlePower
-	return p
+	return p + float64(n-used)*idlePower
 }
 
 // RunLowerBound integrates the theoretical minimum: every second the ideal
@@ -451,15 +466,10 @@ func RunLowerBound(tr *trace.Trace, candidates []profile.Arch, opts ...Option) (
 // [0, tr.Max()]: a fresh one, or a view of the planner's shared table
 // (bml.Planner.Exact).
 func runLowerBound(tr *trace.Trace, solver *bml.ExactSolver, opts ...Option) (*Result, error) {
-	o := buildOptions(opts)
-	res := newResult("LowerBound Theoretical", tr.Days())
-	if !o.tick {
-		if err := foldLowerBound(tr, solver, res); err != nil {
-			return nil, err
-		}
-		res.finalize()
-		return res, nil
+	if !buildOptions(opts).tick {
+		return runStaticSlot(tr, profile.Arch{}, solver, slotLower)
 	}
+	res := newResult(staticNames[slotLower], tr.Days())
 	for t := 0; t < tr.Len(); t++ {
 		demand := tr.At(t)
 		res.addEnergy(t, power.Joules(float64(solver.PowerAt(demand))))

@@ -309,8 +309,22 @@ func TestFleetPowerN(t *testing.T) {
 		{0, 50, 0},
 	}
 	for _, c := range cases {
-		if got := fleetPowerN(c.n, c.load, arch.MaxPerf, float64(arch.MaxPower), float64(arch.IdlePower)); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("fleetPowerN(%d, %v) = %v, want %v", c.n, c.load, got, c.want)
+		if got := packLoad(c.load, arch.MaxPerf, float64(arch.MaxPower), float64(arch.IdlePower)).draw(c.n, float64(arch.MaxPower), float64(arch.IdlePower)); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("draw of %d nodes at load %v = %v, want %v", c.n, c.load, got, c.want)
+		}
+	}
+	// Bit for bit the one-function draw it was split from, overloads,
+	// exact multiples and the paper's Big class included.
+	for _, a := range []profile.Arch{arch, profile.PaperMachines()[0]} {
+		maxPower, idlePower := float64(a.MaxPower), float64(a.IdlePower)
+		for n := 0; n <= 5; n++ {
+			for _, load := range []float64{0, 5e-324, 1e-12, 2e-12, a.MaxPerf, 2 * a.MaxPerf, 2*a.MaxPerf + 1e-9, 0.3 * a.MaxPerf, 3.7 * a.MaxPerf, 9 * a.MaxPerf, 1e300} {
+				got := packLoad(load, a.MaxPerf, maxPower, idlePower).draw(n, maxPower, idlePower)
+				want := fleetPowerN(n, load, a.MaxPerf, maxPower, idlePower)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: draw of %d nodes at load %v = %v, reference %v", a.Name, n, load, got, want)
+				}
+			}
 		}
 	}
 }

@@ -17,6 +17,30 @@ func nextStaticEvent(tr *trace.Trace, t int) int {
 	return min(tr.NextChange(t), (t/trace.SecondsPerDay+1)*trace.SecondsPerDay)
 }
 
+// fleetPowerN is the homogeneous fleet draw as one function, before the
+// fold kernel split it into packLoad and packing.draw so that both
+// UpperBounds share the packing. It is kept verbatim as the reference
+// draw: n always-on nodes serving load packed onto as few as possible.
+func fleetPowerN(n int, load, maxPerf, maxPower, idlePower float64) float64 {
+	full := int(load / maxPerf)
+	if full > n {
+		full = n
+	}
+	rem := load - float64(full)*maxPerf
+	p := float64(full) * maxPower
+	used := full
+	if rem > 1e-12 && used < n {
+		if rem >= maxPerf {
+			p += maxPower
+		} else {
+			p += float64(idlePower + (rem/maxPerf)*(maxPower-idlePower))
+		}
+		used++
+	}
+	p += float64(n-used) * idlePower
+	return p
+}
+
 // runHomogeneousEvent is the per-sample event loop the static fold kernels
 // replaced, kept as their bit-identical reference: one closed-form interval
 // per event (load change or day boundary).
@@ -145,53 +169,77 @@ func assertBitIdentical(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestStaticFoldBitIdentical holds the per-day fold kernels of the three
-// static scenarios bit-identical to the per-sample event loops they
-// replaced.
+// TestStaticFoldBitIdentical holds the one-walk fold kernel of the three
+// static scenarios bit-identical to the per-sample event loops it
+// replaced, with each scenario folded alone (the single Run functions) and
+// with all three folded in one walk (RunAll), on every staticFoldTraces
+// input and on a raw 92-day World Cup trace.
 func TestStaticFoldBitIdentical(t *testing.T) {
 	planner, err := bml.NewPlanner(profile.PaperMachines())
 	if err != nil {
 		t.Fatal(err)
 	}
 	big := planner.Big()
-	for name, tr := range staticFoldTraces(t) {
-		for _, sc := range []struct {
-			scenario Scenario
-			sizing   func(*trace.Trace, profile.Arch) func(int) int
-		}{
-			{ScenarioUpperBoundGlobal, globalSizing},
-			{ScenarioUpperBoundPerDay, perDaySizing},
-		} {
-			label := name + "/" + string(sc.scenario)
-			got, want := newResult(label, tr.Days()), newResult(label, tr.Days())
-			if err := foldHomogeneous(tr, big, sc.sizing(tr, big), got); err != nil {
-				t.Fatalf("%s: fold: %v", label, err)
-			}
-			if err := runHomogeneousEvent(tr, big, sc.sizing(tr, big), want); err != nil {
-				t.Fatalf("%s: reference: %v", label, err)
-			}
-			got.finalize()
-			want.finalize()
-			assertBitIdentical(t, label, got, want)
-			if name == "perday-fallback" && sc.scenario == ScenarioUpperBoundPerDay && want.QoS.ViolationSeconds() == 0 {
-				t.Errorf("%s: the fallback day never fell short; the input does not cover it", label)
-			}
-		}
-
-		label := name + "/" + string(ScenarioLowerBound)
+	traces := staticFoldTraces(t)
+	full, err := trace.GenerateWorldCup(trace.DefaultWorldCupConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces["raw-92-days"] = full
+	for name, tr := range traces {
 		solver, err := bml.NewExactSolver(planner.Candidates(), tr.Max(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := newResult(label, tr.Days()), newResult(label, tr.Days())
-		if err := foldLowerBound(tr, solver, got); err != nil {
-			t.Fatalf("%s: fold: %v", label, err)
+		var want [staticSlots]*Result
+		for k := range want {
+			want[k] = newResult(staticNames[k], tr.Days())
 		}
-		if err := runLowerBoundEvent(tr, solver, want); err != nil {
-			t.Fatalf("%s: reference: %v", label, err)
+		if err := runHomogeneousEvent(tr, big, globalSizing(tr, big), want[slotGlobal]); err != nil {
+			t.Fatalf("%s: global reference: %v", name, err)
 		}
-		got.finalize()
-		want.finalize()
-		assertBitIdentical(t, label, got, want)
+		if err := runHomogeneousEvent(tr, big, perDaySizing(tr.DailyPeaks(), big), want[slotPerDay]); err != nil {
+			t.Fatalf("%s: per-day reference: %v", name, err)
+		}
+		if err := runLowerBoundEvent(tr, solver, want[slotLower]); err != nil {
+			t.Fatalf("%s: lower-bound reference: %v", name, err)
+		}
+		for _, r := range want {
+			r.finalize()
+		}
+
+		var alone [staticSlots]*Result
+		alone[slotGlobal], err = RunUpperBoundGlobal(tr, big)
+		if err != nil {
+			t.Fatalf("%s: RunUpperBoundGlobal: %v", name, err)
+		}
+		alone[slotPerDay], err = RunUpperBoundPerDay(tr, big)
+		if err != nil {
+			t.Fatalf("%s: RunUpperBoundPerDay: %v", name, err)
+		}
+		alone[slotLower], err = RunLowerBound(tr, planner.Candidates())
+		if err != nil {
+			t.Fatalf("%s: RunLowerBound: %v", name, err)
+		}
+		set, err := RunAll(tr, planner, BMLConfig{})
+		if err != nil {
+			t.Fatalf("%s: RunAll: %v", name, err)
+		}
+		all := [staticSlots]*Result{set.UpperBoundGlobal, set.UpperBoundPerDay, set.LowerBound}
+		for k := range want {
+			assertBitIdentical(t, name+"/"+staticNames[k]+"/alone", alone[k], want[k])
+			assertBitIdentical(t, name+"/"+staticNames[k]+"/RunAll", all[k], want[k])
+		}
+
+		// The busier partial day must take UpperBound PerDay, and only it,
+		// off the shared QoS chain.
+		if name == "perday-fallback" {
+			if v := all[slotPerDay].QoS.ViolationSeconds(); v == 0 {
+				t.Errorf("%s: the fallback day never fell short; the input does not cover it", name)
+			}
+			if v := all[slotGlobal].QoS.ViolationSeconds(); v != 0 {
+				t.Errorf("%s: UpperBound Global has %v violation seconds, want 0", name, v)
+			}
+		}
 	}
 }

@@ -373,6 +373,12 @@ func benchBMLEngines(b *testing.B, tr *trace.Trace, engines []struct {
 	opts []sim.Option
 }) {
 	planner := getPlanner(b)
+	// One untimed run fills the fresh planner's combination memo, so a
+	// -benchtime 1x run of the first engine reads the same allocs/op as a
+	// long one.
+	if _, err := sim.RunBML(tr, planner, sim.BMLConfig{}); err != nil {
+		b.Fatal(err)
+	}
 	for _, eng := range engines {
 		b.Run(eng.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -482,11 +488,17 @@ func BenchmarkEngineMonthTrace(b *testing.B) { benchEngines(b, 30) }
 
 // BenchmarkEngineMonthAllScenarios runs the whole four-scenario evaluation
 // (the Figure 5 workload) on the month-long trace with the default
-// engines, fanned out across cores by RunAll.
+// engines, fanned out across cores by RunAll. One untimed run builds the
+// planner's exact table and combination memo, so a -benchtime 1x run reads
+// the same allocs/op as a long one.
 func BenchmarkEngineMonthAllScenarios(b *testing.B) {
 	tr := engineBenchTrace(b, 30)
 	planner := getPlanner(b)
+	if _, err := sim.RunAll(tr, planner, sim.BMLConfig{}); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.RunAll(tr, planner, sim.BMLConfig{}); err != nil {
 			b.Fatal(err)
@@ -498,11 +510,12 @@ func BenchmarkEngineMonthAllScenarios(b *testing.B) {
 // evaluation through RunAll on the un-quantized month, the shape of
 // perfbench's fig5-raw workload: every second is a run of its own, so the
 // static scenarios' per-sample walk weighs as much as BML's engine. The
-// trace and the planner's exact table are built before the timer starts.
+// trace, the planner's exact table and its combination memo are built
+// before the timer starts, by one untimed run.
 func BenchmarkEngineMonthAllScenariosRaw(b *testing.B) {
 	tr := engineBenchTraceRaw(b, 30)
 	planner := getPlanner(b)
-	if _, err := planner.Exact(tr.Max()); err != nil {
+	if _, err := sim.RunAll(tr, planner, sim.BMLConfig{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -633,6 +646,12 @@ func BenchmarkFleetScaling(b *testing.B) {
 	planner := getPlanner(b)
 	for _, n := range []int{100, 1000, 10000} {
 		rig := fleetBenchRig(b, n)
+		// One untimed run fills the planner's combination memo for this
+		// scale, so a -benchtime 1x run reads the same allocs/op as a long
+		// one.
+		if _, err := sim.RunBML(rig.tr, planner, sim.BMLConfig{Predictor: rig.pred}); err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("fleet=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var switchOns int

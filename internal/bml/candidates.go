@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/profile"
 )
@@ -25,18 +25,13 @@ func (r Removal) String() string {
 // ErrNoCandidates is returned when filtering leaves no usable architecture.
 var ErrNoCandidates = errors.New("bml: no candidate architectures remain")
 
-// SortByPerf returns the architectures ordered by decreasing MaxPerf (ties
-// broken by name), the canonical "Big first" ordering every later step
-// assumes.
+// SortByPerf returns a copy of the architectures in the Big→Little order of
+// profile.CompareBigToLittle (decreasing MaxPerf, ties broken by name), the
+// canonical "Big first" ordering every later step assumes.
 func SortByPerf(archs []profile.Arch) []profile.Arch {
 	out := make([]profile.Arch, len(archs))
 	copy(out, archs)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MaxPerf != out[j].MaxPerf {
-			return out[i].MaxPerf > out[j].MaxPerf
-		}
-		return out[i].Name < out[j].Name
-	})
+	slices.SortFunc(out, profile.CompareBigToLittle)
 	return out
 }
 

@@ -3,7 +3,7 @@ package bml
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/power"
@@ -141,22 +141,6 @@ func (c Combination) Counts() map[string]int {
 	return m
 }
 
-// SameNodes reports whether two combinations use the same node counts per
-// architecture (ignoring how load is split). This is the test the scheduler
-// applies to decide whether a prediction implies a reconfiguration.
-func (c Combination) SameNodes(o Combination) bool {
-	a, b := c.Counts(), o.Counts()
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // NodeDelta describes, for one architecture, how many nodes to switch on
 // (positive) or off (negative) to turn combination "from" into "to".
 type NodeDelta struct {
@@ -236,11 +220,6 @@ func (c Combination) String() string {
 // retained, making combinations comparable field-by-field in tests.
 func (c Combination) Normalize() Combination {
 	out := Combination{Slots: append([]Slot(nil), c.Slots...), Infeasible: c.Infeasible}
-	sort.Slice(out.Slots, func(i, j int) bool {
-		if out.Slots[i].Arch.MaxPerf != out.Slots[j].Arch.MaxPerf {
-			return out.Slots[i].Arch.MaxPerf > out.Slots[j].Arch.MaxPerf
-		}
-		return out.Slots[i].Arch.Name < out.Slots[j].Arch.Name
-	})
+	slices.SortFunc(out.Slots, func(a, b Slot) int { return profile.CompareBigToLittle(a.Arch, b.Arch) })
 	return out
 }

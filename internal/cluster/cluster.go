@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/machine"
@@ -101,9 +102,7 @@ func (p *pool) nShuttingDown() int { return len(p.trans) - p.nBooting }
 // for concurrent use; drive it from a single simulation loop.
 type Cluster struct {
 	archs     []profile.Arch // Big→Little
-	byName    map[string]profile.Arch
-	pools     map[string]*pool
-	poolList  []*pool // aligned with archs
+	poolList  []*pool        // aligned with archs
 	nextID    map[string]int
 	inventory map[string]int // optional per-arch machine limit; absent = unlimited
 	faultProb float64        // probability that a boot fails at completion
@@ -168,31 +167,21 @@ func New(archs []profile.Arch, opts ...Option) (*Cluster, error) {
 	if len(archs) == 0 {
 		return nil, errors.New("cluster: no architectures")
 	}
-	c := &Cluster{
-		byName: make(map[string]profile.Arch, len(archs)),
-		pools:  make(map[string]*pool, len(archs)),
-		nextID: make(map[string]int, len(archs)),
-	}
+	c := &Cluster{nextID: make(map[string]int, len(archs))}
+	seen := make(map[string]bool, len(archs))
 	for _, a := range archs {
 		if err := a.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := c.byName[a.Name]; dup {
+		if seen[a.Name] {
 			return nil, fmt.Errorf("cluster: duplicate architecture %q", a.Name)
 		}
-		c.byName[a.Name] = a
+		seen[a.Name] = true
 		c.archs = append(c.archs, a)
 	}
-	sort.Slice(c.archs, func(i, j int) bool {
-		if c.archs[i].MaxPerf != c.archs[j].MaxPerf {
-			return c.archs[i].MaxPerf > c.archs[j].MaxPerf
-		}
-		return c.archs[i].Name < c.archs[j].Name
-	})
+	slices.SortFunc(c.archs, profile.CompareBigToLittle)
 	for _, a := range c.archs {
-		p := &pool{arch: a}
-		c.pools[a.Name] = p
-		c.poolList = append(c.poolList, p)
+		c.poolList = append(c.poolList, &pool{arch: a})
 	}
 	for _, o := range opts {
 		o(c)
@@ -200,32 +189,27 @@ func New(archs []profile.Arch, opts ...Option) (*Cluster, error) {
 	return c, nil
 }
 
-// Architectures returns the hosted architectures in Big→Little order.
+// Architectures returns the hosted architectures in Big→Little order
+// (profile.CompareBigToLittle), the order of every count vector the
+// cluster reads or writes. The slice is the cluster's own: callers must
+// not modify it.
 func (c *Cluster) Architectures() []profile.Arch {
-	return append([]profile.Arch(nil), c.archs...)
+	return c.archs[:len(c.archs):len(c.archs)]
 }
 
 // activeCount returns the number of machines counting toward the target:
 // On plus Booting (a booting machine has been committed to the target).
-func (c *Cluster) activeCount(arch string) int {
+func (c *Cluster) activeCount(p *pool) int {
 	if c.scanIndex {
-		return c.activeCountScan(arch)
-	}
-	p := c.pools[arch]
-	if p == nil {
-		return 0
+		return activeCountScan(p)
 	}
 	return len(p.on) + p.nBooting
 }
 
 // activeCountScan is the original O(pool) implementation, kept as the
 // differential-test reference.
-func (c *Cluster) activeCountScan(arch string) int {
+func activeCountScan(p *pool) int {
 	n := 0
-	p := c.pools[arch]
-	if p == nil {
-		return 0
-	}
 	for _, nd := range p.nodes {
 		if s := nd.m.State(); s == machine.On || s == machine.Booting {
 			n++
@@ -234,54 +218,37 @@ func (c *Cluster) activeCountScan(arch string) int {
 	return n
 }
 
-// Counts returns the per-architecture active machine counts (On+Booting).
-func (c *Cluster) Counts() map[string]int {
-	out := make(map[string]int, len(c.archs))
-	for _, a := range c.archs {
-		if n := c.activeCount(a.Name); n > 0 {
-			out[a.Name] = n
-		}
+// ActiveCounts writes the per-architecture active machine counts
+// (On+Booting) into dst, one entry per architecture in Big→Little order,
+// and returns it. dst is reused when it has the capacity, so a caller that
+// keeps the returned vector allocates only once.
+func (c *Cluster) ActiveCounts(dst []int) []int {
+	dst = slices.Grow(dst[:0], len(c.poolList))[:len(c.poolList)]
+	for i, p := range c.poolList {
+		dst[i] = c.activeCount(p)
 	}
-	return out
-}
-
-// OnCounts returns only fully powered-on machines per architecture.
-func (c *Cluster) OnCounts() map[string]int {
-	out := make(map[string]int, len(c.archs))
-	for _, p := range c.poolList {
-		n := len(p.on)
-		if c.scanIndex {
-			n = 0
-			for _, nd := range p.nodes {
-				if nd.m.State() == machine.On {
-					n++
-				}
-			}
-		}
-		if n > 0 {
-			out[p.arch.Name] = n
-		}
-	}
-	return out
+	return dst
 }
 
 // SetTarget switches machines on or off so the active count per
 // architecture converges to target. Machines currently shutting down are
 // unavailable until they reach Off; if the pool has no reusable Off
 // machine, a new one is provisioned unless the inventory cap forbids it.
-// It returns the number of switch-on and switch-off actions started.
-func (c *Cluster) SetTarget(target map[string]int) (switchedOn, switchedOff int, err error) {
-	for name, want := range target {
-		if _, ok := c.byName[name]; !ok {
-			return switchedOn, switchedOff, fmt.Errorf("cluster: unknown architecture %q", name)
-		}
+// target holds one count per architecture in Big→Little order (the
+// order of Architectures and ActiveCounts). It returns the number of
+// switch-on and switch-off actions started.
+func (c *Cluster) SetTarget(target []int) (switchedOn, switchedOff int, err error) {
+	if len(target) != len(c.poolList) {
+		return 0, 0, fmt.Errorf("cluster: target has %d counts for %d architectures", len(target), len(c.poolList))
+	}
+	for i, want := range target {
 		if want < 0 {
-			return switchedOn, switchedOff, fmt.Errorf("cluster: negative target %d for %q", want, name)
+			return 0, 0, fmt.Errorf("cluster: negative target %d for %q", want, c.archs[i].Name)
 		}
 	}
-	for _, p := range c.poolList {
-		want := target[p.arch.Name]
-		have := c.activeCount(p.arch.Name)
+	for i, p := range c.poolList {
+		want := target[i]
+		have := c.activeCount(p)
 		switch {
 		case have < want:
 			for have < want {

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,6 +34,32 @@ func mustCluster(t *testing.T, opts ...Option) *Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// setTarget is SetTarget with the target keyed by architecture name;
+// architectures the map does not name get zero.
+func setTarget(c *Cluster, target map[string]int) (on, off int, err error) {
+	vec := make([]int, len(c.archs))
+	for name, n := range target {
+		i := slices.IndexFunc(c.archs, func(a profile.Arch) bool { return a.Name == name })
+		if i < 0 {
+			return 0, 0, fmt.Errorf("test: unknown architecture %q", name)
+		}
+		vec[i] = n
+	}
+	return c.SetTarget(vec)
+}
+
+// byName keys a per-architecture count vector by architecture name,
+// omitting zero counts.
+func byName(c *Cluster, counts []int) map[string]int {
+	out := make(map[string]int)
+	for i, n := range counts {
+		if n > 0 {
+			out[c.archs[i].Name] = n
+		}
+	}
+	return out
 }
 
 // settle ticks until no transition is pending.
@@ -77,7 +105,7 @@ func TestArchitecturesOrderedBigToLittle(t *testing.T) {
 
 func TestSetTargetBootsMachines(t *testing.T) {
 	c := mustCluster(t)
-	on, off, err := c.SetTarget(map[string]int{"big": 2, "little": 1})
+	on, off, err := setTarget(c, map[string]int{"big": 2, "little": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +116,8 @@ func TestSetTargetBootsMachines(t *testing.T) {
 		t.Error("not reconfiguring during boots")
 	}
 	// Booting machines count as active but give no capacity yet.
-	if got := c.Counts(); got["big"] != 2 || got["little"] != 1 {
-		t.Errorf("Counts = %v", got)
+	if got := byName(c, c.ActiveCounts(nil)); got["big"] != 2 || got["little"] != 1 {
+		t.Errorf("ActiveCounts = %v", got)
 	}
 	if c.Capacity() != 0 {
 		t.Errorf("Capacity = %v during boot, want 0", c.Capacity())
@@ -98,19 +126,20 @@ func TestSetTargetBootsMachines(t *testing.T) {
 	if c.Capacity() != 210 {
 		t.Errorf("Capacity = %v after boot, want 210", c.Capacity())
 	}
-	if got := c.OnCounts(); got["big"] != 2 || got["little"] != 1 {
-		t.Errorf("OnCounts = %v", got)
+	on2 := []int{len(c.poolList[0].on), len(c.poolList[1].on)}
+	if got := byName(c, on2); got["big"] != 2 || got["little"] != 1 {
+		t.Errorf("On machines = %v", got)
 	}
 }
 
 func TestSetTargetSwitchesOffLeastLoadedFirst(t *testing.T) {
 	c := mustCluster(t)
-	c.SetTarget(map[string]int{"big": 2})
+	setTarget(c, map[string]int{"big": 2})
 	settle(t, c)
 	if _, err := c.Distribute(150); err != nil { // one full, one at 50
 		t.Fatal(err)
 	}
-	if _, off, err := c.SetTarget(map[string]int{"big": 1}); err != nil || off != 1 {
+	if _, off, err := setTarget(c, map[string]int{"big": 1}); err != nil || off != 1 {
 		t.Fatalf("off=%d err=%v", off, err)
 	}
 	// The surviving On machine should be the fully loaded one.
@@ -127,21 +156,26 @@ func TestSetTargetSwitchesOffLeastLoadedFirst(t *testing.T) {
 
 func TestSetTargetValidation(t *testing.T) {
 	c := mustCluster(t)
-	if _, _, err := c.SetTarget(map[string]int{"mystery": 1}); err == nil {
-		t.Error("unknown architecture accepted")
+	for _, target := range [][]int{nil, {1}, {1, 0, 0}} {
+		if _, _, err := c.SetTarget(target); err == nil {
+			t.Errorf("target %v for 2 architectures accepted", target)
+		}
 	}
-	if _, _, err := c.SetTarget(map[string]int{"big": -1}); err == nil {
+	if _, _, err := c.SetTarget([]int{-1, 0}); err == nil {
 		t.Error("negative target accepted")
+	}
+	if c.Reconfiguring() || len(c.Machines()) != 0 {
+		t.Error("a rejected target switched machines")
 	}
 }
 
 func TestSetTargetReusesOffMachines(t *testing.T) {
 	c := mustCluster(t)
-	c.SetTarget(map[string]int{"big": 1})
+	setTarget(c, map[string]int{"big": 1})
 	settle(t, c)
-	c.SetTarget(map[string]int{"big": 0})
+	setTarget(c, map[string]int{"big": 0})
 	settle(t, c)
-	c.SetTarget(map[string]int{"big": 1})
+	setTarget(c, map[string]int{"big": 1})
 	settle(t, c)
 	if n := len(c.Machines()); n != 1 {
 		t.Errorf("machine objects = %d, want 1 (reuse)", n)
@@ -150,12 +184,12 @@ func TestSetTargetReusesOffMachines(t *testing.T) {
 
 func TestShuttingDownMachinesUnavailableUntilOff(t *testing.T) {
 	c := mustCluster(t)
-	c.SetTarget(map[string]int{"big": 1})
+	setTarget(c, map[string]int{"big": 1})
 	settle(t, c)
-	c.SetTarget(map[string]int{"big": 0}) // begins 2 s shutdown
+	setTarget(c, map[string]int{"big": 0}) // begins 2 s shutdown
 	// Immediately request one again: the shutting-down node cannot be
 	// reused, so a new machine boots.
-	on, _, err := c.SetTarget(map[string]int{"big": 1})
+	on, _, err := setTarget(c, map[string]int{"big": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,18 +203,18 @@ func TestShuttingDownMachinesUnavailableUntilOff(t *testing.T) {
 
 func TestInventoryCap(t *testing.T) {
 	c := mustCluster(t, WithInventory(map[string]int{"big": 1}))
-	if _, _, err := c.SetTarget(map[string]int{"big": 1}); err != nil {
+	if _, _, err := setTarget(c, map[string]int{"big": 1}); err != nil {
 		t.Fatal(err)
 	}
 	settle(t, c)
-	if _, _, err := c.SetTarget(map[string]int{"big": 2}); err == nil {
+	if _, _, err := setTarget(c, map[string]int{"big": 2}); err == nil {
 		t.Error("target beyond inventory accepted")
 	}
 }
 
 func TestDistributeFillsBiggestFirst(t *testing.T) {
 	c := mustCluster(t)
-	c.SetTarget(map[string]int{"big": 1, "little": 2})
+	setTarget(c, map[string]int{"big": 1, "little": 2})
 	settle(t, c)
 	served, err := c.Distribute(105)
 	if err != nil {
@@ -210,7 +244,7 @@ func TestDistributeFillsBiggestFirst(t *testing.T) {
 
 func TestDistributeShortfall(t *testing.T) {
 	c := mustCluster(t)
-	c.SetTarget(map[string]int{"little": 1})
+	setTarget(c, map[string]int{"little": 1})
 	settle(t, c)
 	served, err := c.Distribute(50)
 	if err != nil {
@@ -233,7 +267,7 @@ func TestDistributeValidation(t *testing.T) {
 
 func TestDistributeClearsStaleLoads(t *testing.T) {
 	c := mustCluster(t)
-	c.SetTarget(map[string]int{"big": 1})
+	setTarget(c, map[string]int{"big": 1})
 	settle(t, c)
 	c.Distribute(80)
 	c.Distribute(0)
@@ -246,7 +280,7 @@ func TestDistributeClearsStaleLoads(t *testing.T) {
 
 func TestTickEnergyAccounting(t *testing.T) {
 	c := mustCluster(t)
-	c.SetTarget(map[string]int{"big": 1})
+	setTarget(c, map[string]int{"big": 1})
 	var boot float64
 	for i := 0; i < 10; i++ {
 		e, err := c.Tick(1)
@@ -270,7 +304,7 @@ func TestTickEnergyAccounting(t *testing.T) {
 
 func TestCurrentPowerAggregates(t *testing.T) {
 	c := mustCluster(t)
-	c.SetTarget(map[string]int{"big": 1, "little": 1})
+	setTarget(c, map[string]int{"big": 1, "little": 1})
 	settle(t, c)
 	c.Distribute(0)
 	if got := float64(c.CurrentPower()); math.Abs(got-22) > 1e-9 {
@@ -283,7 +317,7 @@ func TestPendingTransition(t *testing.T) {
 	if c.PendingTransition() != 0 {
 		t.Error("idle cluster reports pending transition")
 	}
-	c.SetTarget(map[string]int{"big": 1, "little": 1})
+	setTarget(c, map[string]int{"big": 1, "little": 1})
 	if got := c.PendingTransition(); got != 10 {
 		t.Errorf("PendingTransition = %v, want longest boot 10", got)
 	}
@@ -293,13 +327,27 @@ func TestPendingTransition(t *testing.T) {
 	}
 }
 
-func TestCountsOmitZeroArchs(t *testing.T) {
+func TestActiveCountsVector(t *testing.T) {
 	c := mustCluster(t)
-	c.SetTarget(map[string]int{"big": 1})
+	if got := c.ActiveCounts(nil); !slices.Equal(got, []int{0, 0}) {
+		t.Errorf("empty cluster counts %v, want [0 0]", got)
+	}
+	setTarget(c, map[string]int{"big": 1, "little": 2})
+	// Booting machines count as active.
+	dst := make([]int, 0, 4)
+	got := c.ActiveCounts(dst)
+	if !slices.Equal(got, []int{1, 2}) {
+		t.Errorf("booting counts %v, want [1 2] (Big→Little)", got)
+	}
+	if &got[0] != &dst[:1][0] {
+		t.Error("ActiveCounts did not reuse the caller's vector")
+	}
 	settle(t, c)
-	counts := c.Counts()
-	if _, present := counts["little"]; present {
-		t.Errorf("Counts includes zero entry: %v", counts)
+	setTarget(c, map[string]int{"big": 1})
+	settle(t, c)
+	// A stale longer vector is cut to one entry per architecture.
+	if got := c.ActiveCounts([]int{9, 9, 9}); !slices.Equal(got, []int{1, 0}) {
+		t.Errorf("settled counts %v, want [1 0]", got)
 	}
 }
 
@@ -312,7 +360,7 @@ func TestTickPropagatesMachineErrors(t *testing.T) {
 
 func TestClusterBreakdownAggregates(t *testing.T) {
 	c := mustCluster(t)
-	c.SetTarget(map[string]int{"big": 1})
+	setTarget(c, map[string]int{"big": 1})
 	settle(t, c) // 500 J transition
 	c.Distribute(100)
 	c.Tick(10) // 10 s at 80 W: 200 J idle + 600 J dynamic
@@ -332,7 +380,7 @@ func TestClusterBootFaults(t *testing.T) {
 	// With probability 1 every boot fails: the cluster never gains
 	// capacity, but each attempt consumes boot energy.
 	c := mustCluster(t, WithBootFaults(1, 3))
-	c.SetTarget(map[string]int{"big": 1})
+	setTarget(c, map[string]int{"big": 1})
 	settle(t, c)
 	if c.Capacity() != 0 {
 		t.Errorf("capacity = %v after guaranteed boot failure", c.Capacity())
@@ -343,7 +391,7 @@ func TestClusterBootFaults(t *testing.T) {
 	}
 	// Probability 0 behaves like no option at all.
 	c2 := mustCluster(t, WithBootFaults(0, 3))
-	c2.SetTarget(map[string]int{"big": 1})
+	setTarget(c2, map[string]int{"big": 1})
 	settle(t, c2)
 	if c2.Capacity() != 100 {
 		t.Errorf("capacity = %v with zero fault probability", c2.Capacity())

@@ -2,7 +2,7 @@ package cluster
 
 // Differential property tests for the transition min-heap: every indexed
 // fleet query (NextTransitionEnd, Reconfiguring, PendingTransition,
-// Counts, OnCounts, Capacity) must agree with the original O(fleet)
+// ActiveCounts, Capacity) must agree with the original O(fleet)
 // linear scans — retained as unexported *Scan reference implementations —
 // after every operation of randomized target/dispatch/tick schedules over
 // randomized fleets, including boot-fault schedules and zero-duration
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -71,9 +72,9 @@ func assertIndexMatchesScan(t *testing.T, c *Cluster, step string) {
 	if got, want := c.Capacity(), c.capacityScan(); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 		t.Fatalf("%s: Capacity = %v, scan says %v", step, got, want)
 	}
-	for _, a := range c.archs {
-		if got, want := c.activeCount(a.Name), c.activeCountScan(a.Name); got != want {
-			t.Fatalf("%s: activeCount(%s) = %d, scan says %d", step, a.Name, got, want)
+	for _, p := range c.poolList {
+		if got, want := c.activeCount(p), activeCountScan(p); got != want {
+			t.Fatalf("%s: activeCount(%s) = %d, scan says %d", step, p.arch.Name, got, want)
 		}
 	}
 	// Structural invariants of the index itself.
@@ -164,7 +165,7 @@ func driveRandomSchedule(t *testing.T, rng *rand.Rand, c *Cluster, maxNodes int,
 				target[a.Name] = rng.Intn(maxNodes + 1)
 			}
 		}
-		if _, _, err := c.SetTarget(target); err != nil {
+		if _, _, err := setTarget(c, target); err != nil {
 			// Inventory exhaustion aborts the retarget mid-way; the index
 			// must stay consistent over the partially applied target too.
 			if !strings.Contains(err.Error(), "inventory") {
@@ -244,8 +245,8 @@ func TestDifferentialHeapVsScanTwinClusters(t *testing.T) {
 					for _, a := range catalog {
 						target[a.Name] = rng.Intn(15)
 					}
-					hOn, hOff, herr := heapC.SetTarget(target)
-					sOn, sOff, serr := scanC.SetTarget(target)
+					hOn, hOff, herr := setTarget(heapC, target)
+					sOn, sOff, serr := setTarget(scanC, target)
 					if (herr == nil) != (serr == nil) {
 						t.Fatalf("op %d: SetTarget error mismatch: %v vs %v", i, herr, serr)
 					}
@@ -278,10 +279,8 @@ func TestDifferentialHeapVsScanTwinClusters(t *testing.T) {
 				if got, want := heapC.NextTransitionEnd(), scanC.NextTransitionEnd(); math.Abs(got-want) > timeTol {
 					t.Fatalf("op %d: NextTransitionEnd %v vs %v", i, got, want)
 				}
-				for _, a := range catalog {
-					if got, want := heapC.activeCount(a.Name), scanC.activeCount(a.Name); got != want {
-						t.Fatalf("op %d: activeCount(%s) %d vs %d", i, a.Name, got, want)
-					}
+				if got, want := heapC.ActiveCounts(nil), scanC.ActiveCounts(nil); !slices.Equal(got, want) {
+					t.Fatalf("op %d: ActiveCounts %v vs %v", i, got, want)
 				}
 			}
 			if math.Abs(heapE-scanE) > 1e-6 {
@@ -318,7 +317,7 @@ func TestHeapLazyInvalidation(t *testing.T) {
 	}
 	mustTarget := func(n int) {
 		t.Helper()
-		if _, _, err := c.SetTarget(map[string]int{"solo": n}); err != nil {
+		if _, _, err := c.SetTarget([]int{n}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,8 +29,6 @@ package cluster
 // preserve the original O(fleet) implementations as the differential-test
 // reference and the withScanIndex test baseline.
 
-import "container/heap"
-
 // transEntry is one indexed transition.
 type transEntry struct {
 	end  float64 // absolute simulation time at which the transition resolves
@@ -44,34 +42,59 @@ func (e transEntry) stale() bool {
 	return e.seq != e.nd.seq || !e.nd.m.Transitioning()
 }
 
-// transHeap is a min-heap of transition entries ordered by (end, tick).
+// transHeap is a binary min-heap of transition entries ordered by
+// (end, tick). Push and pop sift typed entries in place (the same moves
+// container/heap makes), so neither boxes an entry.
 type transHeap []transEntry
 
-func (h transHeap) Len() int { return len(h) }
-
-func (h transHeap) Less(i, j int) bool {
+func (h transHeap) less(i, j int) bool {
 	if h[i].end != h[j].end {
 		return h[i].end < h[j].end
 	}
 	return h[i].tick < h[j].tick
 }
 
-func (h transHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// push adds e and restores the heap order.
+func (h *transHeap) push(e transEntry) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
 
-func (h *transHeap) Push(x any) { *h = append(*h, x.(transEntry)) }
-
-func (h *transHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// pop removes the minimum entry.
+func (h *transHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	q[n] = transEntry{} // drop the node reference
+	*h = q[:n]
 }
 
 // pushTransition indexes the transition nd just started.
 func (c *Cluster) pushTransition(nd *node) {
 	c.pushTick++
-	heap.Push(&c.transitions, transEntry{
+	c.transitions.push(transEntry{
 		end:  c.now + nd.m.Remaining(),
 		tick: c.pushTick,
 		nd:   nd,
@@ -84,6 +107,6 @@ func (c *Cluster) pushTransition(nd *node) {
 // transition with the earliest completion time.
 func (c *Cluster) pruneTransitions() {
 	for len(c.transitions) > 0 && c.transitions[0].stale() {
-		heap.Pop(&c.transitions)
+		c.transitions.pop()
 	}
 }

@@ -70,18 +70,51 @@ func NewLookaheadMax(tr *trace.Trace, window int) (*LookaheadMax, error) {
 		n:      n,
 		index:  make([]int32, (n+1<<runIndexShift-1)>>runIndexShift),
 	}
+	// The run count is known only at the end, so the runs are gathered in
+	// blocks that are filled, never regrown, and then copied into exactly
+	// sized arrays. Block sizes double up to a cap: a short trace gathers
+	// into one small block, and a long one allocates about twice what it
+	// keeps, where appending to the arrays allocates several times it.
+	var blocks []runBlock
+	runs := 0
 	err := tr.SlidingMaxRuns(window, func(from, to int, max float64) {
-		run := int32(len(p.starts))
-		p.starts = append(p.starts, int32(from))
-		p.maxes = append(p.maxes, max)
-		for b := (from + 1<<runIndexShift - 1) >> runIndexShift; b<<runIndexShift < to; b++ {
-			p.index[b] = run
+		if n := len(blocks); n == 0 || len(blocks[n-1].starts) == cap(blocks[n-1].starts) {
+			size := runBlockMin
+			if n > 0 {
+				size = min(2*cap(blocks[n-1].starts), runBlockMax)
+			}
+			blocks = append(blocks, runBlock{make([]int32, 0, size), make([]float64, 0, size)})
 		}
+		blk := &blocks[len(blocks)-1]
+		blk.starts = append(blk.starts, int32(from))
+		blk.maxes = append(blk.maxes, max)
+		for b := (from + 1<<runIndexShift - 1) >> runIndexShift; b<<runIndexShift < to; b++ {
+			p.index[b] = int32(runs)
+		}
+		runs++
 	})
 	if err != nil {
 		return nil, err
 	}
+	p.starts, p.maxes = make([]int32, 0, runs), make([]float64, 0, runs)
+	for _, blk := range blocks {
+		p.starts = append(p.starts, blk.starts...)
+		p.maxes = append(p.maxes, blk.maxes...)
+	}
 	return p, nil
+}
+
+// Block sizes, in runs, for gathering a LookaheadMax's runs.
+const (
+	runBlockMin = 1 << 8
+	runBlockMax = 1 << 13
+)
+
+// runBlock holds gathered runs; its slices are filled up to their
+// capacity and never regrown.
+type runBlock struct {
+	starts []int32
+	maxes  []float64
 }
 
 // run returns the index of the run holding second t, clamped to the trace.

@@ -16,9 +16,11 @@
 package profile
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/power"
@@ -136,6 +138,18 @@ func (a Arch) String() string {
 	return fmt.Sprintf("%s: maxPerf=%.0f idle=%.1fW max=%.1fW on=%s/%.1fJ off=%s/%.1fJ",
 		a.Name, a.MaxPerf, float64(a.IdlePower), float64(a.MaxPower),
 		a.OnDuration, float64(a.OnEnergy), a.OffDuration, float64(a.OffEnergy))
+}
+
+// CompareBigToLittle orders architectures Big→Little: decreasing MaxPerf,
+// ties broken by ascending Name. It is the one definition of the order the
+// planner's combination slots and the cluster's pools share, which is what
+// lets a combination's node counts line up position by position with the
+// cluster's per-architecture count vectors.
+func CompareBigToLittle(a, b Arch) int {
+	if c := cmp.Compare(b.MaxPerf, a.MaxPerf); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Name, b.Name)
 }
 
 // Equal reports whether two profiles are numerically identical.

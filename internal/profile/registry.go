@@ -2,7 +2,7 @@ package profile
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/power"
@@ -176,17 +176,11 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// SortedByPerf returns the profiles sorted by decreasing MaxPerf, the order
-// Step 2 of the methodology starts from. Ties break by name for
-// determinism.
+// SortedByPerf returns the profiles in the Big→Little order of
+// CompareBigToLittle, the order Step 2 of the methodology starts from.
 func (r *Registry) SortedByPerf() []Arch {
 	out := r.All()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MaxPerf != out[j].MaxPerf {
-			return out[i].MaxPerf > out[j].MaxPerf
-		}
-		return out[i].Name < out[j].Name
-	})
+	slices.SortFunc(out, CompareBigToLittle)
 	return out
 }
 

@@ -23,8 +23,17 @@ type Decision struct {
 // FIFO beyond it.
 const defaultLogCap = 4096
 
+// record is one retained log entry: a Decision with its target kept as
+// the scheduler's count vector, keyed by name only when the log is read.
+type record struct {
+	time                  int
+	predicted             float64
+	target                []int // Big→Little; never modified once recorded
+	switchOns, switchOffs int
+}
+
 // recordDecision appends to the bounded log.
-func (s *Scheduler) recordDecision(d Decision) {
+func (s *Scheduler) recordDecision(r record) {
 	if s.logCap == 0 {
 		return
 	}
@@ -34,19 +43,21 @@ func (s *Scheduler) recordDecision(d Decision) {
 		copy(s.log, s.log[len(s.log)-keep:])
 		s.log = s.log[:keep]
 	}
-	s.log = append(s.log, d)
+	s.log = append(s.log, r)
 }
 
-// DecisionLog returns a copy of the retained decisions, oldest first.
+// DecisionLog returns the retained decisions, oldest first. Each call
+// builds fresh Target maps, so callers may modify what they get.
 func (s *Scheduler) DecisionLog() []Decision {
 	out := make([]Decision, len(s.log))
-	for i, d := range s.log {
-		cp := d
-		cp.Target = make(map[string]int, len(d.Target))
-		for k, v := range d.Target {
-			cp.Target[k] = v
+	for i, r := range s.log {
+		out[i] = Decision{
+			Time:       r.time,
+			Predicted:  r.predicted,
+			Target:     s.byName(r.target),
+			SwitchOns:  r.switchOns,
+			SwitchOffs: r.switchOffs,
 		}
-		out[i] = cp
 	}
 	return out
 }

@@ -24,12 +24,15 @@ import (
 //     with Little nodes below the minimum, consolidated onto the fewest
 //     Big nodes above the maximum.
 
-// adjustForMalleability returns target node counts satisfying the
-// application's instance bounds, along with whether an adjustment happened.
-func (s *Scheduler) adjustForMalleability(target bml.Combination, predicted float64) (map[string]int, bool) {
-	counts := target.Counts()
-	if s.app == nil {
-		return counts, false
+// adjustForMalleability writes the target combination's node counts into
+// the scheduler's want vector, adjusted to satisfy the application's
+// instance bounds, and reports whether an adjustment happened. It fails
+// when the combination uses an architecture the cluster does not host.
+func (s *Scheduler) adjustForMalleability(target bml.Combination, predicted float64) ([]int, bool, error) {
+	counts, err := s.countsOf(target, s.want)
+	s.want = counts
+	if err != nil || s.app == nil {
+		return counts, false, err
 	}
 	total := 0
 	for _, n := range counts {
@@ -42,8 +45,7 @@ func (s *Scheduler) adjustForMalleability(target bml.Combination, predicted floa
 	if total < min {
 		// Pad with Little nodes: extra instances of the stateless app on
 		// idle Littles cost the least power.
-		little := archs[len(archs)-1]
-		counts[little.Name] += min - total
+		counts[len(counts)-1] += min - total
 		total = min
 		adjusted = true
 	}
@@ -51,29 +53,24 @@ func (s *Scheduler) adjustForMalleability(target bml.Combination, predicted floa
 		// Consolidate: serve the predicted rate on the fewest possible
 		// nodes, Big first. This can exceed the ideal power but respects
 		// the instance bound.
-		counts = consolidate(archs, predicted, max)
+		consolidate(counts, archs, predicted, max)
 		adjusted = true
 	}
-	return counts, adjusted
+	return counts, adjusted, nil
 }
 
-// consolidate packs the rate onto at most maxNodes nodes, biggest first.
-// If even all-Big cannot fit within the bound, the bound wins and capacity
-// is sacrificed (the QoS tracker will record the shortfall).
-func consolidate(archs []profile.Arch, rate float64, maxNodes int) map[string]int {
-	out := make(map[string]int)
+// consolidate writes into counts the packing of the rate onto at most
+// maxNodes nodes, biggest first. If even all-Big cannot fit within the
+// bound, the bound wins and capacity is sacrificed (the QoS tracker will
+// record the shortfall).
+func consolidate(counts []int, archs []profile.Arch, rate float64, maxNodes int) {
+	clear(counts)
 	if maxNodes <= 0 || rate <= 0 {
-		return out
+		return
 	}
-	big := archs[0]
-	n := big.NodesFor(rate)
-	if n > maxNodes {
-		n = maxNodes
+	if n := min(archs[0].NodesFor(rate), maxNodes); n > 0 {
+		counts[0] = n
 	}
-	if n > 0 {
-		out[big.Name] = n
-	}
-	return out
 }
 
 // reconfigurationWorthIt applies the amortization test: the reconfiguration
@@ -82,35 +79,33 @@ func consolidate(archs []profile.Arch, rate float64, maxNodes int) map[string]in
 // exceeds the switching energy (On/Off transitions plus application
 // migration). Capacity-increasing reconfigurations bypass the test — QoS
 // always wins.
-func (s *Scheduler) reconfigurationWorthIt(targetCounts map[string]int, predicted float64) bool {
-	current := s.cl.Counts()
+func (s *Scheduler) reconfigurationWorthIt(current, target []int, predicted float64) bool {
 	if s.fleetCapacity(current) < predicted {
 		return true // needed for capacity; never defer
 	}
 	curPower := s.fleetPowerAt(current, predicted)
-	newPower := s.fleetPowerAt(targetCounts, predicted)
+	newPower := s.fleetPowerAt(target, predicted)
 	saving := curPower - newPower // Watts
-	cost := s.switchEnergy(current, targetCounts)
+	cost := s.switchEnergy(current, target)
 	return saving*s.amortizeSeconds > cost
 }
 
 // fleetCapacity sums the maximum rate of the counted nodes.
-func (s *Scheduler) fleetCapacity(counts map[string]int) float64 {
+func (s *Scheduler) fleetCapacity(counts []int) float64 {
 	var cap float64
-	for _, a := range s.cl.Architectures() {
-		cap += float64(counts[a.Name]) * a.MaxPerf
+	for i, a := range s.cl.Architectures() {
+		cap += float64(counts[i]) * a.MaxPerf
 	}
 	return cap
 }
 
 // fleetPowerAt estimates the power of serving load on the given fleet with
 // fill-biggest-first dispatch (the cluster's policy).
-func (s *Scheduler) fleetPowerAt(counts map[string]int, load float64) float64 {
+func (s *Scheduler) fleetPowerAt(counts []int, load float64) float64 {
 	var p float64
 	remaining := load
-	for _, a := range s.cl.Architectures() { // Big→Little
-		n := counts[a.Name]
-		for i := 0; i < n; i++ {
+	for i, a := range s.cl.Architectures() { // Big→Little
+		for range counts[i] {
 			share := math.Min(remaining, a.MaxPerf)
 			p += float64(a.PowerAt(share))
 			remaining -= share
@@ -119,17 +114,17 @@ func (s *Scheduler) fleetPowerAt(counts map[string]int, load float64) float64 {
 	return p
 }
 
-// switchEnergy totals the transition energy of moving from one node-count
-// map to another: boots, shutdowns, and per-displaced-instance migration.
+// switchEnergy totals the transition energy of moving from one count
+// vector to another: boots, shutdowns, and per-displaced-instance migration.
 // Released machines are charged their round trip (off now plus the boot
 // that brings them back later): on a varying load a machine switched off is
 // eventually needed again, and ignoring the return boot makes almost every
 // scale-down look free, defeating the amortization test.
-func (s *Scheduler) switchEnergy(from, to map[string]int) float64 {
+func (s *Scheduler) switchEnergy(from, to []int) float64 {
 	var total float64
 	var displaced int
-	for _, a := range s.cl.Architectures() {
-		delta := to[a.Name] - from[a.Name]
+	for i, a := range s.cl.Architectures() {
+		delta := to[i] - from[i]
 		switch {
 		case delta > 0:
 			total += float64(delta) * float64(a.OnEnergy)

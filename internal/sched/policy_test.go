@@ -133,7 +133,7 @@ func TestMalleabilityMinInstancesPadsLittles(t *testing.T) {
 	spec.Malleability = app.Malleability{MinInstances: 3}
 	sc, cl := rigWith(t, tr, func(c *Config) { c.App = &spec })
 	runAll(t, sc, tr)
-	counts := cl.OnCounts()
+	counts := onCounts(cl)
 	total := 0
 	for _, n := range counts {
 		total += n
@@ -157,7 +157,7 @@ func TestMalleabilityMaxInstancesConsolidates(t *testing.T) {
 	spec.Malleability = app.Malleability{MaxInstances: 2}
 	sc, cl := rigWith(t, tr, func(c *Config) { c.App = &spec })
 	runAll(t, sc, tr)
-	counts := cl.OnCounts()
+	counts := onCounts(cl)
 	total := 0
 	for _, n := range counts {
 		total += n
@@ -245,7 +245,7 @@ func TestFleetPowerAtEstimate(t *testing.T) {
 	sc, _ := rigWith(t, tr, nil)
 	// 1 big + 1 little serving 105: big full (80 W) + little at 5
 	// (2 + 5/12*10 ≈ 6.17 W).
-	counts := map[string]int{"big": 1, "little": 1}
+	counts := []int{1, 1} // big, little
 	got := sc.fleetPowerAt(counts, 105)
 	want := 80 + 2 + 5.0/12*10
 	if math.Abs(got-want) > 1e-9 {
@@ -261,8 +261,8 @@ func TestSwitchEnergyIncludesMigration(t *testing.T) {
 	spec := app.StatelessWebServer()
 	spec.Migration.Energy = 100
 	sc, _ := rigWith(t, tr, func(c *Config) { c.App = &spec })
-	from := map[string]int{"big": 2}
-	to := map[string]int{"big": 1, "little": 1}
+	from := []int{2, 0} // big, little
+	to := []int{1, 1}
 	// 1 big released (round trip 50+500 J) + 1 little on (15 J) + 1
 	// displaced instance (100 J).
 	got := sc.switchEnergy(from, to)

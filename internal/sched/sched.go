@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/app"
@@ -105,16 +106,26 @@ type Scheduler struct {
 	switchOffs  int
 	skipped     int // reconfigurations rejected by the amortization test
 	adjustments int // targets altered to satisfy malleability bounds
-	lastTarget  map[string]int
-	log         []Decision
-	logCap      int
+	// Node counts travel as vectors with one entry per cluster
+	// architecture, in the cluster's Big→Little order.
+	//
+	// lastTarget is the most recent decided target (nil before the first
+	// decision). A decided target is never modified, so the log entry and
+	// pending share it.
+	lastTarget []int
+	log        []record
+	logCap     int
 	// pending holds the final target of a two-phase reconfiguration: when
 	// a decision both boots new machines and retires old ones, the retire
 	// phase is deferred until the boots complete so the application keeps
 	// being served on the old machines during the migration (the paper's
 	// stateless migration starts the new instance before updating the load
 	// balancer and stopping the old one).
-	pending map[string]int
+	pending []int
+	// want, cur and up are scratch vectors reused by every decision
+	// evaluation: the combination's (adjusted) counts, the fleet's active
+	// counts, and the grow-phase target.
+	want, cur, up []int
 	// migrationLock extends the reconfiguration lock by the application's
 	// migration duration after the retire phase displaces instances.
 	migrationLock float64
@@ -262,46 +273,40 @@ func (s *Scheduler) decide(t int, rep *StepReport) error {
 	}
 	p := s.pred.Predict(t) * s.headroom
 	rep.Predicted = p
-	target := s.table.At(p)
-	counts, adjusted := s.adjustForMalleability(target, p)
-	current := s.cl.Counts()
+	want, adjusted, err := s.adjustForMalleability(s.table.At(p), p)
+	if err != nil {
+		return err
+	}
+	if adjusted {
+		s.adjustments++
+	}
+	current := s.cl.ActiveCounts(s.cur)
+	s.cur = current
 	switch {
-	case sameCounts(counts, current):
+	case slices.Equal(want, current):
 		// No change: the prediction window just slides.
-		if adjusted {
-			s.adjustments++
-		}
-	case s.overheadAware && !s.reconfigurationWorthIt(counts, p):
-		if adjusted {
-			s.adjustments++
-		}
+	case s.overheadAware && !s.reconfigurationWorthIt(current, want, p):
 		s.skipped++
 	default:
-		if adjusted {
-			s.adjustments++
-		}
 		// Phase one: only grow the fleet (boot everything the target
 		// needs); defer shrinking to phase two after boots complete.
-		up := make(map[string]int, len(counts))
-		for k, v := range counts {
-			up[k] = v
+		up := append(s.up[:0], want...)
+		for i, n := range current {
+			up[i] = max(up[i], n)
 		}
-		for k, v := range current {
-			if v > up[k] {
-				up[k] = v
-			}
-		}
+		s.up = up
 		on, off, err := s.cl.SetTarget(up)
 		if err != nil {
 			return err
 		}
+		target := slices.Clone(want)
 		s.decisions++
 		s.switchOns += on
 		s.switchOffs += off
-		s.lastTarget = counts
-		s.recordDecision(Decision{Time: t, Predicted: p, Target: counts, SwitchOns: on, SwitchOffs: off})
-		if !sameCounts(up, counts) {
-			s.pending = counts
+		s.lastTarget = target
+		s.recordDecision(record{time: t, predicted: p, target: target, switchOns: on, switchOffs: off})
+		if !slices.Equal(up, target) {
+			s.pending = target
 		}
 		rep.Decided = true
 		rep.Reconfiguring = s.reconfiguring()
@@ -363,27 +368,42 @@ func (s *Scheduler) SwitchOns() int { return s.switchOns }
 // SwitchOffs returns the total machines switched off.
 func (s *Scheduler) SwitchOffs() int { return s.switchOffs }
 
-// LastTarget returns the most recent target node counts (nil before the
-// first decision).
+// LastTarget returns the most recent target node counts keyed by
+// architecture name, omitting zero counts (nil before the first decision).
 func (s *Scheduler) LastTarget() map[string]int {
 	if s.lastTarget == nil {
 		return nil
 	}
-	out := make(map[string]int, len(s.lastTarget))
-	for k, v := range s.lastTarget {
-		out[k] = v
+	return s.byName(s.lastTarget)
+}
+
+// byName keys a count vector by architecture name, omitting zero counts.
+func (s *Scheduler) byName(counts []int) map[string]int {
+	out := make(map[string]int, len(counts))
+	for i, a := range s.cl.Architectures() {
+		if counts[i] > 0 {
+			out[a.Name] = counts[i]
+		}
 	}
 	return out
 }
 
-func sameCounts(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
+// countsOf writes the combination's node counts into dst, one entry per
+// cluster architecture in the cluster's Big→Little order, and returns it.
+// A slot with nodes on an architecture the cluster does not host is an
+// error.
+func (s *Scheduler) countsOf(c bml.Combination, dst []int) ([]int, error) {
+	archs := s.cl.Architectures()
+	dst = slices.Grow(dst[:0], len(archs))[:len(archs)]
+	clear(dst)
+	for _, sl := range c.Slots {
+		if n := sl.Nodes(); n > 0 {
+			i := slices.IndexFunc(archs, func(a profile.Arch) bool { return a.Name == sl.Arch.Name })
+			if i < 0 {
+				return dst, fmt.Errorf("sched: combination uses architecture %q, which the cluster does not host", sl.Arch.Name)
+			}
+			dst[i] = n
 		}
 	}
-	return true
+	return dst, nil
 }

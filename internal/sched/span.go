@@ -2,8 +2,8 @@ package sched
 
 import (
 	"math"
+	"slices"
 
-	"repro/internal/bml"
 	"repro/internal/cluster"
 	"repro/internal/power"
 	"repro/internal/predict"
@@ -49,8 +49,9 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 		return rep, t + 1, nil
 	}
 	// Quiescent scan. Fleet counts cannot change without a decision acting,
-	// so the current counts are computed once for the whole span.
-	cur := s.cl.Counts()
+	// so the current counts are read once for the whole span.
+	cur := s.cl.ActiveCounts(s.cur)
+	s.cur = cur
 	// The outcome of a scanned second is a pure function of its prediction
 	// (the fleet is frozen during the scan), so the scan steps one run of
 	// equal predictions at a time: it classifies the run's first second and
@@ -58,7 +59,9 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 	// run in bulk. A run whose scaled prediction equals the previous run's
 	// repeats the previous classification. Look-ahead predictions hold for
 	// long stretches (about 109 s on the World Cup trace), which makes a
-	// run, not a second, the scan's unit of work.
+	// run, not a second, the scan's unit of work. Each run mirrors decide's
+	// per-second derivation exactly, including its counter side effects on
+	// non-acting seconds.
 	prevP := math.NaN() // never equal on the first iteration
 	prevSkip, prevAdjusted := false, false
 	for u, end := t+1, 0; u < limit; u = end {
@@ -76,32 +79,17 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 			}
 			continue
 		}
-		prevP, prevSkip, prevAdjusted = p, false, false
-		target := s.table.At(p)
-		if s.app == nil {
-			// Fast path: no malleability adjustment is possible, so the
-			// no-op test is a positional slot-vs-counts compare with no
-			// allocation.
-			if countsMatchSlots(target, cur) {
-				continue
-			}
-			if s.overheadAware && !s.reconfigurationWorthIt(target.Counts(), p) {
-				s.skipped += reps
-				prevSkip = true
-				continue
-			}
-			return rep, u, nil
+		want, adjusted, err := s.adjustForMalleability(s.table.At(p), p)
+		if err != nil {
+			return rep, 0, err
 		}
-		// Application path: mirror decide's per-second derivation exactly,
-		// including its counter side effects on non-acting seconds.
-		counts, adjusted := s.adjustForMalleability(target, p)
-		prevAdjusted = adjusted
+		prevP, prevSkip, prevAdjusted = p, false, adjusted
 		switch {
-		case sameCounts(counts, cur):
+		case slices.Equal(want, cur):
 			if adjusted {
 				s.adjustments += reps
 			}
-		case s.overheadAware && !s.reconfigurationWorthIt(counts, p):
+		case s.overheadAware && !s.reconfigurationWorthIt(cur, want, p):
 			if adjusted {
 				s.adjustments += reps
 			}
@@ -136,28 +124,6 @@ func runsOf(pred predict.Predictor) runPredictor {
 		return rp
 	}
 	return secondRuns{pred}
-}
-
-// countsMatchSlots reports whether the combination's node counts equal the
-// current active counts — sameCounts(target.Counts(), cur) without
-// materializing the target map. cur holds only strictly positive counts
-// (the cluster.Counts contract), so matching every positive slot and then
-// requiring the positive-slot count to cover cur is exactly the map
-// equality test.
-func countsMatchSlots(target bml.Combination, cur map[string]int) bool {
-	nonzero := 0
-	for _, sl := range target.Slots {
-		want := sl.Nodes()
-		if want > 0 {
-			nonzero++
-			if cur[sl.Arch.Name] != want {
-				return false
-			}
-		} else if cur[sl.Arch.Name] != 0 {
-			return false
-		}
-	}
-	return nonzero == len(cur)
 }
 
 // StartDemandFold begins a demand fold over the cluster's current

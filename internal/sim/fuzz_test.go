@@ -2,11 +2,16 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // Fuzz targets for the text parsers reachable from the command line and
@@ -223,6 +228,79 @@ func FuzzParseFleets(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, fleets) {
 			t.Fatalf("%q: round trip through %q changed the axis: %v, want %v", s, written, back, fleets)
+		}
+	})
+}
+
+// FuzzLeaseRequest drives the lease endpoint (POST /v2/runs/{run}/lease)
+// with arbitrary bodies against a coordinator whose first cell is covered
+// and whose second is leased to another worker. Every body must get a 200
+// or a 400, never a panic or a 5xx. A 200 must grant exactly what Claim
+// promises: at most max cells, all of them pending and not leased to
+// someone else, the first such cells in grid order. A 400 must leave the
+// leases as they were.
+func FuzzLeaseRequest(f *testing.F) {
+	var (
+		once sync.Once
+		jobs []SweepJob
+		recs []CellRecord
+	)
+	clock := func() time.Time { return time.Unix(1_700_000_000, 0) }
+	f.Fuzz(func(t *testing.T, body []byte) {
+		once.Do(func() { jobs, recs = gridAndRecords(t) })
+		if jobs == nil {
+			t.Fatal("no grid")
+		}
+		ing := NewIngest(jobs, WithClock(clock))
+		if err := ing.Add(recs[0]); err != nil {
+			t.Fatal(err)
+		}
+		ids := CellIDs(jobs)
+		if got := ing.Claim("other", 1); len(got) != 1 || got[0] != ids[1] {
+			t.Fatalf("setup claim = %v, want [%s]", got, ids[1])
+		}
+
+		w := httptest.NewRecorder()
+		ing.handleLease(w, httptest.NewRequest(http.MethodPost, "/v2/runs/default/lease", bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusBadRequest:
+			if st := ing.Status(); st.Leased != 1 {
+				t.Fatalf("rejected body %q changed the leases: %d leased, want 1", body, st.Leased)
+			}
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("body %q: status %d, want 200 or 400:\n%s", body, w.Code, w.Body)
+		}
+
+		var req LeaseRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("body %q was granted but does not decode: %v", body, err)
+		}
+		var resp LeaseResponse
+		dec := json.NewDecoder(w.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("body %q: response does not decode: %v", body, err)
+		}
+		// Claimable: pending (not ids[0]) and not leased to someone else.
+		var want []string
+		for i, id := range ids {
+			if i == 0 || (i == 1 && req.Worker != "other") {
+				continue
+			}
+			if len(want) < req.Max {
+				want = append(want, id)
+			}
+		}
+		if want == nil {
+			want = []string{}
+		}
+		if !reflect.DeepEqual(resp.Cells, want) {
+			t.Fatalf("body %q (worker %q, max %d) was granted %q, want %q", body, req.Worker, req.Max, resp.Cells, want)
+		}
+		if resp.Pending != len(ids)-1 || resp.Complete || resp.TTLSeconds != DefaultLeaseTTL.Seconds() {
+			t.Fatalf("body %q: response %+v, want %d pending, not complete, TTL %v s", body, resp, len(ids)-1, DefaultLeaseTTL.Seconds())
 		}
 	})
 }

@@ -3,10 +3,12 @@ package paper
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -375,5 +377,52 @@ func TestRunMixedSchemaError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `"ablation"`) {
 		t.Errorf("error %v does not name the experiment", err)
+	}
+}
+
+// TestRunLoadsEachTraceOnce: a run loads each trace file once per
+// quantization, however many experiments name it, and still rejects two
+// paths of one experiment that share a base filename, even when an
+// earlier experiment loaded one of them.
+func TestRunLoadsEachTraceOnce(t *testing.T) {
+	shared := writeTestTrace(t, "shared.txt")
+	other := writeTestTrace(t, "other.txt")
+	calls := map[string]int{}
+	load := func(paths []string, quantize int) ([]sim.TraceAxis, error) {
+		for _, p := range paths {
+			calls[fmt.Sprintf("%s@%d", filepath.Base(p), quantize)]++
+		}
+		return sim.LoadTraceAxes(paths, quantize)
+	}
+	spec := Spec{Experiments: []Experiment{
+		{Name: "both", Traces: []string{shared, other}, Quantize: 600},
+		{Name: "one", Traces: []string{shared}, Quantize: 600},
+		{Name: "raw", Traces: []string{shared}},
+	}}
+	r := &Runner{Out: filepath.Join(t.TempDir(), "run"), LoadTraces: load, Log: log.New(io.Discard, "", 0)}
+	out, err := r.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Complete() {
+		t.Fatalf("outcome incomplete: %+v", out.Experiments)
+	}
+	want := map[string]int{"shared.txt@600": 1, "other.txt@600": 1, "shared.txt@0": 1}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("loads per file = %v, want %v", calls, want)
+	}
+
+	clash := filepath.Join(t.TempDir(), "shared.txt")
+	if err := os.Link(shared, clash); err != nil {
+		t.Fatal(err)
+	}
+	spec = Spec{Experiments: []Experiment{
+		{Name: "first", Traces: []string{shared}},
+		{Name: "clash", Traces: []string{shared, clash}},
+	}}
+	r = &Runner{Out: filepath.Join(t.TempDir(), "run"), LoadTraces: load, Log: log.New(io.Discard, "", 0)}
+	_, err = r.Run(spec)
+	if err == nil || !strings.Contains(err.Error(), `experiment "clash"`) || !strings.Contains(err.Error(), `share the base filename "shared.txt"`) {
+		t.Fatalf("Run error = %v, want the base-filename collision in experiment clash", err)
 	}
 }

@@ -30,7 +30,8 @@ type Runner struct {
 	// Log receives progress lines (nil = standard logger).
 	Log *log.Logger
 
-	// LoadTraces loads an experiment's trace-file axis (nil =
+	// LoadTraces loads the trace files of an experiment that no earlier
+	// experiment of the run loaded at the same quantization (nil =
 	// sim.LoadTraceAxes).
 	LoadTraces func(paths []string, quantize int) ([]sim.TraceAxis, error)
 	// Sweep streams an experiment's jobs into the sink through the cache
@@ -107,8 +108,11 @@ func (r *Runner) Run(spec Spec) (*Outcome, error) {
 		return nil, err
 	}
 	out := &Outcome{Dir: r.Out}
+	// Experiments that share a trace share the loaded, immutable trace,
+	// and with it one fingerprint. Nothing is kept across runs.
+	traces := map[traceSource]sim.TraceAxis{}
 	for _, exp := range spec.Experiments {
-		res, err := r.runExperiment(exp, planner)
+		res, err := r.runExperiment(exp, planner, traces)
 		if err != nil {
 			return nil, fmt.Errorf("paper: experiment %q: %w", exp.Name, err)
 		}
@@ -117,10 +121,10 @@ func (r *Runner) Run(spec Spec) (*Outcome, error) {
 	return out, nil
 }
 
-func (r *Runner) runExperiment(exp Experiment, planner *bml.Planner) (ExperimentResult, error) {
+func (r *Runner) runExperiment(exp Experiment, planner *bml.Planner, loaded map[traceSource]sim.TraceAxis) (ExperimentResult, error) {
 	res := ExperimentResult{Name: exp.Name, Dir: filepath.Join(r.Out, exp.Name)}
 
-	traces, err := r.buildTraces(exp)
+	traces, err := r.buildTraces(exp, loaded)
 	if err != nil {
 		return res, err
 	}
@@ -200,20 +204,58 @@ func (r *Runner) runExperiment(exp Experiment, planner *bml.Planner) (Experiment
 	return res, nil
 }
 
+// traceSource is one distinct trace of a run: a file at a quantization,
+// or the generated trace of the generator fields at a quantization.
+type traceSource struct {
+	path     string // "" for a generated trace
+	days     int
+	peak     float64
+	seed     int64
+	quantize int
+}
+
 // buildTraces builds an experiment's trace axis the same way bmlsweep
 // does, so spec-driven grids and flag-driven grids share cell identities.
-func (r *Runner) buildTraces(exp Experiment) ([]sim.TraceAxis, error) {
+// A source already in loaded is not built again; one built here is added.
+func (r *Runner) buildTraces(exp Experiment, loaded map[traceSource]sim.TraceAxis) ([]sim.TraceAxis, error) {
 	if len(exp.Traces) > 0 {
-		load := r.LoadTraces
-		if load == nil {
-			load = sim.LoadTraceAxes
+		if err := sim.CheckTraceFileNames(exp.Traces); err != nil {
+			return nil, err
 		}
-		return load(exp.Traces, exp.Quantize)
+		file := func(path string) traceSource { return traceSource{path: path, quantize: exp.Quantize} }
+		var missing []string
+		for _, path := range exp.Traces {
+			if _, ok := loaded[file(path)]; !ok {
+				missing = append(missing, path)
+			}
+		}
+		if len(missing) > 0 {
+			load := r.LoadTraces
+			if load == nil {
+				load = sim.LoadTraceAxes
+			}
+			axes, err := load(missing, exp.Quantize)
+			if err != nil {
+				return nil, err
+			}
+			for i, path := range missing {
+				loaded[file(path)] = axes[i]
+			}
+		}
+		out := make([]sim.TraceAxis, len(exp.Traces))
+		for i, path := range exp.Traces {
+			out[i] = loaded[file(path)]
+		}
+		return out, nil
 	}
 	cfg := trace.DefaultWorldCupConfig()
 	cfg.Days = exp.days()
 	cfg.PeakRate = exp.peak()
 	cfg.Seed = exp.traceSeed()
+	src := traceSource{days: cfg.Days, peak: cfg.PeakRate, seed: cfg.Seed, quantize: exp.Quantize}
+	if ax, ok := loaded[src]; ok {
+		return []sim.TraceAxis{ax}, nil
+	}
 	tr, err := trace.GenerateWorldCup(cfg)
 	if err != nil {
 		return nil, err
@@ -223,7 +265,8 @@ func (r *Runner) buildTraces(exp Experiment) ([]sim.TraceAxis, error) {
 			return nil, err
 		}
 	}
-	return []sim.TraceAxis{{Trace: tr}}, nil
+	loaded[src] = sim.TraceAxis{Trace: tr}
+	return []sim.TraceAxis{loaded[src]}, nil
 }
 
 func (r *Runner) logf(format string, args ...any) {

@@ -244,6 +244,33 @@ func TestLeaseHTTPProtocol(t *testing.T) {
 	_ = ing
 }
 
+// TestLeaseRejectsJunk: a lease request body is exactly one object of
+// known fields. Trailing data or an unknown field is a 400 that grants
+// nothing; trailing whitespace is not junk.
+func TestLeaseRejectsJunk(t *testing.T) {
+	jobs, _ := gridAndRecords(t)
+	for _, tc := range []struct {
+		body         string
+		want, leased int
+	}{
+		{`{"worker":"x","max":1} trailing`, http.StatusBadRequest, 0},
+		{`{"worker":"x","max":1}{"worker":"y","max":1}`, http.StatusBadRequest, 0},
+		{`{"worker":"x","max":1,"bogus":3}`, http.StatusBadRequest, 0},
+		{`{"worker":"x","maximum":1}`, http.StatusBadRequest, 0},
+		{"{\"worker\":\"x\",\"max\":1}\n\t ", http.StatusOK, 1},
+	} {
+		ing := NewIngest(jobs)
+		w := httptest.NewRecorder()
+		ing.handleLease(w, httptest.NewRequest(http.MethodPost, "/v2/runs/default/lease", strings.NewReader(tc.body)))
+		if w.Code != tc.want {
+			t.Errorf("lease %q = %d, want %d:\n%s", tc.body, w.Code, tc.want, w.Body)
+		}
+		if leased := ing.Status().Leased; leased != tc.leased {
+			t.Errorf("lease %q left %d cells leased, want %d", tc.body, leased, tc.leased)
+		}
+	}
+}
+
 // TestLeaseContention completes a run under -race with a stalled worker
 // mid-compute: the stalled worker's leases expire, a healthy worker claims
 // and finishes the grid, and the stalled worker's late posts dedup.

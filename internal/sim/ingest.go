@@ -633,8 +633,14 @@ func (g *Ingest) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf("bad lease request: %v", err), http.StatusBadRequest)
+		return
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		http.Error(w, "bad lease request: trailing data after the request object", http.StatusBadRequest)
 		return
 	}
 	if req.Worker == "" {

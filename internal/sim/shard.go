@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -181,33 +180,33 @@ type TraceAxis struct {
 // axis name" error could not tell the operator which files collided. The
 // collision is rejected here, naming both full paths.
 func LoadTraceAxes(paths []string, quantize int) ([]TraceAxis, error) {
-	firstPath := make(map[string]string, len(paths))
-	for _, path := range paths {
-		base := filepath.Base(path)
-		if first, dup := firstPath[base]; dup {
-			return nil, fmt.Errorf("sim: trace paths %s and %s share the base filename %q, which names the trace axis — the grid cannot tell their cells apart; rename one file so every -trace has a distinct filename", first, path, base)
-		}
-		firstPath[base] = path
+	if err := CheckTraceFileNames(paths); err != nil {
+		return nil, err
 	}
 	var out []TraceAxis
 	for _, path := range paths {
-		f, err := os.Open(path)
+		tr, err := trace.ReadFile(path, quantize)
 		if err != nil {
 			return nil, err
-		}
-		tr, err := trace.Read(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if quantize > 0 {
-			if tr, err = tr.Quantize(quantize); err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
 		}
 		out = append(out, TraceAxis{Name: filepath.Base(path), Trace: tr})
 	}
 	return out, nil
+}
+
+// CheckTraceFileNames rejects trace paths that share a base filename,
+// naming both paths: the check LoadTraceAxes makes before it reads a file,
+// for callers that load some of the files another way.
+func CheckTraceFileNames(paths []string) error {
+	firstPath := make(map[string]string, len(paths))
+	for _, path := range paths {
+		base := filepath.Base(path)
+		if first, dup := firstPath[base]; dup {
+			return fmt.Errorf("sim: trace paths %s and %s share the base filename %q, which names the trace axis — the grid cannot tell their cells apart; rename one file so every -trace has a distinct filename", first, path, base)
+		}
+		firstPath[base] = path
+	}
+	return nil
 }
 
 // Grid enumerates the full scenario × trace × fleet × config experiment

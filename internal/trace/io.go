@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 )
 
@@ -22,9 +23,75 @@ import (
 // Read parses a trace from r. A line, with its line ending, must be
 // shorter than 1 MiB.
 func Read(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	values, err := parse(r, make([]byte, 64*1024), nil)
+	if err != nil {
+		return nil, err
+	}
+	return adopt(values)
+}
+
+// ReadFile loads the trace file at path and, when quantize > 0, quantizes
+// it to windows of quantize seconds: the same samples, bit for bit, as
+// Read followed by Quantize, and the same errors, prefixed with the path.
+// An error opening the file is os.Open's, unprefixed. A regular file's
+// lines are counted before it is parsed, so its samples go into one array
+// of the right size, which the quantization then overwrites; Read and
+// Quantize would grow one array by appending and copy it into another.
+func ReadFile(path string, quantize int) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tr, err := readFile(f, quantize)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return tr, nil
+}
+
+func readFile(f *os.File, quantize int) (*Trace, error) {
+	buf := make([]byte, 64*1024)
 	var values []float64
+	// A pipe cannot be read twice; it is parsed as it comes.
+	if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
+		lines := 0
+		for {
+			n, err := f.Read(buf)
+			lines += bytes.Count(buf[:n], []byte{'\n'})
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("trace: read: %w", err)
+			}
+		}
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, fmt.Errorf("trace: read: %w", err)
+		}
+		// A last line without a newline is one more.
+		values = make([]float64, 0, lines+1)
+	}
+	values, err := parse(f, buf, values)
+	if err != nil {
+		return nil, err
+	}
+	if quantize > 0 {
+		// Read's check comes first, so a bad sample is named by its own
+		// index and not by its window's mean.
+		if _, err := validMax(values); err != nil {
+			return nil, err
+		}
+		quantizeInto(values, values, quantize)
+	}
+	return adopt(values)
+}
+
+// parse reads the samples of r into values, which must be empty: only its
+// capacity is used. Lines are scanned in buf, which grows up to 1 MiB.
+func parse(r io.Reader, buf []byte, values []float64) ([]float64, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(buf, 1024*1024)
 	var prev []byte // the last rate text parsed, copied: the scanner reuses its buffer
 	var rate float64
 	line := 0
@@ -62,7 +129,7 @@ func Read(r io.Reader) (*Trace, error) {
 	} else if err != nil {
 		return nil, fmt.Errorf("trace: read: %w", err)
 	}
-	return adopt(values)
+	return values, nil
 }
 
 // Write serializes the trace in the bare one-rate-per-line form, prefixed

@@ -51,21 +51,31 @@ func New(values []float64) (*Trace, error) {
 // values must not be reachable from anywhere else, or the trace would not
 // be immutable.
 func adopt(values []float64) (*Trace, error) {
+	max, err := validMax(values)
+	if err != nil {
+		return nil, err
+	}
+	return &Trace{values: values, max: max}, nil
+}
+
+// validMax returns the maximum of values, or the error adopt reports for
+// them: ErrEmpty, or ErrInvalidValue naming the first bad sample's index.
+func validMax(values []float64) (float64, error) {
 	if len(values) == 0 {
-		return nil, ErrEmpty
+		return 0, ErrEmpty
 	}
 	max := 0.0
 	for i, v := range values {
 		// One range test rejects negatives, NaN (it fails every
 		// comparison) and ±Inf.
 		if !(v >= 0 && v <= math.MaxFloat64) {
-			return nil, fmt.Errorf("%w (index %d: %v)", ErrInvalidValue, i, v)
+			return 0, fmt.Errorf("%w (index %d: %v)", ErrInvalidValue, i, v)
 		}
 		if v > max {
 			max = v
 		}
 	}
-	return &Trace{values: values, max: max}, nil
+	return max, nil
 }
 
 // MustNew is New but panics on error; for tests and literals known valid.
@@ -331,21 +341,28 @@ func (t *Trace) Quantize(width int) (*Trace, error) {
 		return nil, fmt.Errorf("trace: invalid quantize width %d", width)
 	}
 	out := make([]float64, len(t.values))
-	for start := 0; start < len(t.values); start += width {
+	quantizeInto(out, t.values, width)
+	return adopt(out)
+}
+
+// quantizeInto writes to dst the window means Quantize describes, over
+// the samples of src (len(dst) == len(src), width > 0). dst may be src
+// itself: each window is summed before any of it is overwritten.
+func quantizeInto(dst, src []float64, width int) {
+	for start := 0; start < len(src); start += width {
 		end := start + width
-		if end > len(t.values) {
-			end = len(t.values)
+		if end > len(src) {
+			end = len(src)
 		}
 		sum := 0.0
-		for _, v := range t.values[start:end] {
+		for _, v := range src[start:end] {
 			sum += v
 		}
 		mean := sum / float64(end-start)
 		for i := start; i < end; i++ {
-			out[i] = mean
+			dst[i] = mean
 		}
 	}
-	return adopt(out)
 }
 
 // Scale returns a copy with every sample multiplied by f (>= 0).

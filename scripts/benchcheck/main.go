@@ -22,7 +22,7 @@
 // which compare against a committed snapshot and so absorb host-speed
 // differences badly — a ratio gate is host-independent: both sides run on
 // the same machine in the same invocation, so it can assert algorithmic
-// claims ("the interval integrator is ≥10x the tick loop on a raw
+// claims ("the interval integrator is ≥3x the tick loop on a raw
 // trace") without flaking on slow runners.
 //
 // Allocations are gated too, and tightly: allocs/op and B/op are nearly

@@ -12,7 +12,6 @@
 //	bmlsim -predictor ewma -error 0.2   # prediction ablations
 //	bmlsim -quantize 60            # piecewise-constant load (1-min log granularity)
 //	bmlsim -fleet 1000             # scale the load so the peak fleet is ~1000 machines
-//	bmlsim -engine tick            # legacy 1 Hz loop (oracle only — see below)
 //	bmlsim -sweep -fleets 0,100,1000 -out cells.jsonl    # stream the whole grid
 //	bmlsim -sweep -fleets 0,1000 -shard 0/4 -out s0.jsonl # run shard 0 of 4
 //	bmlsim -sweep -fleets 0,1000 -shard 0/4 -sink http://host:8080  # stream to a bmlsweep coordinator
@@ -48,14 +47,9 @@
 // the LowerBound scenario's dense DP setup the dominant cost; combine
 // with -quantize for fast large-fleet runs.
 //
-// Two engines compute the same results (the differential suites hold
-// them to ≤1e-6 J with exact counters). The default interval integrator
-// costs O(scheduler events) engine iterations plus a tight per-sample fold,
-// so raw un-quantized traces (-quantize 0) simulate as cheaply as quantized
-// ones. The tick engine (-engine tick) is retained only as a
-// differential-testing oracle: it re-derives every value one simulated
-// second at a time, costs O(trace-seconds × fleet), and should never be
-// used for real evaluations.
+// The interval integrator costs O(scheduler events) engine iterations
+// plus a tight per-sample fold, so raw un-quantized traces (-quantize 0)
+// simulate as cheaply as quantized ones.
 package main
 
 import (
@@ -95,7 +89,6 @@ func main() {
 		amortize   = flag.Float64("amortize", 0, "amortization horizon in seconds for -overhead-aware (0 = 378)")
 		critical   = flag.Bool("critical", false, "treat the application as QoS-critical (20% capacity headroom)")
 		chart      = flag.Bool("chart", false, "render the Figure 5 series as an ASCII chart")
-		engine     = flag.String("engine", "integrator", "simulation engine: integrator (interval integrator, default) | tick (legacy 1 Hz differential oracle, slow)")
 		quantize   = flag.Int("quantize", 0, "hold the load constant over windows of this many seconds (0 = raw 1 Hz trace)")
 		fleet      = flag.Int("fleet", 0, "scale the trace so the scheduler's peak fleet has ~N machines (0 = paper scale)")
 		sweep      = flag.Bool("sweep", false, "run the scenario × trace × fleet × config grid as a streaming sweep worker instead of the Figure 5 evaluation")
@@ -220,17 +213,6 @@ func main() {
 		}
 		log.Printf("fleet scaling: load ×%.1f (paper-scale peak fleet %d machines → ~%d)", factor, base, *fleet)
 	}
-	var simOpts []sim.Option
-	switch *engine {
-	case "integrator", "":
-		// Default: dispatch-aware interval integrator.
-	case "tick":
-		simOpts = append(simOpts, sim.WithTickEngine())
-		log.Printf("warning: the tick engine is retained only as a differential-testing oracle; it costs O(trace-seconds × fleet) — use the default integrator engine for real runs")
-	default:
-		log.Fatalf("unknown engine %q (want integrator or tick)", *engine)
-	}
-
 	bmlCfg := sim.BMLConfig{
 		Headroom:        *headroom,
 		WindowFactor:    *windowF,
@@ -291,7 +273,7 @@ func main() {
 		if fleetAxis == "" {
 			fleetAxis = fmt.Sprintf("%d", *fleet)
 		}
-		runSweepMode(traces, planner, configAxis, simOpts, sweepOpts{
+		runSweepMode(traces, planner, configAxis, sweepOpts{
 			fleets: fleetAxis, shard: *shard, out: *outFile, sink: *sink,
 			only: *only, cacheSpec: *cacheSpec, run: *runName, token: *token,
 			tlsCA: *tlsCA, claim: *claim, dieAfter: *dieAfter, stallAfter: *stallAfter,
@@ -300,7 +282,7 @@ func main() {
 	}
 
 	ev, err := wc98.Run(tr, profile.PaperMachines(), wc98.Config{
-		FirstDay: *first, LastDay: *last, BML: bmlCfg, Sim: simOpts,
+		FirstDay: *first, LastDay: *last, BML: bmlCfg,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -196,12 +196,12 @@ func (w *cellWorker) Emit(rec sim.CellRecord) error {
 // its last batch (claim mode streams many batches into the same sinks).
 func (w *cellWorker) Close() error { return nil }
 
-func runSweepMode(traces []sim.TraceAxis, planner *bml.Planner, configAxis []sim.ConfigAxis, simOpts []sim.Option, opts sweepOpts) {
+func runSweepMode(traces []sim.TraceAxis, planner *bml.Planner, configAxis []sim.ConfigAxis, opts sweepOpts) {
 	fleets, err := sim.ParseFleets(opts.fleets)
 	if err != nil {
 		log.Fatal(err)
 	}
-	jobs, err := sim.Grid(traces, planner, configAxis, fleets, simOpts...)
+	jobs, err := sim.Grid(traces, planner, configAxis, fleets)
 	if err != nil {
 		log.Fatal(err)
 	}

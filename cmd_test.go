@@ -158,23 +158,6 @@ func TestCmdBMLSimFleetScaling(t *testing.T) {
 	}
 }
 
-func TestCmdBMLSimTickEngineWarnsOracleOnly(t *testing.T) {
-	out := runCmd(t, "bmlsim", "-days", "1", "-first", "1", "-last", "1",
-		"-quantize", "600", "-engine", "tick")
-	if !strings.Contains(out, "differential-testing oracle") {
-		t.Errorf("tick engine did not warn about oracle-only status:\n%s", out)
-	}
-}
-
-// TestCmdBMLSimRejectsUnknownEngine pins that only the integrator and the
-// tick oracle are selectable: any other -engine value is a usage error.
-func TestCmdBMLSimRejectsUnknownEngine(t *testing.T) {
-	out := runCmdErr(t, "bmlsim", "-days", "1", "-engine", "event")
-	if !strings.Contains(out, `unknown engine "event"`) {
-		t.Errorf("-engine event not rejected as unknown:\n%s", out)
-	}
-}
-
 // runCmdErr runs a command expecting a non-zero exit, returning combined
 // output.
 func runCmdErr(t *testing.T, name string, args ...string) string {

@@ -27,7 +27,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/bml"
 	"repro/internal/power"
 )
 
@@ -182,42 +181,4 @@ func StatelessWebServer() Spec {
 		Knowledge: PartialLoad,
 		Migration: Migration{Migratable: true, Duration: time.Second, Energy: 5},
 	}
-}
-
-// CheckCombination verifies a combination against the spec's malleability
-// bounds: every node hosts one application instance, so the node count must
-// lie within [MinInstances, MaxInstances].
-func (s Spec) CheckCombination(c bml.Combination) error {
-	n := c.TotalNodes()
-	if n < s.Malleability.MinInstances {
-		return fmt.Errorf("app: combination runs %d instances, below the minimum %d", n, s.Malleability.MinInstances)
-	}
-	if s.Malleability.MaxInstances != 0 && n > s.Malleability.MaxInstances {
-		return fmt.Errorf("app: combination runs %d instances, above the maximum %d", n, s.Malleability.MaxInstances)
-	}
-	return nil
-}
-
-// MigrationCost returns the total migration overhead of turning combination
-// "from" into "to": every instance displaced from a retiring node pays the
-// per-instance cost. Displaced instances are counted per architecture as
-// the number of nodes switched off (their instances restart elsewhere).
-// Non-migratable applications return an error when any node would retire.
-func (s Spec) MigrationCost(from, to bml.Combination) (time.Duration, power.Joules, error) {
-	var displaced int
-	for _, d := range from.Diff(to) {
-		if d.Delta < 0 {
-			displaced += -d.Delta
-		}
-	}
-	if displaced == 0 {
-		return 0, 0, nil
-	}
-	if !s.Migration.Migratable {
-		return 0, 0, fmt.Errorf("app: %s is not migratable but the reconfiguration retires %d nodes", s.Name, displaced)
-	}
-	// Migrations of distinct instances proceed in parallel in the paper's
-	// model (each is a stop/start pair); the duration is one per-instance
-	// cost, the energy scales with the displaced count.
-	return s.Migration.Duration, s.Migration.Energy * power.Joules(float64(displaced)), nil
 }

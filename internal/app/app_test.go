@@ -104,64 +104,6 @@ func paperCombos(t *testing.T) (small, large bml.Combination) {
 	return planner.Combination(9), planner.Combination(1431)
 }
 
-func TestCheckCombination(t *testing.T) {
-	small, large := paperCombos(t) // 1 node vs 5 nodes
-	s := StatelessWebServer()
-	if err := s.CheckCombination(small); err != nil {
-		t.Errorf("unbounded spec rejected combination: %v", err)
-	}
-	s.Malleability = Malleability{MinInstances: 2}
-	if err := s.CheckCombination(small); err == nil {
-		t.Error("below-minimum combination accepted")
-	}
-	if err := s.CheckCombination(large); err != nil {
-		t.Errorf("5-node combination rejected with min 2: %v", err)
-	}
-	s.Malleability = Malleability{MaxInstances: 3}
-	if err := s.CheckCombination(large); err == nil {
-		t.Error("above-maximum combination accepted")
-	}
-}
-
-func TestMigrationCost(t *testing.T) {
-	small, large := paperCombos(t)
-	s := StatelessWebServer() // 1 s, 5 J per displaced instance
-
-	// Growing the fleet displaces nothing.
-	d, e, err := s.MigrationCost(small, large)
-	if err != nil || d != 0 || e != 0 {
-		t.Errorf("grow cost = %v/%v/%v, want zero", d, e, err)
-	}
-	// Shrinking from 5 nodes (1 paravance + 3 chromebooks + 1 raspberry)
-	// to 1 raspberry displaces 4 instances... paravance and chromebooks
-	// retire; the raspberry slot persists.
-	d, e, err = s.MigrationCost(large, small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != time.Second {
-		t.Errorf("migration duration = %v, want parallel 1 s", d)
-	}
-	if float64(e) != 4*5 {
-		t.Errorf("migration energy = %v, want 20 J for 4 displaced instances", e)
-	}
-}
-
-func TestMigrationCostNonMigratable(t *testing.T) {
-	small, large := paperCombos(t)
-	s := Spec{Name: "pinned", Migration: Migration{Migratable: false}}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.MigrationCost(large, small); err == nil {
-		t.Error("retiring nodes of a non-migratable app accepted")
-	}
-	// No displacement → fine even for pinned apps.
-	if _, _, err := s.MigrationCost(small, large); err != nil {
-		t.Errorf("pure growth rejected: %v", err)
-	}
-}
-
 func TestStatelessWebServerShape(t *testing.T) {
 	s := StatelessWebServer()
 	if s.Class != Tolerant || s.Knowledge != PartialLoad || !s.Migration.Migratable {

@@ -695,64 +695,6 @@ func TestCombinationCountsIgnoreLoadSplit(t *testing.T) {
 // architecture, however their load is split.
 func sameNodes(a, b Combination) bool { return maps.Equal(a.Counts(), b.Counts()) }
 
-func TestCombinationDiff(t *testing.T) {
-	cands := paperCandidates(t)
-	from := newCombination(cands)
-	from.addFull(cands[0], 1)
-	from.addFull(cands[1], 3)
-	to := newCombination(cands)
-	to.addFull(cands[0], 2)
-	to.addFull(cands[2], 1)
-	deltas := from.Diff(to)
-	got := map[string]int{}
-	for _, d := range deltas {
-		got[d.Arch.Name] = d.Delta
-	}
-	want := map[string]int{profile.Paravance: 1, profile.Chromebook: -3, profile.Raspberry: 1}
-	if len(got) != len(want) {
-		t.Fatalf("deltas = %v, want %v", got, want)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("delta[%s] = %d, want %d", k, got[k], v)
-		}
-	}
-}
-
-func TestReconfigurationCost(t *testing.T) {
-	cands := paperCandidates(t)
-	from := newCombination(cands)
-	to := newCombination(cands)
-	to.addFull(cands[0], 1) // switch on one paravance
-	dur, energy := from.ReconfigurationCost(to)
-	if dur != 189 {
-		t.Errorf("duration = %v, want paravance On 189 s", dur)
-	}
-	if float64(energy) != 21341 {
-		t.Errorf("energy = %v, want 21341 J", energy)
-	}
-	// Reverse direction: switching off.
-	dur, energy = to.ReconfigurationCost(from)
-	if dur != 10 || float64(energy) != 657 {
-		t.Errorf("off cost = %vs/%vJ, want 10s/657J", dur, energy)
-	}
-	// Mixed: on 2 chromebooks, off 1 paravance → duration is the max.
-	mixed := newCombination(cands)
-	mixed.addFull(cands[1], 2)
-	dur, energy = to.ReconfigurationCost(mixed)
-	if dur != 12 { // max(chromebook on 12s, paravance off 10s)
-		t.Errorf("mixed duration = %v, want 12", dur)
-	}
-	if math.Abs(float64(energy)-(2*49.3+657)) > 1e-9 {
-		t.Errorf("mixed energy = %v, want %v", energy, 2*49.3+657)
-	}
-	// No change: zero cost.
-	dur, energy = to.ReconfigurationCost(to)
-	if dur != 0 || energy != 0 {
-		t.Errorf("no-op reconfiguration cost = %v/%v", dur, energy)
-	}
-}
-
 func TestCombinationString(t *testing.T) {
 	cands := paperCandidates(t)
 	c := newCombination(cands)
@@ -764,17 +706,6 @@ func TestCombinationString(t *testing.T) {
 	s := c.String()
 	if s == "" {
 		t.Error("String() empty")
-	}
-}
-
-func TestCombinationNormalizeOrdersBigToLittle(t *testing.T) {
-	cands := paperCandidates(t)
-	c := Combination{}
-	c.addPartial(cands[2], 3)
-	c.addFull(cands[0], 1)
-	n := c.Normalize()
-	if n.Slots[0].Arch.Name != profile.Paravance {
-		t.Errorf("Normalize order = %v", n.Slots)
 	}
 }
 

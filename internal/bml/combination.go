@@ -2,8 +2,6 @@ package bml
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"strings"
 
 	"repro/internal/power"
@@ -54,11 +52,6 @@ func (s Slot) Power() power.Watts {
 	return p
 }
 
-// Rate returns the performance rate the slot serves.
-func (s Slot) Rate() float64 {
-	return float64(s.Full)*s.Arch.MaxPerf + s.PartialLoad
-}
-
 func newCombination(order []profile.Arch) Combination {
 	slots := make([]Slot, len(order))
 	for i, a := range order {
@@ -102,25 +95,6 @@ func (c Combination) Power() power.Watts {
 	return p
 }
 
-// Rate returns the performance rate the combination serves.
-func (c Combination) Rate() float64 {
-	var r float64
-	for _, s := range c.Slots {
-		r += s.Rate()
-	}
-	return r
-}
-
-// Capacity returns the maximum rate the combination's nodes could sustain
-// if all were fully loaded.
-func (c Combination) Capacity() float64 {
-	var cap float64
-	for _, s := range c.Slots {
-		cap += float64(s.Nodes()) * s.Arch.MaxPerf
-	}
-	return cap
-}
-
 // TotalNodes returns the total machine count.
 func (c Combination) TotalNodes() int {
 	var n int
@@ -139,59 +113,6 @@ func (c Combination) Counts() map[string]int {
 		}
 	}
 	return m
-}
-
-// NodeDelta describes, for one architecture, how many nodes to switch on
-// (positive) or off (negative) to turn combination "from" into "to".
-type NodeDelta struct {
-	Arch  profile.Arch
-	Delta int
-}
-
-// Diff computes the per-architecture node deltas from c to target. The
-// result is ordered Big→Little following c's slot order, with architectures
-// only present in target appended.
-func (c Combination) Diff(target Combination) []NodeDelta {
-	fromCounts := c.Counts()
-	toCounts := target.Counts()
-	seen := make(map[string]bool)
-	var out []NodeDelta
-	appendDelta := func(a profile.Arch) {
-		if seen[a.Name] {
-			return
-		}
-		seen[a.Name] = true
-		d := toCounts[a.Name] - fromCounts[a.Name]
-		if d != 0 {
-			out = append(out, NodeDelta{Arch: a, Delta: d})
-		}
-	}
-	for _, s := range c.Slots {
-		appendDelta(s.Arch)
-	}
-	for _, s := range target.Slots {
-		appendDelta(s.Arch)
-	}
-	return out
-}
-
-// ReconfigurationCost returns the total switching time and energy to go
-// from c to target: each node switched on pays its architecture's
-// OnDuration/OnEnergy, each switched off its OffDuration/OffEnergy. The
-// duration is the maximum across architectures (switches proceed in
-// parallel per the paper's model); energy is the sum.
-func (c Combination) ReconfigurationCost(target Combination) (durSeconds float64, energy power.Joules) {
-	for _, d := range c.Diff(target) {
-		n := d.Delta
-		if n > 0 {
-			durSeconds = math.Max(durSeconds, d.Arch.OnDuration.Seconds())
-			energy += power.Joules(float64(n)) * d.Arch.OnEnergy
-		} else {
-			durSeconds = math.Max(durSeconds, d.Arch.OffDuration.Seconds())
-			energy += power.Joules(float64(-n)) * d.Arch.OffEnergy
-		}
-	}
-	return durSeconds, energy
 }
 
 // String renders the combination compactly, e.g.
@@ -214,12 +135,4 @@ func (c Combination) String() string {
 		str += fmt.Sprintf(" (infeasible remainder %.1f)", c.Infeasible)
 	}
 	return fmt.Sprintf("%s [%.1f W]", str, float64(c.Power()))
-}
-
-// Normalize returns a copy with slots sorted Big→Little and zero slots
-// retained, making combinations comparable field-by-field in tests.
-func (c Combination) Normalize() Combination {
-	out := Combination{Slots: append([]Slot(nil), c.Slots...), Infeasible: c.Infeasible}
-	slices.SortFunc(out.Slots, func(a, b Slot) int { return profile.CompareBigToLittle(a.Arch, b.Arch) })
-	return out
 }

@@ -215,31 +215,6 @@ func (t *exactTable) powerAt(rate float64) float64 {
 	return c0 + frac*(c1-c0)
 }
 
-// combinationAt reconstructs the optimal multiset for the given rate.
-func (t *exactTable) combinationAt(rate float64) Combination {
-	k := t.units(rate)
-	c := newCombination(t.archs)
-	if k == 0 {
-		return c
-	}
-	if i := t.partArc[k]; i > 0 {
-		x := int(t.partX[k])
-		c.addPartial(t.archs[i-1], float64(x)*t.step)
-		k -= x
-	}
-	for k > 0 {
-		i := t.fullArc[k]
-		if i == 0 {
-			// Rate not exactly coverable; report the infeasible remainder.
-			c.Infeasible = float64(k) * t.step
-			break
-		}
-		c.addFull(t.archs[i-1], 1)
-		k -= t.sizes[i-1]
-	}
-	return c
-}
-
 // maxUnits returns the largest representable grid index.
 func (t *exactTable) maxUnits() int { return len(t.cost) - 1 }
 
@@ -277,19 +252,6 @@ func validMaxRate(maxRate float64) error {
 		return fmt.Errorf("bml: invalid max rate %v", maxRate)
 	}
 	return nil
-}
-
-// Prefix returns the solver NewExactSolver would build over [0, maxRate]
-// with s's candidates and step, as a view that shares s's tables. The DP is
-// prefix-consistent (entry k depends only on entries below k), so the
-// view's answers, clamping included, equal a fresh solver's. ok is false
-// when maxRate is invalid or needs more grid units than s covers.
-func (s *ExactSolver) Prefix(maxRate float64) (view *ExactSolver, ok bool) {
-	n := gridIndex(maxRate, s.t.step, math.MaxInt)
-	if !(maxRate >= 0) || n > s.t.maxUnits() {
-		return nil, false
-	}
-	return &ExactSolver{t: s.t.prefix(n)}, true
 }
 
 // exactMemo is a planner's one exact table (see Planner.Exact): readers
@@ -342,14 +304,4 @@ func (p *Planner) Exact(maxRate float64) (*ExactSolver, error) {
 // range). Infinite results (rate not coverable) are reported as +Inf watts.
 func (s *ExactSolver) PowerAt(rate float64) power.Watts {
 	return power.Watts(s.t.powerAt(rate))
-}
-
-// CombinationAt reconstructs the optimal machine multiset for rate.
-func (s *ExactSolver) CombinationAt(rate float64) Combination {
-	return s.t.combinationAt(rate)
-}
-
-// MaxRate returns the largest rate the solver covers.
-func (s *ExactSolver) MaxRate() float64 {
-	return float64(s.t.maxUnits()) * s.t.step
 }

@@ -270,7 +270,7 @@ func TestPlannerExactConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				want, _ := fresh.Prefix(maxRate)
+				want := &ExactSolver{t: fresh.t.prefix(gridIndex(maxRate, 1, math.MaxInt))}
 				for _, r := range []float64{maxRate, rng.Float64() * maxRate, maxRate + 1} {
 					if got, w := view.PowerAt(r), want.PowerAt(r); got != w {
 						errs <- fmt.Errorf("Exact(%v).PowerAt(%v) = %v, want %v", maxRate, r, got, w)
@@ -353,4 +353,37 @@ func FuzzExactGrowth(f *testing.F) {
 			assertMatchesRef(t, fmt.Sprintf("table after at(%d)", n), top, refAt(t, archs, top.maxUnits(), step))
 		}
 	})
+}
+
+// Reconstruction of the optimal multiset from the exact table's parent
+// arrays, which tests use to check what the DP chose.
+
+// combinationAt reconstructs the optimal multiset for the given rate.
+func (t *exactTable) combinationAt(rate float64) Combination {
+	k := t.units(rate)
+	c := newCombination(t.archs)
+	if k == 0 {
+		return c
+	}
+	if i := t.partArc[k]; i > 0 {
+		x := int(t.partX[k])
+		c.addPartial(t.archs[i-1], float64(x)*t.step)
+		k -= x
+	}
+	for k > 0 {
+		i := t.fullArc[k]
+		if i == 0 {
+			// Rate not exactly coverable; report the infeasible remainder.
+			c.Infeasible = float64(k) * t.step
+			break
+		}
+		c.addFull(t.archs[i-1], 1)
+		k -= t.sizes[i-1]
+	}
+	return c
+}
+
+// CombinationAt reconstructs the optimal machine multiset for rate.
+func (s *ExactSolver) CombinationAt(rate float64) Combination {
+	return s.t.combinationAt(rate)
 }

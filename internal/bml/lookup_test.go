@@ -140,54 +140,3 @@ func TestOutOfRangeRatesClamp(t *testing.T) {
 		}
 	}
 }
-
-// TestExactPrefixMatchesFreshSolver holds a prefix view of a large solver
-// to a fresh NewExactSolver of the view's range at random in-range rates
-// and at the clamping edge.
-func TestExactPrefixMatchesFreshSolver(t *testing.T) {
-	cands := paperCandidates(t)
-	big, err := NewExactSolver(cands, 20000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 40; i++ {
-		maxRate := rng.Float64() * 20000
-		if i == 0 {
-			maxRate = 0
-		}
-		view, ok := big.Prefix(maxRate)
-		if !ok {
-			t.Fatalf("Prefix(%v) of a 20000 solver refused", maxRate)
-		}
-		fresh, err := NewExactSolver(cands, maxRate, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if view.MaxRate() != fresh.MaxRate() {
-			t.Fatalf("Prefix(%v).MaxRate = %v, fresh %v", maxRate, view.MaxRate(), fresh.MaxRate())
-		}
-		for j := 0; j < 50; j++ {
-			r := rng.Float64() * maxRate
-			switch j {
-			case 0:
-				r = maxRate
-			case 1:
-				r = math.Ceil(maxRate) + 0.5
-			case 2:
-				r = 1e300
-			}
-			if got, want := view.PowerAt(r), fresh.PowerAt(r); got != want {
-				t.Fatalf("max %v rate %v: prefix power %v, fresh %v", maxRate, r, got, want)
-			}
-			if got, want := view.CombinationAt(r), fresh.CombinationAt(r); !reflect.DeepEqual(got, want) {
-				t.Fatalf("max %v rate %v: prefix %v, fresh %v", maxRate, r, got, want)
-			}
-		}
-	}
-	for _, bad := range []float64{20001, math.NaN(), math.Inf(1), -1} {
-		if _, ok := big.Prefix(bad); ok {
-			t.Errorf("Prefix(%v) of a 20000 solver accepted", bad)
-		}
-	}
-}

@@ -242,35 +242,3 @@ func TestPropertyCombinationPowerMatchesSlots(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestPropertyReconfigurationCostSymmetry: switching A→B then B→A charges
-// each node's on and off energy exactly once in each direction.
-func TestPropertyReconfigurationCostSymmetry(t *testing.T) {
-	f := func(seed int64, r1Raw, r2Raw float64) bool {
-		catalog := randomCatalog(seed, 3)
-		p, err := NewPlanner(catalog)
-		if err != nil {
-			return false
-		}
-		max := 2 * p.Big().MaxPerf
-		r1 := math.Abs(math.Mod(r1Raw, max))
-		r2 := math.Abs(math.Mod(r2Raw, max))
-		a, b := p.Combination(r1), p.Combination(r2)
-		_, eAB := a.ReconfigurationCost(b)
-		_, eBA := b.ReconfigurationCost(a)
-		// Round trip: every node delta pays on+off exactly once across the
-		// two directions.
-		var want power.Joules
-		for _, d := range a.Diff(b) {
-			n := d.Delta
-			if n < 0 {
-				n = -n
-			}
-			want += power.Joules(float64(n)) * (d.Arch.OnEnergy + d.Arch.OffEnergy)
-		}
-		return math.Abs(float64(eAB+eBA-want)) < 1e-6
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}

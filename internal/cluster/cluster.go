@@ -5,16 +5,14 @@
 //
 // The fleet is indexed for span-integrating simulation at scale. Each pool keeps
 // its non-Off machines on an active list, its reusable Off machines on a
-// free list, and per-state counters, so Counts, Capacity, and Reconfiguring
+// free list, and per-state counters, so ActiveCounts and Reconfiguring
 // are O(architectures) and Distribute/Tick are O(powered machines) rather
 // than O(fleet). Pending transitions live in a min-heap keyed by absolute
 // completion time with lazy invalidation (transheap.go), making
 // NextTransitionEnd — the integrator's wake-up signal — an O(1) peek.
-// The original linear scans are retained as unexported reference
-// implementations; the differential tests in differential_test.go hold the
-// indexed answers to the scanned ones on randomized fleets and fault
-// schedules, and the test-only withScanIndex option re-routes the public
-// API through them for the twin-cluster lockstep suite.
+// differential_test.go holds the index to the original per-machine linear
+// scans, kept there as a naive fleet model stepped in lockstep with the
+// Cluster on randomized fleets and fault schedules.
 //
 // For span-integrating engines, StartFold (integrate.go) exposes the same
 // fill-first dispatch arithmetic as a demand fold: whole runs of constant
@@ -28,7 +26,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"repro/internal/machine"
 	"repro/internal/power"
@@ -95,9 +92,6 @@ type pool struct {
 	aggDyn, aggDynComp   float64
 }
 
-// nShuttingDown counts the shutdowns in trans.
-func (p *pool) nShuttingDown() int { return len(p.trans) - p.nBooting }
-
 // Cluster is a fleet of machines grouped by architecture. It is not safe
 // for concurrent use; drive it from a single simulation loop.
 type Cluster struct {
@@ -113,10 +107,6 @@ type Cluster struct {
 	now         float64
 	pushTick    uint64
 	transitions transHeap
-
-	// scanIndex routes the public API through the original O(fleet) linear
-	// scans — the differential-test baseline.
-	scanIndex bool
 
 	// fold is the recycled DemandFold buffer handed out by StartFold.
 	fold *DemandFold
@@ -151,14 +141,6 @@ func WithBootFaults(prob float64, seed int64) Option {
 		c.faultProb = prob
 		c.faultRng = rand.New(rand.NewSource(seed))
 	}
-}
-
-// withScanIndex answers every fleet query with the original O(fleet)
-// linear scans instead of the transition heap and pool aggregates. It
-// exists only as the differential-testing baseline the twin-cluster suite
-// steps in lockstep with the indexed fleet.
-func withScanIndex() Option {
-	return func(c *Cluster) { c.scanIndex = true }
 }
 
 // New creates an empty cluster able to host machines of the given
@@ -197,26 +179,9 @@ func (c *Cluster) Architectures() []profile.Arch {
 	return c.archs[:len(c.archs):len(c.archs)]
 }
 
-// activeCount returns the number of machines counting toward the target:
-// On plus Booting (a booting machine has been committed to the target).
-func (c *Cluster) activeCount(p *pool) int {
-	if c.scanIndex {
-		return activeCountScan(p)
-	}
-	return len(p.on) + p.nBooting
-}
-
-// activeCountScan is the original O(pool) implementation, kept as the
-// differential-test reference.
-func activeCountScan(p *pool) int {
-	n := 0
-	for _, nd := range p.nodes {
-		if s := nd.m.State(); s == machine.On || s == machine.Booting {
-			n++
-		}
-	}
-	return n
-}
+// active returns the number of machines counting toward the target: On
+// plus Booting (a booting machine has been committed to the target).
+func (p *pool) active() int { return len(p.on) + p.nBooting }
 
 // ActiveCounts writes the per-architecture active machine counts
 // (On+Booting) into dst, one entry per architecture in Big→Little order,
@@ -225,7 +190,7 @@ func activeCountScan(p *pool) int {
 func (c *Cluster) ActiveCounts(dst []int) []int {
 	dst = slices.Grow(dst[:0], len(c.poolList))[:len(c.poolList)]
 	for i, p := range c.poolList {
-		dst[i] = c.activeCount(p)
+		dst[i] = p.active()
 	}
 	return dst
 }
@@ -248,7 +213,7 @@ func (c *Cluster) SetTarget(target []int) (switchedOn, switchedOff int, err erro
 	}
 	for i, p := range c.poolList {
 		want := target[i]
-		have := c.activeCount(p)
+		have := p.active()
 		switch {
 		case have < want:
 			for have < want {
@@ -266,30 +231,6 @@ func (c *Cluster) SetTarget(target []int) (switchedOn, switchedOff int, err erro
 				switchedOn++
 				have++
 			}
-		case have > want && c.scanIndex:
-			// Original behavior: sort the On machines by load and switch
-			// the least-loaded off.
-			on := c.onNodesByLoadScan(p)
-			for _, nd := range on {
-				if have <= want {
-					break
-				}
-				if perr := nd.m.PowerOff(); perr != nil {
-					return switchedOn, switchedOff, perr
-				}
-				c.startedShutdown(p, nd)
-				switchedOff++
-				have--
-			}
-			// Remove the victims from the On list (scan mode keeps no
-			// positional invariant, so compact generically).
-			kept := p.on[:0]
-			for _, nd := range p.on {
-				if nd.m.State() == machine.On {
-					kept = append(kept, nd)
-				}
-			}
-			p.on = kept
 		case have > want:
 			// Switch off On machines first (Booting machines cannot be
 			// aborted in the paper's model: On/Off actions run to
@@ -368,27 +309,9 @@ func (c *Cluster) startedShutdown(p *pool, nd *node) {
 	}
 }
 
-// removeFree drops nd from the free list, preserving order.
-func (p *pool) removeFree(nd *node) {
-	for i, x := range p.free {
-		if x == nd {
-			p.free = append(p.free[:i], p.free[i+1:]...)
-			return
-		}
-	}
-}
-
 // provision finds an Off machine to reuse or creates a new one.
 func (c *Cluster) provision(p *pool) (*node, error) {
-	if c.scanIndex {
-		// Original behavior: first Off machine in creation order.
-		for _, nd := range p.nodes {
-			if nd.m.State() == machine.Off {
-				p.removeFree(nd)
-				return nd, nil
-			}
-		}
-	} else if n := len(p.free); n > 0 {
+	if n := len(p.free); n > 0 {
 		nd := p.free[n-1]
 		p.free = p.free[:n-1]
 		return nd, nil
@@ -415,64 +338,9 @@ func (p *pool) loadedCount() int {
 	return p.distFull
 }
 
-// onNodesByLoadScan returns the On machines of one pool sorted by
-// ascending load — the original retirement-selection implementation, used
-// by the withScanIndex baseline (the indexed path reads the shape
-// invariant instead and never sorts).
-func (c *Cluster) onNodesByLoadScan(p *pool) []*node {
-	var out []*node
-	for _, nd := range p.nodes {
-		if nd.m.State() == machine.On {
-			out = append(out, nd)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].m.Load() < out[j].m.Load() })
-	return out
-}
-
-// Machines returns every machine in the cluster (all states), Big→Little,
-// then by creation order.
-func (c *Cluster) Machines() []*machine.Machine {
-	var out []*machine.Machine
-	for _, p := range c.poolList {
-		for _, nd := range p.nodes {
-			out = append(out, nd.m)
-		}
-	}
-	return out
-}
-
-// Capacity returns the total rate the currently On machines can sustain.
-func (c *Cluster) Capacity() float64 {
-	if c.scanIndex {
-		return c.capacityScan()
-	}
-	var cap float64
-	for _, p := range c.poolList {
-		cap += float64(len(p.on)) * p.arch.MaxPerf
-	}
-	return cap
-}
-
-// capacityScan is the original O(fleet) implementation (reference).
-func (c *Cluster) capacityScan() float64 {
-	var cap float64
-	for _, p := range c.poolList {
-		for _, nd := range p.nodes {
-			if nd.m.State() == machine.On {
-				cap += p.arch.MaxPerf
-			}
-		}
-	}
-	return cap
-}
-
 // Reconfiguring reports whether any machine is mid-transition — the
 // condition under which the paper's scheduler defers all decisions.
 func (c *Cluster) Reconfiguring() bool {
-	if c.scanIndex {
-		return c.reconfiguringScan()
-	}
 	for _, p := range c.poolList {
 		if len(p.trans) > 0 {
 			return true
@@ -481,82 +349,20 @@ func (c *Cluster) Reconfiguring() bool {
 	return false
 }
 
-// reconfiguringScan is the original O(fleet) implementation (reference).
-func (c *Cluster) reconfiguringScan() bool {
-	for _, p := range c.poolList {
-		for _, nd := range p.nodes {
-			if nd.m.Transitioning() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// PendingTransition returns the longest remaining transition time across
-// the fleet (zero when idle).
-func (c *Cluster) PendingTransition() float64 {
-	if c.scanIndex {
-		return c.pendingTransitionScan()
-	}
-	// The heap orders by the shortest end; the longest is found by walking
-	// the live entries — O(transitioning machines), not O(fleet).
-	var max float64
-	for _, e := range c.transitions {
-		if e.stale() {
-			continue
-		}
-		if r := e.nd.m.Remaining(); r > max {
-			max = r
-		}
-	}
-	return max
-}
-
-// pendingTransitionScan is the original O(fleet) implementation (reference).
-func (c *Cluster) pendingTransitionScan() float64 {
-	var max float64
-	for _, p := range c.poolList {
-		for _, nd := range p.nodes {
-			if r := nd.m.Remaining(); r > max {
-				max = r
-			}
-		}
-	}
-	return max
-}
-
 // NextTransitionEnd returns the shortest remaining transition time across
 // the fleet (zero when no machine is transitioning) — the next instant at
 // which a machine changes state on its own, which is the interval
 // integrator's wake-up signal. With the transition heap this is an O(1)
 // peek (plus amortized O(log n) lazy pruning of resolved transitions).
 func (c *Cluster) NextTransitionEnd() float64 {
-	if c.scanIndex {
-		return c.nextTransitionEndScan()
-	}
 	c.pruneTransitions()
 	if len(c.transitions) == 0 {
 		return 0
 	}
 	// Return the machine's own countdown, not end-now: the automaton's
-	// remaining time is the value the scan-based reference reports and the
+	// remaining time is the value the per-machine reference reports and the
 	// one whose arithmetic the engines rely on.
 	return c.transitions[0].nd.m.Remaining()
-}
-
-// nextTransitionEndScan is the original O(fleet) implementation, kept as
-// the differential-test reference and the withScanIndex baseline.
-func (c *Cluster) nextTransitionEndScan() float64 {
-	var min float64
-	for _, p := range c.poolList {
-		for _, nd := range p.nodes {
-			if r := nd.m.Remaining(); r > 0 && (min == 0 || r < min) {
-				min = r
-			}
-		}
-	}
-	return min
 }
 
 // Distribute assigns load across On machines, filling the biggest
@@ -573,9 +379,6 @@ func (c *Cluster) nextTransitionEndScan() float64 {
 func (c *Cluster) Distribute(load float64) (served float64, err error) {
 	if load < 0 || math.IsNaN(load) || math.IsInf(load, 0) {
 		return 0, fmt.Errorf("cluster: invalid load %v", load)
-	}
-	if c.scanIndex {
-		return c.distributeScan(load)
 	}
 	remaining := load
 	for _, p := range c.poolList {
@@ -642,26 +445,6 @@ func (c *Cluster) Distribute(load float64) (served float64, err error) {
 	return served, nil
 }
 
-// distributeScan is the original per-machine implementation (reference and
-// withScanIndex baseline).
-func (c *Cluster) distributeScan(load float64) (served float64, err error) {
-	remaining := load
-	for _, p := range c.poolList {
-		for _, nd := range p.nodes {
-			if nd.m.State() != machine.On {
-				continue
-			}
-			share := math.Min(remaining, p.arch.MaxPerf)
-			if err := nd.m.SetLoad(share); err != nil {
-				return served, err
-			}
-			served += share
-			remaining -= share
-		}
-	}
-	return served, nil
-}
-
 // Tick advances all machines by dt seconds and returns the total energy
 // consumed, including transition energies. The On fleet of each pool is
 // integrated in one closed-form step from the cached distribution
@@ -679,32 +462,21 @@ func (c *Cluster) Tick(dt float64) (power.Joules, error) {
 	c.now += dt
 	var total power.Joules
 	for _, p := range c.poolList {
-		if c.scanIndex {
-			// Original behavior: every machine, creation order.
-			for _, nd := range p.nodes {
-				e, err := nd.m.Tick(dt)
-				if err != nil {
-					return total, err
-				}
-				total += e
+		// On fleet: one closed-form step per pool.
+		if len(p.on) > 0 && dt > 0 {
+			e := p.onPowerW * dt
+			idle := float64(len(p.on)) * float64(p.arch.IdlePower) * dt
+			p.aggIdle, p.aggIdleComp = power.NeumaierAdd(p.aggIdle, p.aggIdleComp, idle)
+			p.aggDyn, p.aggDynComp = power.NeumaierAdd(p.aggDyn, p.aggDynComp, e-idle)
+			total += power.Joules(e)
+		}
+		// Transitioning machines: exact automata integration.
+		for _, nd := range p.trans {
+			e, err := nd.m.Tick(dt)
+			if err != nil {
+				return total, err
 			}
-		} else {
-			// On fleet: one closed-form step per pool.
-			if len(p.on) > 0 && dt > 0 {
-				e := p.onPowerW * dt
-				idle := float64(len(p.on)) * float64(p.arch.IdlePower) * dt
-				p.aggIdle, p.aggIdleComp = power.NeumaierAdd(p.aggIdle, p.aggIdleComp, idle)
-				p.aggDyn, p.aggDynComp = power.NeumaierAdd(p.aggDyn, p.aggDynComp, e-idle)
-				total += power.Joules(e)
-			}
-			// Transitioning machines: exact automata integration.
-			for _, nd := range p.trans {
-				e, err := nd.m.Tick(dt)
-				if err != nil {
-					return total, err
-				}
-				total += e
-			}
+			total += e
 		}
 		c.foldCompletions(p)
 	}
@@ -759,22 +531,4 @@ func (c *Cluster) Breakdown() power.Breakdown {
 		b.Dynamic += power.Joules(p.aggDyn + p.aggDynComp)
 	}
 	return b
-}
-
-// CurrentPower returns the instantaneous fleet draw.
-func (c *Cluster) CurrentPower() power.Watts {
-	var pw power.Watts
-	for _, p := range c.poolList {
-		if c.scanIndex {
-			for _, nd := range p.nodes {
-				pw += nd.m.CurrentPower()
-			}
-			continue
-		}
-		pw += power.Watts(p.onPowerW)
-		for _, nd := range p.trans {
-			pw += nd.m.CurrentPower()
-		}
-	}
-	return pw
 }

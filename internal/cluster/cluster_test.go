@@ -224,14 +224,13 @@ func TestDistributeFillsBiggestFirst(t *testing.T) {
 		t.Errorf("served = %v", served)
 	}
 	var bigLoad, littleTotal float64
-	for _, m := range c.Machines() {
-		if m.State() != machine.On {
-			continue
-		}
-		if m.Arch().Name == "big" {
-			bigLoad = m.Load()
-		} else {
-			littleTotal += m.Load()
+	for _, p := range c.poolList {
+		for _, nd := range p.on {
+			if p.arch.Name == "big" {
+				bigLoad = nd.m.Load()
+			} else {
+				littleTotal += nd.m.Load()
+			}
 		}
 	}
 	if bigLoad != 100 {

@@ -55,13 +55,7 @@ type foldPool struct {
 
 // StartFold begins a demand fold over the cluster's current configuration.
 // The returned fold is owned by the cluster and recycled on the next call.
-// It refuses to run under withScanIndex: the scan baseline materializes
-// per-machine loads every tick and keeps no pool aggregates, so there is
-// nothing to fold.
-func (c *Cluster) StartFold() (*DemandFold, error) {
-	if c.scanIndex {
-		return nil, fmt.Errorf("cluster: demand folding requires the indexed fleet (not withScanIndex)")
-	}
+func (c *Cluster) StartFold() *DemandFold {
 	if c.fold == nil {
 		c.fold = &DemandFold{c: c, pools: make([]foldPool, len(c.poolList))}
 	}
@@ -79,7 +73,7 @@ func (c *Cluster) StartFold() (*DemandFold, error) {
 		}
 	}
 	f.energy.Reset()
-	return f, nil
+	return f
 }
 
 // Observe folds one run of dt seconds at constant demand: it computes the

@@ -25,9 +25,8 @@ package cluster
 // The heap is an *index*, not the source of truth: machine automata still
 // resolve their own transitions inside Machine.Tick, with arithmetic
 // identical to the pre-heap implementation, so energies and states are
-// unchanged to the last bit. The unexported *Scan methods in cluster.go
-// preserve the original O(fleet) implementations as the differential-test
-// reference and the withScanIndex test baseline.
+// unchanged to the last bit. differential_test.go keeps the original
+// O(fleet) scans as the reference the index is held to.
 
 // transEntry is one indexed transition.
 type transEntry struct {

@@ -307,12 +307,6 @@ func New(cfg Config) (*Controller, error) {
 	}, nil
 }
 
-// Inject queues a synthetic event for the run loop, as if a live signal
-// had fired. It is subject to the same re-plan rate limiter.
-func (c *Controller) Inject(ev Event) {
-	c.inject <- ev
-}
-
 // Run executes the control loop until ctx is cancelled: an immediate
 // initial decision, then periodic re-plans every DecideEvery aligned to
 // the start instant, observation polls every PollEvery, and event re-plans
@@ -543,29 +537,6 @@ func (c *Controller) record(d Decision, predicted float64) {
 		c.log = c.log[:keep]
 	}
 	c.log = append(c.log, d)
-}
-
-// Decisions returns a copy of the decision log.
-func (c *Controller) Decisions() []Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Decision, len(c.log))
-	for i, d := range c.log {
-		cp := d
-		cp.Target = make(map[string]int, len(d.Target))
-		for k, v := range d.Target {
-			cp.Target[k] = v
-		}
-		out[i] = cp
-	}
-	return out
-}
-
-// Stats returns a snapshot of the activity counters.
-func (c *Controller) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 func (c *Controller) logf(format string, args ...any) {

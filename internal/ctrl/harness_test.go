@@ -1,11 +1,22 @@
 package ctrl
 
+// The sim-versus-live differential harness: Replay runs one quantized
+// trace segment through the simulator and through a live farm driven by
+// the Controller at accelerated wall time, feeding the farm an open-loop
+// Poisson arrival schedule of the same trace, and CompareDecisions holds
+// the two decision sequences to each other.
+
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bml"
@@ -15,6 +26,37 @@ import (
 	"repro/internal/trace"
 	"repro/internal/webapp"
 )
+
+// Controller readings and inputs that only tests use.
+
+// Inject queues a synthetic event for the run loop, as if a live signal
+// had fired. It is subject to the same re-plan rate limiter.
+func (c *Controller) Inject(ev Event) {
+	c.inject <- ev
+}
+
+// Decisions returns a copy of the decision log.
+func (c *Controller) Decisions() []Decision {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]Decision, len(c.log))
+	for i, d := range c.log {
+		cp := d
+		cp.Target = make(map[string]int, len(d.Target))
+		for k, v := range d.Target {
+			cp.Target[k] = v
+		}
+		out[i] = cp
+	}
+	return out
+}
+
+// Stats returns a snapshot of the activity counters.
+func (c *Controller) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
+}
 
 // ReplayConfig parameterizes a differential sim-versus-live replay: the
 // same quantized trace segment is run through the simulator (RunBML's
@@ -167,11 +209,11 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 		}
 		return cfg.Trace.At(s) * cfg.RateScale
 	}
-	schedule, err := loadgen.PoissonSchedule(cfg.Seed, cfg.Trace.Max()*cfg.RateScale, liveRate, wallDur)
+	schedule, err := PoissonSchedule(cfg.Seed, cfg.Trace.Max()*cfg.RateScale, liveRate, wallDur)
 	if err != nil {
 		return nil, err
 	}
-	load, err := loadgen.Replay(ctx, front.URL, schedule, 0)
+	load, err := replaySchedule(ctx, front.URL, schedule, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +270,7 @@ func CompareDecisions(simDecs []sched.Decision, live []Decision, quantum, tolBuc
 	i, j := 0, 0
 	for i < len(simDecs) && j < len(lv) {
 		s, l := simDecs[i], lv[j]
-		if targetsEqual(s.Target, l.Target) && math.Abs(float64(s.Time)-l.SimT) <= tol {
+		if sameCounts(s.Target, l.Target) && math.Abs(float64(s.Time)-l.SimT) <= tol {
 			i++
 			j++
 			continue
@@ -256,6 +298,153 @@ func CompareDecisions(simDecs []sched.Decision, live []Decision, quantum, tolBuc
 	return nil
 }
 
-func targetsEqual(a map[string]int, b map[string]int) bool {
-	return sameCounts(a, b)
+// Schedule is a precomputed open-loop arrival sequence: request send
+// offsets relative to the start of a replay, and the horizon it was drawn
+// over. Unlike loadgen's closed-loop clients (which wait for each response
+// before sending the next request), a schedule reproduces an offered-load trace: requests are fired at their
+// arrival times regardless of how fast the farm answers, which is what the
+// sim-vs-live differential harness needs to replay a trace segment
+// faithfully.
+type Schedule struct {
+	times   []time.Duration
+	horizon time.Duration
+}
+
+// PoissonSchedule draws a deterministic inhomogeneous Poisson arrival
+// sequence over [0, duration) with time-varying intensity rate(elapsed)
+// (requests per second), using Lewis-Shedler thinning against the constant
+// envelope maxRate.
+//
+// Determinism guarantee: for the same seed, maxRate, duration, and rate
+// function, PoissonSchedule returns the identical arrival sequence on
+// every run and platform — math/rand's generator is stable for a fixed
+// seed, and the thinning loop consumes variates in a fixed order. Different
+// seeds produce diverging sequences. This is what makes live trace replays
+// reproducible end to end.
+//
+// rate values above maxRate are clamped to maxRate (the envelope cannot be
+// exceeded by construction); negative values are treated as zero.
+func PoissonSchedule(seed int64, maxRate float64, rate func(elapsed time.Duration) float64, duration time.Duration) (Schedule, error) {
+	if rate == nil {
+		return Schedule{}, errors.New("ctrl: nil rate function")
+	}
+	if maxRate <= 0 {
+		return Schedule{}, fmt.Errorf("ctrl: invalid max rate %v", maxRate)
+	}
+	if duration <= 0 {
+		return Schedule{}, fmt.Errorf("ctrl: invalid duration %v", duration)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var times []time.Duration
+	t := time.Duration(0)
+	for {
+		// Exponential gap of the envelope process.
+		gap := rng.ExpFloat64() / maxRate
+		t += time.Duration(gap * float64(time.Second))
+		if t >= duration {
+			break
+		}
+		r := rate(t)
+		if r < 0 {
+			r = 0
+		}
+		if r > maxRate {
+			r = maxRate
+		}
+		// Thinning: keep the candidate with probability r/maxRate. The
+		// uniform variate is drawn unconditionally so the consumed rng
+		// sequence — and therefore every later arrival — is independent
+		// of float comparisons on the rate path.
+		u := rng.Float64()
+		if u < r/maxRate {
+			times = append(times, t)
+		}
+	}
+	return Schedule{times: times, horizon: duration}, nil
+}
+
+// replaySchedule fires the schedule open-loop against url: each request is sent at
+// its arrival offset (relative to the moment Replay starts) on its own
+// goroutine, without waiting for earlier responses. In-flight requests are
+// bounded by maxInflight (0 = 512); arrivals beyond the bound are counted
+// as failed rather than delayed, keeping the offered-load timing honest.
+// It returns once every request has completed or ctx is done.
+func replaySchedule(ctx context.Context, url string, s Schedule, maxInflight int) (loadgen.Result, error) {
+	if url == "" {
+		return loadgen.Result{}, errors.New("ctrl: empty url")
+	}
+	if maxInflight == 0 {
+		maxInflight = 512
+	}
+	if maxInflight < 0 {
+		return loadgen.Result{}, fmt.Errorf("ctrl: invalid inflight bound %d", maxInflight)
+	}
+	client := &http.Client{
+		Transport: &http.Transport{MaxIdleConnsPerHost: maxInflight},
+		Timeout:   10 * time.Second,
+	}
+	defer client.CloseIdleConnections()
+
+	var completed, failed uint64
+	sem := make(chan struct{}, maxInflight)
+	var wg sync.WaitGroup
+	start := time.Now()
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	if !timer.Stop() {
+		<-timer.C
+	}
+dispatch:
+	for _, at := range s.times {
+		wait := at - time.Since(start)
+		if wait > 0 {
+			timer.Reset(wait)
+			select {
+			case <-ctx.Done():
+				break dispatch
+			case <-timer.C:
+			}
+		} else if ctx.Err() != nil {
+			break dispatch
+		}
+		select {
+		case sem <- struct{}{}:
+		default:
+			atomic.AddUint64(&failed, 1)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+			if err != nil {
+				atomic.AddUint64(&failed, 1)
+				return
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				atomic.AddUint64(&failed, 1)
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+				atomic.AddUint64(&completed, 1)
+			} else {
+				atomic.AddUint64(&failed, 1)
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	res := loadgen.Result{
+		Duration:  elapsed,
+		Completed: atomic.LoadUint64(&completed),
+		Failed:    atomic.LoadUint64(&failed),
+	}
+	if elapsed > 0 {
+		res.Rate = float64(res.Completed) / elapsed.Seconds()
+	}
+	return res, nil
 }

@@ -1,4 +1,4 @@
-package loadgen
+package ctrl
 
 import (
 	"context"
@@ -45,7 +45,7 @@ func TestPoissonScheduleDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, bt := a.Times(), b.Times()
+	at, bt := a.times, b.times
 	if len(at) == 0 {
 		t.Fatal("empty schedule")
 	}
@@ -61,7 +61,7 @@ func TestPoissonScheduleDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := c.Times()
+	ct := c.times
 	same := len(ct) == len(at)
 	if same {
 		for i := range at {
@@ -86,7 +86,7 @@ func TestPoissonScheduleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := s.Times()
+	times := s.times
 	prev := time.Duration(-1)
 	for i, at := range times {
 		if at < 0 || at >= dur {
@@ -101,16 +101,16 @@ func TestPoissonScheduleShape(t *testing.T) {
 	if n := float64(len(times)); n < want*0.8 || n > want*1.2 {
 		t.Errorf("arrival count %v far from expectation %v", n, want)
 	}
-	if s.Duration() != dur {
-		t.Errorf("Duration() = %v, want %v", s.Duration(), dur)
+	if s.horizon != dur {
+		t.Errorf("Duration() = %v, want %v", s.horizon, dur)
 	}
 	// A zero-rate schedule is empty: every candidate is thinned away.
 	z, err := PoissonSchedule(7, rate, constRate(0), dur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.Len() != 0 {
-		t.Errorf("zero-rate schedule has %d arrivals", z.Len())
+	if len(z.times) != 0 {
+		t.Errorf("zero-rate schedule has %d arrivals", len(z.times))
 	}
 }
 
@@ -128,18 +128,18 @@ func TestReplayFiresSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() == 0 {
+	if len(s.times) == 0 {
 		t.Fatal("empty schedule")
 	}
-	res, err := Replay(context.Background(), srv.URL, s, 0)
+	res, err := replaySchedule(context.Background(), srv.URL, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hits.Load(); got != uint64(s.Len()) {
-		t.Errorf("server saw %d requests, schedule had %d", got, s.Len())
+	if got := hits.Load(); got != uint64(len(s.times)) {
+		t.Errorf("server saw %d requests, schedule had %d", got, len(s.times))
 	}
-	if res.Completed != uint64(s.Len()) || res.Failed != 0 {
+	if res.Completed != uint64(len(s.times)) || res.Failed != 0 {
 		t.Errorf("replay result %d ok / %d failed, want %d / 0",
-			res.Completed, res.Failed, s.Len())
+			res.Completed, res.Failed, len(s.times))
 	}
 }

@@ -6,15 +6,6 @@
 // processed"). Each test runs for a fixed duration and the maximum
 // performance is averaged over repeated runs, exactly like the paper's
 // 5 × 30 s protocol (durations are scaled down in tests).
-//
-// Beyond the closed-loop clients, the package generates deterministic
-// open-loop arrival schedules for trace replay (PoissonSchedule, Replay).
-// Determinism guarantee: given the same seed, envelope rate, duration,
-// and rate function, PoissonSchedule produces the identical arrival
-// sequence on every run and platform; different seeds diverge. The live
-// control plane's sim-vs-live differential harness (internal/ctrl)
-// depends on this to replay the same offered load into the farm that the
-// simulator integrated.
 package loadgen
 
 import (

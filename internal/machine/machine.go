@@ -83,12 +83,6 @@ func New(id string, arch profile.Arch) (*Machine, error) {
 	return &Machine{id: id, arch: arch, state: Off}, nil
 }
 
-// ID returns the machine identifier.
-func (m *Machine) ID() string { return m.id }
-
-// Arch returns the machine's architecture profile.
-func (m *Machine) Arch() profile.Arch { return m.arch }
-
 // State returns the current automaton state.
 func (m *Machine) State() State { return m.state }
 

@@ -31,14 +31,6 @@ func (b Breakdown) IdleShare() float64 {
 	return 0
 }
 
-// TransitionShare returns the transition fraction of the total.
-func (b Breakdown) TransitionShare() float64 {
-	if t := b.Total(); t > 0 {
-		return float64(b.Transition) / float64(t)
-	}
-	return 0
-}
-
 // String renders the split with percentages.
 func (b Breakdown) String() string {
 	t := b.Total()

@@ -23,12 +23,9 @@ func TestBreakdownShares(t *testing.T) {
 	if got := b.IdleShare(); math.Abs(got-0.4) > 1e-12 {
 		t.Errorf("IdleShare = %v", got)
 	}
-	if got := b.TransitionShare(); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("TransitionShare = %v", got)
-	}
 	var empty Breakdown
-	if empty.IdleShare() != 0 || empty.TransitionShare() != 0 {
-		t.Error("empty breakdown shares not zero")
+	if empty.IdleShare() != 0 {
+		t.Error("empty breakdown share not zero")
 	}
 }
 

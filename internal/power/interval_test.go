@@ -26,29 +26,3 @@ func TestIntervalEnergy(t *testing.T) {
 		t.Error("infinite duration accepted")
 	}
 }
-
-func TestEnergyOverMatchesStepIntegrator(t *testing.T) {
-	m, err := NewLinearModel(20, 80, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The closed-form interval energy equals per-second step integration
-	// at constant utilization — the closed-form engines' core identity.
-	const rate, secs = 37.5, 600
-	var si StepIntegrator
-	for i := 0; i < secs; i++ {
-		if err := si.Add(m.PowerAt(rate), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := EnergyOver(m, rate, secs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := math.Abs(float64(got - si.Total())); diff > 1e-9 {
-		t.Errorf("closed form %v vs step-integrated %v (diff %g)", got, si.Total(), diff)
-	}
-	if _, err := EnergyOver(nil, 1, 1); err == nil {
-		t.Error("nil model accepted")
-	}
-}

@@ -7,10 +7,10 @@
 //   - Watts: instantaneous electrical power draw.
 //   - Joules: integrated energy (1 J = 1 W·s).
 //
-// The paper's evaluation integrates power at a one-second granularity, so the
-// canonical integrator here is a step integrator (power assumed constant over
-// each step), with a trapezoidal integrator provided for finer-grained
-// series. The package also implements the two energy-proportionality metrics
+// Energy over an interval of constant draw is the closed form p × Δt
+// (IntervalEnergy); sums that must agree across engines integrating in
+// different orders go through Neumaier-compensated accumulation
+// (NeumaierAdd, Accumulator). The package also implements the two energy-proportionality metrics
 // referenced by the paper's related-work section (Varsamopoulos et al.): IPR,
 // the ideal-to-peak ratio, and LDR, the linear-deviation ratio.
 package power
@@ -32,9 +32,6 @@ type Joules float64
 // KilowattHours converts energy to kWh, the unit most data-center cost
 // models are expressed in.
 func (j Joules) KilowattHours() float64 { return float64(j) / 3.6e6 }
-
-// WattHours converts energy to Wh.
-func (j Joules) WattHours() float64 { return float64(j) / 3600 }
 
 // String renders the energy with an adaptive unit (J, kJ, MJ, GJ).
 func (j Joules) String() string {
@@ -67,11 +64,11 @@ func (j Joules) IsValid() bool {
 }
 
 // ErrNegativePower is returned when a negative or non-finite power sample is
-// fed to an integrator or model.
+// fed to a model or meter.
 var ErrNegativePower = errors.New("power: negative or non-finite power sample")
 
-// ErrNonMonotonicTime is returned when samples are fed to an integrator out
-// of time order.
+// ErrNonMonotonicTime is returned when observations reach a meter out of
+// time order.
 var ErrNonMonotonicTime = errors.New("power: non-monotonic sample time")
 
 // Model maps a performance rate (application metric, e.g. requests/s) to an
@@ -127,9 +124,6 @@ func (m *LinearModel) PowerAt(perfRate float64) Watts {
 // MaxPerf implements Model.
 func (m *LinearModel) MaxPerf() float64 { return m.MaxRate }
 
-// DynamicRange returns Max-Idle, the usable dynamic power range.
-func (m *LinearModel) DynamicRange() Watts { return m.Max - m.Idle }
-
 // IntervalEnergy returns the closed-form energy of a constant draw p held
 // for dur seconds (p × Δt). It is the primitive the event-driven simulator
 // integrates with: between events nothing in the model changes, so a whole
@@ -179,94 +173,3 @@ func (a *Accumulator) Sum() float64 { return a.sum + a.comp }
 
 // Reset zeroes the accumulator.
 func (a *Accumulator) Reset() { *a = Accumulator{} }
-
-// EnergyOver returns the closed-form energy of serving a constant rate on
-// model m for dur seconds — IntervalEnergy at the model's operating point.
-func EnergyOver(m Model, rate, durSeconds float64) (Joules, error) {
-	if m == nil {
-		return 0, errors.New("power: nil model")
-	}
-	return IntervalEnergy(m.PowerAt(rate), durSeconds)
-}
-
-// StepIntegrator accumulates energy from a series of (power, duration)
-// steps, the integration scheme the paper's simulator uses at one-second
-// granularity. The zero value is ready to use.
-type StepIntegrator struct {
-	total Joules
-	steps int
-}
-
-// Add charges p for dur seconds. It returns an error for negative power or
-// negative duration; zero duration is a no-op.
-func (si *StepIntegrator) Add(p Watts, durSeconds float64) error {
-	if !p.IsValid() {
-		return ErrNegativePower
-	}
-	if durSeconds < 0 || math.IsNaN(durSeconds) || math.IsInf(durSeconds, 0) {
-		return fmt.Errorf("power: invalid duration %v", durSeconds)
-	}
-	si.total += Joules(float64(p) * durSeconds)
-	if durSeconds > 0 {
-		si.steps++
-	}
-	return nil
-}
-
-// AddEnergy charges a pre-computed energy amount (used for On/Off transition
-// costs, which the paper reports directly in Joules).
-func (si *StepIntegrator) AddEnergy(e Joules) error {
-	if !e.IsValid() {
-		return fmt.Errorf("power: invalid energy %v", float64(e))
-	}
-	si.total += e
-	return nil
-}
-
-// Total returns the accumulated energy.
-func (si *StepIntegrator) Total() Joules { return si.total }
-
-// Steps returns how many non-zero-duration steps have been integrated.
-func (si *StepIntegrator) Steps() int { return si.steps }
-
-// Reset zeroes the accumulator.
-func (si *StepIntegrator) Reset() { si.total = 0; si.steps = 0 }
-
-// TrapezoidIntegrator integrates a sampled power signal using the
-// trapezoidal rule. It is used by the wattmeter emulation where samples are
-// timestamped rather than fixed-width.
-type TrapezoidIntegrator struct {
-	total    Joules
-	lastT    float64
-	lastP    Watts
-	hasFirst bool
-}
-
-// Sample feeds a timestamped power reading. Timestamps must be
-// non-decreasing. The first sample only establishes the baseline.
-func (ti *TrapezoidIntegrator) Sample(tSeconds float64, p Watts) error {
-	if !p.IsValid() {
-		return ErrNegativePower
-	}
-	if math.IsNaN(tSeconds) || math.IsInf(tSeconds, 0) {
-		return fmt.Errorf("power: invalid sample time %v", tSeconds)
-	}
-	if !ti.hasFirst {
-		ti.hasFirst = true
-		ti.lastT, ti.lastP = tSeconds, p
-		return nil
-	}
-	if tSeconds < ti.lastT {
-		return ErrNonMonotonicTime
-	}
-	dt := tSeconds - ti.lastT
-	ti.total += Joules(dt * float64(ti.lastP+p) / 2)
-	ti.lastT, ti.lastP = tSeconds, p
-	return nil
-}
-
-// Total returns the accumulated energy.
-func (ti *TrapezoidIntegrator) Total() Joules { return ti.total }
-
-// Reset clears all state, including the baseline sample.
-func (ti *TrapezoidIntegrator) Reset() { *ti = TrapezoidIntegrator{} }

@@ -75,106 +75,10 @@ func TestLinearModelMonotonic(t *testing.T) {
 	}
 }
 
-func TestStepIntegrator(t *testing.T) {
-	var si StepIntegrator
-	if err := si.Add(100, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := si.Add(50, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := si.Total(), Joules(1100); got != want {
-		t.Errorf("Total = %v, want %v", got, want)
-	}
-	if si.Steps() != 2 {
-		t.Errorf("Steps = %d, want 2", si.Steps())
-	}
-	if err := si.AddEnergy(400); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := si.Total(), Joules(1500); got != want {
-		t.Errorf("Total after AddEnergy = %v, want %v", got, want)
-	}
-	si.Reset()
-	if si.Total() != 0 || si.Steps() != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
-func TestStepIntegratorRejectsInvalid(t *testing.T) {
-	var si StepIntegrator
-	if err := si.Add(-1, 1); err == nil {
-		t.Error("negative power accepted")
-	}
-	if err := si.Add(1, -1); err == nil {
-		t.Error("negative duration accepted")
-	}
-	if err := si.Add(Watts(math.NaN()), 1); err == nil {
-		t.Error("NaN power accepted")
-	}
-	if err := si.AddEnergy(Joules(-5)); err == nil {
-		t.Error("negative energy accepted")
-	}
-	if si.Total() != 0 {
-		t.Errorf("invalid inputs mutated total: %v", si.Total())
-	}
-}
-
-func TestStepIntegratorZeroDuration(t *testing.T) {
-	var si StepIntegrator
-	if err := si.Add(100, 0); err != nil {
-		t.Fatal(err)
-	}
-	if si.Total() != 0 {
-		t.Errorf("zero duration added energy: %v", si.Total())
-	}
-	if si.Steps() != 0 {
-		t.Errorf("zero duration counted as step")
-	}
-}
-
-func TestTrapezoidIntegrator(t *testing.T) {
-	var ti TrapezoidIntegrator
-	// Constant 100 W for 10 s -> 1000 J.
-	if err := ti.Sample(0, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := ti.Sample(10, 100); err != nil {
-		t.Fatal(err)
-	}
-	if got := ti.Total(); math.Abs(float64(got)-1000) > 1e-9 {
-		t.Errorf("constant: Total = %v, want 1000", got)
-	}
-	ti.Reset()
-	// Ramp 0 -> 100 W over 10 s -> 500 J.
-	if err := ti.Sample(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := ti.Sample(10, 100); err != nil {
-		t.Fatal(err)
-	}
-	if got := ti.Total(); math.Abs(float64(got)-500) > 1e-9 {
-		t.Errorf("ramp: Total = %v, want 500", got)
-	}
-}
-
-func TestTrapezoidIntegratorRejectsBackwardsTime(t *testing.T) {
-	var ti TrapezoidIntegrator
-	if err := ti.Sample(10, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := ti.Sample(5, 5); err != ErrNonMonotonicTime {
-		t.Errorf("backwards sample: err = %v, want ErrNonMonotonicTime", err)
-	}
-}
-
 func TestJoulesConversions(t *testing.T) {
 	e := Joules(3.6e6)
 	if got := e.KilowattHours(); math.Abs(got-1) > 1e-12 {
 		t.Errorf("KilowattHours = %v, want 1", got)
-	}
-	if got := e.WattHours(); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("WattHours = %v, want 1000", got)
 	}
 }
 
@@ -318,7 +222,7 @@ func TestWattmeterNoiselessExactness(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	samples := wm.Samples()
+	samples := wm.samples
 	if len(samples) != 11 {
 		t.Fatalf("samples = %d, want 11", len(samples))
 	}
@@ -326,9 +230,6 @@ func TestWattmeterNoiselessExactness(t *testing.T) {
 		if s.Power != 100 {
 			t.Errorf("noiseless reading %v != 100", s.Power)
 		}
-	}
-	if got := wm.Energy(); math.Abs(float64(got)-1000) > 1e-9 {
-		t.Errorf("Energy = %v, want 1000 J over 10 s", got)
 	}
 }
 
@@ -376,7 +277,7 @@ func TestWattmeterNoiseBoundedAndDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s1, s2 := wm1.Samples(), wm2.Samples()
+	s1, s2 := wm1.samples, wm2.samples
 	if len(s1) != len(s2) {
 		t.Fatalf("sample counts differ: %d vs %d", len(s1), len(s2))
 	}
@@ -427,5 +328,17 @@ func TestWattmeterRejectsNegativePower(t *testing.T) {
 	wm, _ := NewWattmeter(1, 0, 1)
 	if _, err := wm.Observe(0, -1); err == nil {
 		t.Error("negative power accepted")
+	}
+}
+
+func TestWattmeterRejectsBackwardsTime(t *testing.T) {
+	wm, _ := NewWattmeter(1, 0, 1)
+	for s := 0; s <= 5; s++ {
+		if _, err := wm.Observe(float64(s), 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := wm.Observe(2, 10); err != ErrNonMonotonicTime {
+		t.Errorf("observation before the last sample: err = %v, want ErrNonMonotonicTime", err)
 	}
 }

@@ -25,7 +25,6 @@ type Wattmeter struct {
 	nextDue  float64
 	started  bool
 	samples  []MeterSample
-	integ    TrapezoidIntegrator
 }
 
 // MeterSample is one reading produced by the emulated wattmeter.
@@ -77,9 +76,6 @@ func (wm *Wattmeter) Observe(t float64, truePower Watts) (int, error) {
 	for wm.nextDue <= t {
 		reading := wm.noisy(truePower)
 		wm.samples = append(wm.samples, MeterSample{Time: wm.nextDue, Power: reading, True: truePower})
-		if err := wm.integ.Sample(wm.nextDue, reading); err != nil {
-			return n, err
-		}
 		wm.nextDue += wm.period
 		n++
 	}
@@ -105,22 +101,6 @@ func (wm *Wattmeter) noisy(p Watts) Watts {
 	return Watts(out)
 }
 
-// Samples returns a copy of all recorded samples.
-func (wm *Wattmeter) Samples() []MeterSample {
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
-	out := make([]MeterSample, len(wm.samples))
-	copy(out, wm.samples)
-	return out
-}
-
-// Energy returns the trapezoid-integrated energy of the noisy readings.
-func (wm *Wattmeter) Energy() Joules {
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
-	return wm.integ.Total()
-}
-
 // MeanPower returns the arithmetic mean of readings in the half-open time
 // window [from, to). It returns an error if no samples fall in the window.
 func (wm *Wattmeter) MeanPower(from, to float64) (Watts, error) {
@@ -141,14 +121,4 @@ func (wm *Wattmeter) MeanPower(from, to float64) (Watts, error) {
 		return 0, fmt.Errorf("power: no samples in window [%v, %v)", from, to)
 	}
 	return Watts(sum / float64(n)), nil
-}
-
-// Reset clears samples and integration state but keeps configuration.
-func (wm *Wattmeter) Reset() {
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
-	wm.samples = nil
-	wm.started = false
-	wm.nextDue = 0
-	wm.integ.Reset()
 }

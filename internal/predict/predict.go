@@ -45,7 +45,6 @@ const runIndexShift = 6
 // 64th second) keeps Predict O(1). The predictor is immutable, so one
 // instance can serve concurrent simulations.
 type LookaheadMax struct {
-	window int
 	name   string
 	n      int
 	starts []int32   // first second of each run; starts[0] == 0
@@ -65,10 +64,9 @@ func NewLookaheadMax(tr *trace.Trace, window int) (*LookaheadMax, error) {
 		return nil, fmt.Errorf("predict: trace of %d samples is too long for a look-ahead predictor", n)
 	}
 	p := &LookaheadMax{
-		window: window,
-		name:   fmt.Sprintf("lookahead-max(%ds)", window),
-		n:      n,
-		index:  make([]int32, (n+1<<runIndexShift-1)>>runIndexShift),
+		name:  fmt.Sprintf("lookahead-max(%ds)", window),
+		n:     n,
+		index: make([]int32, (n+1<<runIndexShift-1)>>runIndexShift),
 	}
 	// The run count is known only at the end, so the runs are gathered in
 	// blocks that are filled, never regrown, and then copied into exactly
@@ -153,9 +151,6 @@ func (p *LookaheadMax) PredictRun(t int) (float64, int) {
 	}
 	return p.maxes[i], int(p.starts[i+1])
 }
-
-// Window returns the look-ahead width in seconds.
-func (p *LookaheadMax) Window() int { return p.window }
 
 // Name implements Predictor.
 func (p *LookaheadMax) Name() string { return p.name }

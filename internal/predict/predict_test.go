@@ -74,11 +74,8 @@ func TestLookaheadMaxValidation(t *testing.T) {
 func TestLookaheadMaxAccessors(t *testing.T) {
 	tr := mkTrace(t, []float64{1, 2})
 	p, _ := NewLookaheadMax(tr, 378)
-	if p.Window() != 378 {
-		t.Errorf("Window = %d", p.Window())
-	}
-	if p.Name() == "" {
-		t.Error("empty name")
+	if got := p.Name(); got != "lookahead-max(378s)" {
+		t.Errorf("Name = %q, want the window in it", got)
 	}
 }
 

@@ -121,18 +121,6 @@ func (a Arch) FleetPowerAt(perfRate float64) power.Watts {
 	return p
 }
 
-// DynamicRange returns MaxPower-IdlePower.
-func (a Arch) DynamicRange() power.Watts { return a.MaxPower - a.IdlePower }
-
-// EnergyEfficiencyAtMax returns the performance delivered per Watt at full
-// load (the architecture's best operating point).
-func (a Arch) EnergyEfficiencyAtMax() float64 {
-	return a.MaxPerf / float64(a.MaxPower)
-}
-
-// ReconfigurationEnergy returns the energy of one full on+off cycle.
-func (a Arch) ReconfigurationEnergy() power.Joules { return a.OnEnergy + a.OffEnergy }
-
 // String summarizes the profile on one line in the Table I layout.
 func (a Arch) String() string {
 	return fmt.Sprintf("%s: maxPerf=%.0f idle=%.1fW max=%.1fW on=%s/%.1fJ off=%s/%.1fJ",
@@ -150,12 +138,4 @@ func CompareBigToLittle(a, b Arch) int {
 		return c
 	}
 	return strings.Compare(a.Name, b.Name)
-}
-
-// Equal reports whether two profiles are numerically identical.
-func (a Arch) Equal(b Arch) bool {
-	return a.Name == b.Name && a.MaxPerf == b.MaxPerf &&
-		a.IdlePower == b.IdlePower && a.MaxPower == b.MaxPower &&
-		a.OnDuration == b.OnDuration && a.OnEnergy == b.OnEnergy &&
-		a.OffDuration == b.OffDuration && a.OffEnergy == b.OffEnergy
 }

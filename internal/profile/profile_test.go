@@ -2,6 +2,8 @@ package profile
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -136,30 +138,6 @@ func TestModelAgreesWithPowerAt(t *testing.T) {
 	}
 }
 
-func TestDerivedQuantities(t *testing.T) {
-	a := validArch()
-	if got := a.DynamicRange(); got != 40 {
-		t.Errorf("DynamicRange = %v, want 40", got)
-	}
-	if got := a.EnergyEfficiencyAtMax(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("EnergyEfficiencyAtMax = %v, want 2", got)
-	}
-	if got := a.ReconfigurationEnergy(); got != 1000 {
-		t.Errorf("ReconfigurationEnergy = %v, want 1000", got)
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a, b := validArch(), validArch()
-	if !a.Equal(b) {
-		t.Error("identical profiles not Equal")
-	}
-	b.MaxPerf = 99
-	if a.Equal(b) {
-		t.Error("different profiles Equal")
-	}
-}
-
 func TestPaperMachinesMatchTableI(t *testing.T) {
 	machines := PaperMachines()
 	if len(machines) != 5 {
@@ -248,93 +226,19 @@ func TestIllustrativeProperties(t *testing.T) {
 	}
 }
 
-func TestRegistryBasics(t *testing.T) {
-	r, err := NewRegistry(PaperMachines()...)
-	if err != nil {
-		t.Fatal(err)
+func TestCompareBigToLittle(t *testing.T) {
+	sorted := Illustrative()
+	slices.SortFunc(sorted, CompareBigToLittle)
+	var names []string
+	for _, a := range sorted {
+		names = append(names, a.Name)
 	}
-	if r.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", r.Len())
+	if got := strings.Join(names, ","); got != "A,D,B,C" {
+		t.Errorf("Big→Little order = %s, want A,D,B,C (decreasing MaxPerf)", got)
 	}
-	got, ok := r.Get(Chromebook)
-	if !ok || got.MaxPerf != 33 {
-		t.Errorf("Get(chromebook) = %+v, %v", got, ok)
-	}
-	if _, ok := r.Get("nonexistent"); ok {
-		t.Error("Get of missing name succeeded")
-	}
-	names := r.Names()
-	if len(names) != 5 || names[0] != Paravance || names[4] != Raspberry {
-		t.Errorf("Names = %v", names)
-	}
-}
-
-func TestRegistryRejectsDuplicatesAndInvalid(t *testing.T) {
-	r, _ := NewRegistry()
-	if err := r.Add(validArch()); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Add(validArch()); err == nil {
-		t.Error("duplicate name accepted")
-	}
-	bad := validArch()
-	bad.Name = "bad"
-	bad.MaxPerf = -1
-	if err := r.Add(bad); err == nil {
-		t.Error("invalid profile accepted")
-	}
-}
-
-func TestRegistrySortedByPerf(t *testing.T) {
-	r := MustRegistry(Illustrative()...)
-	sorted := r.SortedByPerf()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].MaxPerf > sorted[i-1].MaxPerf {
-			t.Errorf("SortedByPerf not decreasing at %d", i)
-		}
-	}
-	if sorted[0].Name != "A" {
-		t.Errorf("fastest = %q, want A", sorted[0].Name)
-	}
-}
-
-func TestRegistrySortTieBreaksByName(t *testing.T) {
-	x := validArch()
-	x.Name = "zeta"
-	y := validArch()
-	y.Name = "alpha"
-	r := MustRegistry(x, y)
-	sorted := r.SortedByPerf()
-	if sorted[0].Name != "alpha" {
-		t.Errorf("tie break order = %q first, want alpha", sorted[0].Name)
-	}
-}
-
-func TestRegistryTotalIdlePower(t *testing.T) {
-	r := MustRegistry(PaperMachines()...)
-	want := 69.9 + 95.8 + 47.7 + 4 + 3.1
-	if got := float64(r.TotalIdlePower()); math.Abs(got-want) > 1e-9 {
-		t.Errorf("TotalIdlePower = %v, want %v", got, want)
-	}
-}
-
-func TestMustRegistryPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRegistry did not panic on invalid profile")
-		}
-	}()
-	bad := validArch()
-	bad.MaxPerf = 0
-	MustRegistry(bad)
-}
-
-func TestRegistryAllReturnsCopies(t *testing.T) {
-	r := MustRegistry(PaperMachines()...)
-	all := r.All()
-	all[0].MaxPerf = 1
-	again := r.All()
-	if again[0].MaxPerf == 1 {
-		t.Error("All exposes internal state")
+	x, y := validArch(), validArch()
+	x.Name, y.Name = "zeta", "alpha"
+	if CompareBigToLittle(y, x) >= 0 || CompareBigToLittle(x, y) <= 0 {
+		t.Error("equal MaxPerf does not break the tie by ascending name")
 	}
 }

@@ -1,12 +1,6 @@
 package profile
 
-import (
-	"fmt"
-	"slices"
-	"time"
-
-	"repro/internal/power"
-)
+import "time"
 
 // This file holds the two built-in profile sets:
 //
@@ -107,89 +101,4 @@ func Illustrative() []Arch {
 			OffDuration: 12 * time.Second, OffEnergy: 900,
 		},
 	}
-}
-
-// Registry is a named, validated collection of profiles with lookup by
-// name. It is the catalog object the planner and simulator consume.
-type Registry struct {
-	byName map[string]Arch
-	order  []string // insertion order for deterministic iteration
-}
-
-// NewRegistry builds a registry from the given profiles, validating each.
-// Duplicate names are rejected.
-func NewRegistry(archs ...Arch) (*Registry, error) {
-	r := &Registry{byName: make(map[string]Arch, len(archs))}
-	for _, a := range archs {
-		if err := r.Add(a); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// MustRegistry is NewRegistry but panics on error; for use with the built-in
-// profile sets which are known valid.
-func MustRegistry(archs ...Arch) *Registry {
-	r, err := NewRegistry(archs...)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Add validates and inserts a profile.
-func (r *Registry) Add(a Arch) error {
-	if err := a.Validate(); err != nil {
-		return err
-	}
-	if _, dup := r.byName[a.Name]; dup {
-		return fmt.Errorf("profile: duplicate architecture %q", a.Name)
-	}
-	r.byName[a.Name] = a
-	r.order = append(r.order, a.Name)
-	return nil
-}
-
-// Get returns the profile with the given name.
-func (r *Registry) Get(name string) (Arch, bool) {
-	a, ok := r.byName[name]
-	return a, ok
-}
-
-// Len returns the number of registered profiles.
-func (r *Registry) Len() int { return len(r.order) }
-
-// All returns the profiles in insertion order.
-func (r *Registry) All() []Arch {
-	out := make([]Arch, 0, len(r.order))
-	for _, n := range r.order {
-		out = append(out, r.byName[n])
-	}
-	return out
-}
-
-// Names returns the registered names in insertion order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
-// SortedByPerf returns the profiles in the Big→Little order of
-// CompareBigToLittle, the order Step 2 of the methodology starts from.
-func (r *Registry) SortedByPerf() []Arch {
-	out := r.All()
-	slices.SortFunc(out, CompareBigToLittle)
-	return out
-}
-
-// TotalIdlePower sums idle power across one node of every architecture —
-// a rough measure of the catalog's static cost.
-func (r *Registry) TotalIdlePower() power.Watts {
-	var sum power.Watts
-	for _, n := range r.order {
-		sum += r.byName[n].IdlePower
-	}
-	return sum
 }

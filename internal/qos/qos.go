@@ -129,9 +129,6 @@ func (t *Tracker) ViolationSeconds() float64 { return t.violationSeconds }
 // the stateless web application when capacity was short).
 func (t *Tracker) LostRequests() float64 { return t.demand.Sum() - t.served.Sum() }
 
-// TotalRequests returns the integral of offered load.
-func (t *Tracker) TotalRequests() float64 { return t.demand.Sum() }
-
 // Availability returns the served fraction of demand in [0, 1]; a run with
 // zero demand is fully available.
 func (t *Tracker) Availability() float64 {
@@ -140,22 +137,6 @@ func (t *Tracker) Availability() float64 {
 		return 1
 	}
 	return t.served.Sum() / d
-}
-
-// ViolationRatio returns the violating fraction of observed time.
-func (t *Tracker) ViolationRatio() float64 {
-	if t.seconds == 0 {
-		return 0
-	}
-	return t.violationSeconds / t.seconds
-}
-
-// Merge folds another tracker's observations into t.
-func (t *Tracker) Merge(o *Tracker) {
-	t.seconds += o.seconds
-	t.violationSeconds += o.violationSeconds
-	t.demand.Add(o.demand.Sum())
-	t.served.Add(o.served.Sum())
 }
 
 // String summarizes the tracker.

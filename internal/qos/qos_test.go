@@ -177,22 +177,6 @@ func TestObserveRunsValidation(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	var a, b Tracker
-	a.Observe(100, 100, 1)
-	b.Observe(100, 0, 2)
-	a.Merge(&b)
-	if a.Seconds() != 3 {
-		t.Errorf("merged seconds = %v", a.Seconds())
-	}
-	if a.LostRequests() != 200 {
-		t.Errorf("merged lost = %v", a.LostRequests())
-	}
-	if a.ViolationSeconds() != 2 {
-		t.Errorf("merged violations = %v", a.ViolationSeconds())
-	}
-}
-
 func TestString(t *testing.T) {
 	var tr Tracker
 	tr.Observe(10, 8, 1)

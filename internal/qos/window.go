@@ -126,6 +126,3 @@ func (w *Window) Degraded(now time.Time) bool {
 	}
 	return float64(violations) > w.cfg.MaxViolationRatio*float64(total)
 }
-
-// Threshold returns the configured latency bound.
-func (w *Window) Threshold() time.Duration { return w.cfg.Threshold }

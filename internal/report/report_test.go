@@ -196,6 +196,41 @@ func TestFig5Outputs(t *testing.T) {
 	}
 }
 
+// TestFig5OutputsEnginesByteIdentical renders the Figure 5 table and CSV
+// of one quantized evaluation run on the interval integrator and on the
+// 1 Hz tick oracle, and requires the same bytes from both.
+func TestFig5OutputsEnginesByteIdentical(t *testing.T) {
+	cfg := trace.DefaultWorldCupConfig()
+	cfg.Days = 8
+	raw, err := trace.GenerateWorldCup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := raw.Quantize(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(opts ...sim.Option) string {
+		t.Helper()
+		ev, err := wc98.Run(tr, profile.PaperMachines(), wc98.Config{FirstDay: 1, LastDay: 8, Sim: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := Fig5Table(&out, ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := Fig5CSV(&out, ev); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	integ, tick := render(), render(sim.WithTickEngine())
+	if integ != tick {
+		t.Errorf("Figure 5 output differs between engines:\nintegrator:\n%s\ntick:\n%s", integ, tick)
+	}
+}
+
 func TestProportionality(t *testing.T) {
 	var sb strings.Builder
 	curve := []power.CurvePoint{{Utilization: 0, Power: 50}, {Utilization: 100, Power: 100}}

@@ -122,8 +122,8 @@ func TestOverheadAwareNeverBlocksCapacityGrowth(t *testing.T) {
 	if lost > 0 {
 		t.Errorf("overhead-aware policy starved capacity growth: lost %v", lost)
 	}
-	if cl.Capacity() < 300 {
-		t.Errorf("final capacity %v below demand", cl.Capacity())
+	if capacity(t, cl) < 300 {
+		t.Errorf("final capacity %v below demand", capacity(t, cl))
 	}
 }
 
@@ -133,7 +133,7 @@ func TestMalleabilityMinInstancesPadsLittles(t *testing.T) {
 	spec.Malleability = app.Malleability{MinInstances: 3}
 	sc, cl := rigWith(t, tr, func(c *Config) { c.App = &spec })
 	runAll(t, sc, tr)
-	counts := onCounts(cl)
+	counts := onCounts(t, cl)
 	total := 0
 	for _, n := range counts {
 		total += n
@@ -157,7 +157,7 @@ func TestMalleabilityMaxInstancesConsolidates(t *testing.T) {
 	spec.Malleability = app.Malleability{MaxInstances: 2}
 	sc, cl := rigWith(t, tr, func(c *Config) { c.App = &spec })
 	runAll(t, sc, tr)
-	counts := onCounts(cl)
+	counts := onCounts(t, cl)
 	total := 0
 	for _, n := range counts {
 		total += n
@@ -208,9 +208,9 @@ func TestAppClassHeadroomApplied(t *testing.T) {
 	scCrit, clCrit := rigWith(t, tr, func(c *Config) { c.App = &critical })
 	runAll(t, scPlain, tr)
 	runAll(t, scCrit, tr)
-	if clCrit.Capacity() <= clPlain.Capacity() {
+	if capacity(t, clCrit) <= capacity(t, clPlain) {
 		t.Errorf("critical class headroom not applied: %v vs %v",
-			clCrit.Capacity(), clPlain.Capacity())
+			capacity(t, clCrit), capacity(t, clPlain))
 	}
 }
 

@@ -355,10 +355,6 @@ func (s *Scheduler) Decisions() int { return s.decisions }
 // rejected because they could not amortize their switching energy.
 func (s *Scheduler) Skipped() int { return s.skipped }
 
-// Adjustments returns how many targets were altered to satisfy the
-// application's malleability bounds.
-func (s *Scheduler) Adjustments() int { return s.adjustments }
-
 // MigrationEnergy returns the accumulated application-migration energy.
 func (s *Scheduler) MigrationEnergy() power.Joules { return s.migrationEnergy }
 
@@ -367,15 +363,6 @@ func (s *Scheduler) SwitchOns() int { return s.switchOns }
 
 // SwitchOffs returns the total machines switched off.
 func (s *Scheduler) SwitchOffs() int { return s.switchOffs }
-
-// LastTarget returns the most recent target node counts keyed by
-// architecture name, omitting zero counts (nil before the first decision).
-func (s *Scheduler) LastTarget() map[string]int {
-	if s.lastTarget == nil {
-		return nil
-	}
-	return s.byName(s.lastTarget)
-}
 
 // byName keys a count vector by architecture name, omitting zero counts.
 func (s *Scheduler) byName(counts []int) map[string]int {

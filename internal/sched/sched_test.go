@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bml"
 	"repro/internal/cluster"
-	"repro/internal/machine"
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -63,15 +62,38 @@ func newRig(t *testing.T, tr *trace.Trace, headroom float64) (*Scheduler, *clust
 	return sc, cl
 }
 
-// onCounts counts the cluster's On machines per architecture name.
-func onCounts(cl *cluster.Cluster) map[string]int {
+// settledCounts returns the cluster's On machines per architecture in
+// Big→Little order: with no transition in flight, the active (On+Booting)
+// counts are the On counts.
+func settledCounts(t *testing.T, cl *cluster.Cluster) []int {
+	t.Helper()
+	if cl.Reconfiguring() {
+		t.Fatal("cluster still reconfiguring")
+	}
+	return cl.ActiveCounts(nil)
+}
+
+// onCounts keys the settled cluster's On counts by architecture name,
+// omitting zeros.
+func onCounts(t *testing.T, cl *cluster.Cluster) map[string]int {
+	t.Helper()
 	out := make(map[string]int)
-	for _, m := range cl.Machines() {
-		if m.State() == machine.On {
-			out[m.Arch().Name]++
+	for i, n := range settledCounts(t, cl) {
+		if n > 0 {
+			out[cl.Architectures()[i].Name] = n
 		}
 	}
 	return out
+}
+
+// capacity returns the rate the settled cluster's On machines sustain.
+func capacity(t *testing.T, cl *cluster.Cluster) float64 {
+	t.Helper()
+	var cap float64
+	for i, n := range settledCounts(t, cl) {
+		cap += float64(n) * cl.Architectures()[i].MaxPerf
+	}
+	return cap
 }
 
 func constTrace(t *testing.T, v float64, n int) *trace.Trace {
@@ -262,7 +284,7 @@ func TestScaleUpOnPredictedRise(t *testing.T) {
 	if lost > 0 {
 		t.Errorf("lost %v request-seconds despite 2×boot look-ahead", lost)
 	}
-	counts := onCounts(cl)
+	counts := onCounts(t, cl)
 	if counts["big"] != 1 {
 		t.Errorf("final counts = %v, want one big machine", counts)
 	}
@@ -287,7 +309,7 @@ func TestScaleDownSwitchesOff(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	counts := onCounts(cl)
+	counts := onCounts(t, cl)
 	if counts["big"] != 0 {
 		t.Errorf("big machine still on at low load: %v", counts)
 	}
@@ -314,8 +336,8 @@ func TestZeroLoadShutsEverythingDown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(onCounts(cl)) != 0 {
-		t.Errorf("machines still on with zero demand: %v", onCounts(cl))
+	if len(onCounts(t, cl)) != 0 {
+		t.Errorf("machines still on with zero demand: %v", onCounts(t, cl))
 	}
 }
 
@@ -331,7 +353,7 @@ func TestHeadroomProvisionsMore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plainCap, headCap := clPlain.Capacity(), clHead.Capacity()
+	plainCap, headCap := capacity(t, clPlain), capacity(t, clHead)
 	if headCap <= plainCap {
 		t.Errorf("headroom capacity %v not above plain %v", headCap, plainCap)
 	}

@@ -129,7 +129,7 @@ func runsOf(pred predict.Predictor) runPredictor {
 // StartDemandFold begins a demand fold over the cluster's current
 // configuration (see cluster.DemandFold). The fold integrates the On
 // fleet's energy over runs of constant demand; FinishDemandFold commits it.
-func (s *Scheduler) StartDemandFold() (*cluster.DemandFold, error) {
+func (s *Scheduler) StartDemandFold() *cluster.DemandFold {
 	return s.cl.StartFold()
 }
 

@@ -41,10 +41,7 @@ func driveSpans(t *testing.T, sc *Scheduler, tr *trace.Trace, chunk int) spanRun
 			next = min(next, tt+int(math.Ceil(w-1e-9)))
 		}
 		next = max(next, tt+1)
-		fold, err := sc.StartDemandFold()
-		if err != nil {
-			t.Fatal(err)
-		}
+		fold := sc.StartDemandFold()
 		window := tr.Window(tt, next)
 		for _, d := range window {
 			if _, err := fold.Observe(d, 1); err != nil {

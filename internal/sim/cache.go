@@ -90,9 +90,6 @@ func NewDirCache(dir string) (*DirCache, error) {
 	return &DirCache{dir: dir}, nil
 }
 
-// Dir returns the cache's directory path.
-func (c *DirCache) Dir() string { return c.dir }
-
 // Get reads the cached record for id, validating schema and identity.
 func (c *DirCache) Get(id string) (CellRecord, bool, error) {
 	f, err := os.Open(cachePath(c.dir, id))

@@ -86,16 +86,6 @@ func WithFleetLeaseTTL(d time.Duration) FleetOption {
 	}
 }
 
-// WithFleetClock substitutes the time source runs created through the
-// fleet inherit — deterministic lease tests advance a fake clock.
-func WithFleetClock(now func() time.Time) FleetOption {
-	return func(f *Fleet) {
-		if now != nil {
-			f.now = now
-		}
-	}
-}
-
 // WithJournalOpener backs remotely created runs (PUT /v2/runs/{run}) with
 // per-run journals: the opener is called once per new run, its primed
 // records are folded in (a run resuming across a coordinator restart), and
@@ -164,13 +154,6 @@ func (f *Fleet) Run(name string) (*Ingest, bool) {
 	defer f.mu.Unlock()
 	ing, ok := f.runs[name]
 	return ing, ok
-}
-
-// RunNames lists hosted runs in creation order.
-func (f *Fleet) RunNames() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.order...)
 }
 
 // Statuses snapshots every hosted run in creation order — the body of
@@ -414,7 +397,7 @@ func (f *Fleet) handleCreateRun(w http.ResponseWriter, r *http.Request, name str
 		return
 	}
 	var spec RunSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&spec); err != nil {
+	if err := decodeStrict(w, r, 64<<20, &spec); err != nil {
 		http.Error(w, fmt.Sprintf(`bad run spec: %v (want {"cells":["<canonical cell ID>",...]})`, err), http.StatusBadRequest)
 		return
 	}

@@ -155,7 +155,7 @@ func fleetFixture(t *testing.T, clock *fakeClock, fleetOpts []FleetOption, ingOp
 	jobs, recs := gridAndRecords(t)
 	if clock != nil {
 		ingOpts = append(ingOpts, WithClock(clock.Now))
-		fleetOpts = append(fleetOpts, WithFleetClock(clock.Now))
+		fleetOpts = append(fleetOpts, withFleetClock(clock.Now))
 	}
 	ing := NewIngest(jobs, ingOpts...)
 	f := NewFleet(fleetOpts...)
@@ -267,6 +267,32 @@ func TestLeaseRejectsJunk(t *testing.T) {
 		}
 		if leased := ing.Status().Leased; leased != tc.leased {
 			t.Errorf("lease %q left %d cells leased, want %d", tc.body, leased, tc.leased)
+		}
+	}
+}
+
+// TestCreateRunRejectsJunk holds PUT /v2/runs/{run} to strict decoding: a
+// misspelt field (which would otherwise create the run with no per-run
+// token) and data after the spec are rejected with a 400 and create
+// nothing.
+func TestCreateRunRejectsJunk(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"cells":["a","b"],"tokn":"secret"}`, http.StatusBadRequest},
+		{`{"cells":["a","b"]} trailing`, http.StatusBadRequest},
+		{`{"cells":["a"]}{"cells":["b"]}`, http.StatusBadRequest},
+		{"{\"cells\":[\"a\",\"b\"],\"token\":\"secret\"}\n\t ", http.StatusCreated},
+	} {
+		f := NewFleet()
+		w := httptest.NewRecorder()
+		f.ServeHTTP(w, httptest.NewRequest(http.MethodPut, "/v2/runs/exp", strings.NewReader(tc.body)))
+		if w.Code != tc.want {
+			t.Errorf("PUT %q = %d, want %d:\n%s", tc.body, w.Code, tc.want, w.Body)
+		}
+		if _, exists := f.Run("exp"); exists != (tc.want == http.StatusCreated) {
+			t.Errorf("PUT %q: run exists = %v after status %d", tc.body, exists, w.Code)
 		}
 	}
 }

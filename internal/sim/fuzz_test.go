@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -301,6 +302,60 @@ func FuzzLeaseRequest(f *testing.F) {
 		}
 		if resp.Pending != len(ids)-1 || resp.Complete || resp.TTLSeconds != DefaultLeaseTTL.Seconds() {
 			t.Fatalf("body %q: response %+v, want %d pending, not complete, TTL %v s", body, resp, len(ids)-1, DefaultLeaseTTL.Seconds())
+		}
+	})
+}
+
+// FuzzRunSpec drives PUT /v2/runs/{run} with arbitrary bodies against an
+// empty fleet. Every body must get a 201 or a 400, never a panic or a
+// 5xx. A 400 must create no run. A 201 must come from a body that decodes
+// strictly into a RunSpec (no unknown field, nothing after the object) and
+// create the run with exactly its cells, guarded by its token when it
+// names one.
+func FuzzRunSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		fl := NewFleet()
+		w := httptest.NewRecorder()
+		fl.ServeHTTP(w, httptest.NewRequest(http.MethodPut, "/v2/runs/exp", bytes.NewReader(body)))
+		ing, exists := fl.Run("exp")
+		switch w.Code {
+		case http.StatusBadRequest:
+			if exists {
+				t.Fatalf("rejected body %q created the run", body)
+			}
+			return
+		case http.StatusCreated:
+		default:
+			t.Fatalf("body %q: status %d, want 201 or 400:\n%s", body, w.Code, w.Body)
+		}
+		var spec RunSpec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			t.Fatalf("body %q created a run but does not decode strictly: %v", body, err)
+		}
+		if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+			t.Fatalf("body %q created a run despite data after the spec", body)
+		}
+		if !exists {
+			t.Fatalf("body %q: 201 but no run", body)
+		}
+		if got := ing.Status().Total; got != len(spec.Cells) {
+			t.Fatalf("body %q: run has %d cells, spec names %d", body, got, len(spec.Cells))
+		}
+		if spec.Token == "" {
+			return
+		}
+		for token, want := range map[string]int{"": http.StatusUnauthorized, spec.Token: http.StatusOK} {
+			req := httptest.NewRequest(http.MethodGet, "/v2/runs/exp/status", nil)
+			if token != "" {
+				req.Header.Set("Authorization", "Bearer "+token)
+			}
+			w := httptest.NewRecorder()
+			fl.ServeHTTP(w, req)
+			if w.Code != want {
+				t.Fatalf("body %q: status with token %q = %d, want %d", body, token, w.Code, want)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -626,6 +627,21 @@ type LeaseResponse struct {
 	Complete   bool     `json:"complete"`
 }
 
+// decodeStrict decodes a request body of at most limit bytes into v as
+// exactly one JSON object: a field v does not declare, or any data after
+// the object, is an error, so a misspelt key never passes as absent.
+func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return errors.New("trailing data after the request object")
+	}
+	return nil
+}
+
 // handleLease serves one claim (POST /v2/runs/{run}/lease).
 func (g *Ingest) handleLease(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -633,14 +649,8 @@ func (g *Ingest) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(w, r, 1<<20, &req); err != nil {
 		http.Error(w, fmt.Sprintf("bad lease request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		http.Error(w, "bad lease request: trailing data after the request object", http.StatusBadRequest)
 		return
 	}
 	if req.Worker == "" {

@@ -72,10 +72,7 @@ func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result, bucket 
 		}
 
 		window := tr.Window(t, next)
-		fold, err := sc.StartDemandFold()
-		if err != nil {
-			return err
-		}
+		fold := sc.StartDemandFold()
 		var demandInt, servedInt power.Accumulator
 		violation := 0.0
 		for i := 0; i < len(window); {

@@ -36,8 +36,8 @@
 // The legacy 1 Hz tick loop — one scheduler step and one joule-sample per
 // simulated second, the paper's original integration scheme — survives
 // behind WithTickEngine() as the differential-testing oracle ONLY, for
-// BML and the static scenarios alike; it is not a supported production
-// path. The differential suites (differential_test.go,
+// BML and the static scenarios alike; no binary selects it, only tests and
+// benchmarks do. The differential suites (differential_test.go,
 // recorder_differential_test.go, integrator_differential_test.go) hold
 // the integrator to the tick loop within ≤1e-6 J and exactly equal
 // counters on randomized traces, fleets, fault schedules, and raw
@@ -54,6 +54,10 @@
 // peak memory is one shard's working set, not the grid. Cells of the same
 // sweep share per-trace predictor precomputation and fleet-scaled trace
 // copies.
+//
+// RunBMLDecisions, which returns the scheduler's decision log beside the
+// Result, exists for the live control plane's sim-versus-live replay test
+// (internal/ctrl); no binary calls it.
 package sim
 
 import (

@@ -94,7 +94,6 @@ func (e *sinkPermanentError) Error() string { return e.msg }
 // By default every record is flushed (POSTed) as it is emitted, so a
 // worker killed mid-grid has already made each completed cell durable on
 // the coordinator — the property resumable coordination depends on.
-// WithSinkBatch trades that per-cell durability for fewer requests.
 type HTTPSink struct {
 	endpoint string
 	run      string // named run (resolved into endpoint by NewHTTPSink)
@@ -117,17 +116,6 @@ func WithSinkClient(c *http.Client) SinkOption {
 	return func(s *HTTPSink) { s.client = c }
 }
 
-// WithSinkBatch buffers up to n records per POST instead of flushing every
-// cell immediately. Buffered records are only durable after Flush/Close,
-// so larger batches widen the window a killed worker loses.
-func WithSinkBatch(n int) SinkOption {
-	return func(s *HTTPSink) {
-		if n > 0 {
-			s.batchCap = n
-		}
-	}
-}
-
 // WithSinkWorker overrides the worker identity sent with every POST (the
 // X-Bml-Worker header), which is how the coordinator's per-remote liveness
 // view (/v1/status "remotes") names this worker. The default is host:pid;
@@ -136,20 +124,6 @@ func WithSinkWorker(id string) SinkOption {
 	return func(s *HTTPSink) {
 		if id != "" {
 			s.worker = id
-		}
-	}
-}
-
-// WithSinkRetries sets the retry budget: up to retries re-POSTs after the
-// first failure, sleeping backoff, 2*backoff, 4*backoff, ... between
-// attempts.
-func WithSinkRetries(retries int, backoff time.Duration) SinkOption {
-	return func(s *HTTPSink) {
-		if retries >= 0 {
-			s.retries = retries
-		}
-		if backoff > 0 {
-			s.backoff = backoff
 		}
 	}
 }

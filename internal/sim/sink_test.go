@@ -142,7 +142,7 @@ func TestHTTPSinkRetriesTransientFailures(t *testing.T) {
 	}))
 	defer srv.Close()
 	var slept []time.Duration
-	s := instantSink(t, srv.URL, &slept, WithSinkRetries(5, 10*time.Millisecond))
+	s := instantSink(t, srv.URL, &slept, withSinkRetries(5, 10*time.Millisecond))
 	if err := s.Emit(testRecord("a")); err != nil {
 		t.Fatalf("Emit after transient failures: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestHTTPSinkGivesUpAfterRetryBudget(t *testing.T) {
 	}))
 	defer srv.Close()
 	var slept []time.Duration
-	s := instantSink(t, srv.URL, &slept, WithSinkRetries(2, time.Millisecond))
+	s := instantSink(t, srv.URL, &slept, withSinkRetries(2, time.Millisecond))
 	err := s.Emit(testRecord("a"))
 	if err == nil || !strings.Contains(err.Error(), "giving up after 3 attempts") {
 		t.Fatalf("err = %v, want giving-up error", err)
@@ -223,7 +223,7 @@ func TestHTTPSinkBatchingAndCloseFlush(t *testing.T) {
 	}))
 	defer srv.Close()
 	var slept []time.Duration
-	s := instantSink(t, srv.URL, &slept, WithSinkBatch(2))
+	s := instantSink(t, srv.URL, &slept, withSinkBatch(2))
 	for _, id := range []string{"a", "b", "c"} {
 		if err := s.Emit(testRecord(id)); err != nil {
 			t.Fatal(err)
@@ -461,7 +461,7 @@ func TestHTTPSinkRetryAfterDroppedResponseIsHarmless(t *testing.T) {
 	defer srv.Close()
 
 	var slept []time.Duration
-	s := instantSink(t, srv.URL, &slept, WithSinkBatch(3), WithSinkRetries(5, time.Millisecond))
+	s := instantSink(t, srv.URL, &slept, withSinkBatch(3), withSinkRetries(5, time.Millisecond))
 	if _, err := SweepStreamToCache(jobs, 2, s, nil); err != nil {
 		t.Fatalf("stream through flaky coordinator: %v", err)
 	}

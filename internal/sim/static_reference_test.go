@@ -152,12 +152,9 @@ func assertBitIdentical(t *testing.T, label string, got, want *Result) {
 		name      string
 		got, want float64
 	}{
-		{"Seconds", got.QoS.Seconds(), want.QoS.Seconds()},
 		{"ViolationSeconds", got.QoS.ViolationSeconds(), want.QoS.ViolationSeconds()},
-		{"TotalRequests", got.QoS.TotalRequests(), want.QoS.TotalRequests()},
 		{"LostRequests", got.QoS.LostRequests(), want.QoS.LostRequests()},
 		{"Availability", got.QoS.Availability(), want.QoS.Availability()},
-		{"ViolationRatio", got.QoS.ViolationRatio(), want.QoS.ViolationRatio()},
 	} {
 		if q.got != q.want {
 			t.Errorf("%s: QoS.%s %v, reference %v", label, q.name, q.got, q.want)

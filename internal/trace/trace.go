@@ -377,27 +377,6 @@ func (t *Trace) Scale(f float64) (*Trace, error) {
 	return adopt(out)
 }
 
-// Resample returns a trace where each output sample is the mean of factor
-// consecutive input samples (coarsening), useful for plotting.
-func (t *Trace) Resample(factor int) (*Trace, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("trace: invalid resample factor %d", factor)
-	}
-	n := len(t.values) / factor
-	if n == 0 {
-		return nil, ErrEmpty
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		for j := 0; j < factor; j++ {
-			sum += t.values[i*factor+j]
-		}
-		out[i] = sum / float64(factor)
-	}
-	return adopt(out)
-}
-
 // DailyPeaks returns the maximum load of each complete day (1-based day d
 // at index d-1) — the quantity the UpperBound PerDay scenario dimensions
 // against.

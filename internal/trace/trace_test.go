@@ -217,30 +217,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	tr := MustNew([]float64{1, 3, 5, 7, 9, 11, 100})
-	r, err := tr.Resample(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 6, 10} // trailing odd sample dropped
-	got := r.Values()
-	if len(got) != len(want) {
-		t.Fatalf("Resample = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Resample[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if _, err := tr.Resample(0); err == nil {
-		t.Error("zero factor accepted")
-	}
-	if _, err := tr.Resample(100); err == nil {
-		t.Error("factor larger than trace accepted")
-	}
-}
-
 func TestDailyPeaks(t *testing.T) {
 	vals := make([]float64, 2*SecondsPerDay)
 	vals[100] = 50             // day 1 peak
@@ -454,7 +430,6 @@ func TestMaxMatchesScan(t *testing.T) {
 		"New all -0":       func() (*Trace, error) { return New([]float64{math.Copysign(0, -1)}) },
 		"Quantize":         func() (*Trace, error) { return base.Quantize(4) },
 		"Scale":            func() (*Trace, error) { return base.Scale(1.7) },
-		"Resample":         func() (*Trace, error) { return base.Resample(2) },
 		"Slice":            func() (*Trace, error) { return base.Slice(3, 6) },
 		"Read":             func() (*Trace, error) { return Read(bytes.NewReader(buf.Bytes())) },
 		"GenerateWorldCup": func() (*Trace, error) { return wc, nil },

@@ -105,9 +105,6 @@ func (i *Instance) URL() string { return i.url }
 // Arch returns the hosting architecture.
 func (i *Instance) Arch() profile.Arch { return i.arch }
 
-// Served returns the number of completed requests.
-func (i *Instance) Served() uint64 { return i.handler.Served() }
-
 // Stop shuts the instance down gracefully (draining in-flight requests),
 // which together with LoadBalancer.Remove realizes the paper's stateless
 // migration. If the context expires before the drain completes, the

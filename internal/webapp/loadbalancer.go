@@ -35,10 +35,9 @@ type LoadBalancer struct {
 
 	now func() time.Time // injectable clock for meter tests
 
-	arrivals    uint64 // cumulative front-end arrivals (survives Remove)
-	totalServed uint64 // cumulative forwarded requests (survives Remove)
-	shed        uint64 // requests rejected by transition backpressure
-	buckets     [arrivalBuckets]arrivalBucket
+	arrivals uint64 // cumulative front-end arrivals (survives Remove)
+	shed     uint64 // requests rejected by transition backpressure
+	buckets  [arrivalBuckets]arrivalBucket
 
 	transition      int // nesting depth of in-flight reconfigurations
 	inflight        int
@@ -147,18 +146,6 @@ func (lb *LoadBalancer) SetObserver(fn func(Observation)) {
 	lb.mu.Unlock()
 }
 
-// SetTransitionInflightLimit overrides the in-flight request cap applied
-// while the farm is mid-transition.
-func (lb *LoadBalancer) SetTransitionInflightLimit(n int) error {
-	if n < 1 {
-		return fmt.Errorf("webapp: invalid transition inflight limit %d", n)
-	}
-	lb.mu.Lock()
-	lb.transitionLimit = n
-	lb.mu.Unlock()
-	return nil
-}
-
 // EnterTransition marks the start of a farm reconfiguration: admission
 // backpressure engages until the matching ExitTransition. Calls nest.
 func (lb *LoadBalancer) EnterTransition() {
@@ -176,13 +163,6 @@ func (lb *LoadBalancer) ExitTransition() {
 	lb.mu.Unlock()
 }
 
-// InTransition reports whether a reconfiguration is in flight.
-func (lb *LoadBalancer) InTransition() bool {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	return lb.transition > 0
-}
-
 // Arrivals returns the cumulative number of front-end requests, including
 // shed and failed ones. Unlike ServedCounts, the counter survives backend
 // removal, so rate estimates across reconfigurations stay monotonic.
@@ -190,21 +170,6 @@ func (lb *LoadBalancer) Arrivals() uint64 {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
 	return lb.arrivals
-}
-
-// TotalServed returns the cumulative number of forwarded requests across
-// all backends, surviving backend removal.
-func (lb *LoadBalancer) TotalServed() uint64 {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	return lb.totalServed
-}
-
-// Shed returns how many requests transition backpressure rejected.
-func (lb *LoadBalancer) Shed() uint64 {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	return lb.shed
 }
 
 // noteArrival counts the request into the cumulative counter and the
@@ -280,7 +245,6 @@ func (lb *LoadBalancer) pick() (*backend, error) {
 	}
 	best.credit -= total
 	best.served++
-	lb.totalServed++
 	return best, nil
 }
 
@@ -392,17 +356,6 @@ func (lb *LoadBalancer) forward(w http.ResponseWriter, r *http.Request) (status 
 	}
 	http.Error(w, lastErr.Error(), http.StatusBadGateway)
 	return http.StatusBadGateway, true
-}
-
-// FailedCounts returns per-backend transport-failure counts.
-func (lb *LoadBalancer) FailedCounts() map[string]uint64 {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	out := make(map[string]uint64, len(lb.backends))
-	for _, b := range lb.backends {
-		out[b.url] = b.failed
-	}
-	return out
 }
 
 // ServedCounts returns per-backend forwarded-request counts, for dispatch

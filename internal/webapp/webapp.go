@@ -77,13 +77,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "<html><body><p>%d</p></body></html>\n", last)
 }
 
-// Served returns how many requests the handler has completed.
-func (h *Handler) Served() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.served
-}
-
 // RateLimiter is a token-bucket limiter used to emulate an architecture's
 // service rate. The zero value is invalid; use NewRateLimiter.
 type RateLimiter struct {
@@ -122,18 +115,6 @@ func (l *RateLimiter) refill() {
 	l.last = now
 }
 
-// Allow consumes a token if one is available.
-func (l *RateLimiter) Allow() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.refill()
-	if l.tokens >= 1 {
-		l.tokens--
-		return true
-	}
-	return false
-}
-
 // Wait blocks until a token is available or the deadline passes; it
 // returns false on deadline expiry.
 func (l *RateLimiter) Wait(deadline time.Time) bool {
@@ -157,9 +138,6 @@ func (l *RateLimiter) Wait(deadline time.Time) bool {
 		time.Sleep(sleep)
 	}
 }
-
-// Rate returns the sustained rate.
-func (l *RateLimiter) Rate() float64 { return l.rate }
 
 // LimitedHandler wraps an http.Handler with a rate limiter emulating the
 // hosting architecture's throughput; requests beyond the sustained rate

@@ -226,7 +226,7 @@ func TestIllustrativeProperties(t *testing.T) {
 	}
 }
 
-func TestCompareBigToLittle(t *testing.T) {
+func TestCompareBigToLittleSortsByPerf(t *testing.T) {
 	sorted := Illustrative()
 	slices.SortFunc(sorted, CompareBigToLittle)
 	var names []string
@@ -236,6 +236,9 @@ func TestCompareBigToLittle(t *testing.T) {
 	if got := strings.Join(names, ","); got != "A,D,B,C" {
 		t.Errorf("Big→Little order = %s, want A,D,B,C (decreasing MaxPerf)", got)
 	}
+}
+
+func TestCompareBigToLittleTieBreaksByName(t *testing.T) {
 	x, y := validArch(), validArch()
 	x.Name, y.Name = "zeta", "alpha"
 	if CompareBigToLittle(y, x) >= 0 || CompareBigToLittle(x, y) <= 0 {

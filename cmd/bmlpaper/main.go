@@ -101,21 +101,12 @@ func main() {
 	if *cacheSpec != "" {
 		// A coordinator-URL cache may be a named run behind auth/TLS;
 		// directory caches ignore the options.
-		var cacheOpts []sim.CacheOption
-		if *run != "" {
-			cacheOpts = append(cacheOpts, sim.WithCacheRun(*run))
+		client, cerr := sim.HTTPClientWithCA(*tlsCA)
+		if cerr != nil {
+			die(exitUsage, "%v", cerr)
 		}
-		if *token != "" {
-			cacheOpts = append(cacheOpts, sim.WithCacheToken(*token))
-		}
-		if *tlsCA != "" {
-			client, cerr := sim.HTTPClientWithCA(*tlsCA)
-			if cerr != nil {
-				die(exitUsage, "%v", cerr)
-			}
-			cacheOpts = append(cacheOpts, sim.WithCacheClient(client))
-		}
-		if cache, err = sim.OpenCellCache(*cacheSpec, cacheOpts...); err != nil {
+		coord := []sim.SinkOption{sim.WithSinkClient(client), sim.WithSinkRun(*run), sim.WithSinkToken(*token)}
+		if cache, err = sim.OpenCellCache(*cacheSpec, coord...); err != nil {
 			die(exitUsage, "%v", err)
 		}
 	}

@@ -56,13 +56,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/app"
 	"repro/internal/bml"
 	"repro/internal/predict"
 	"repro/internal/profile"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wc98"
@@ -111,7 +112,11 @@ func main() {
 	// Validate sweep-mode flags before any expensive work so malformed
 	// shard specs (0/0, i >= N, negatives) fail loudly instead of silently
 	// running nothing.
-	var configAxis []sim.ConfigAxis
+	var (
+		configAxis []sim.ConfigAxis
+		client     *http.Client
+		coord      []sim.SinkOption
+	)
 	if !*sweep {
 		for flagName, v := range map[string]string{"-shard": *shard, "-out": *outFile, "-fleets": *fleets, "-sink": *sink, "-only": *only, "-configs": *configs, "-cache": *cacheSpec, "-run": *runName, "-token": *token, "-tls-ca": *tlsCA} {
 			if v != "" {
@@ -136,12 +141,15 @@ func main() {
 				log.Fatal(err)
 			}
 		}
+		// One client and one option list serve the sink, the cache and
+		// the claim loop.
+		var cerr error
+		if client, cerr = sim.HTTPClientWithCA(*tlsCA); cerr != nil {
+			log.Fatal(cerr)
+		}
+		coord = []sim.SinkOption{sim.WithSinkClient(client), sim.WithSinkRun(*runName), sim.WithSinkToken(*token)}
 		if *sink != "" {
-			var sinkOpts []sim.SinkOption
-			if *runName != "" {
-				sinkOpts = append(sinkOpts, sim.WithSinkRun(*runName))
-			}
-			if _, err := sim.NewHTTPSink(*sink, sinkOpts...); err != nil {
+			if _, err := sim.NewHTTPSink(*sink, coord...); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -163,7 +171,6 @@ func main() {
 		if *dieAfter > 0 && *stallAfter > 0 {
 			log.Fatal("use one fault injection at a time: -die-after or -stall-after")
 		}
-		var cerr error
 		if configAxis, cerr = sim.ParseConfigs(*configs); cerr != nil {
 			log.Fatal(cerr)
 		}
@@ -213,9 +220,14 @@ func main() {
 		}
 		log.Printf("fleet scaling: load ×%.1f (paper-scale peak fleet %d machines → ~%d)", factor, base, *fleet)
 	}
+	predSpec := *predName
+	if predSpec == "ewma" {
+		predSpec += ":" + strconv.FormatFloat(*ewmaAlpha, 'g', -1, 64)
+	}
 	bmlCfg := sim.BMLConfig{
 		Headroom:        *headroom,
 		WindowFactor:    *windowF,
+		PredictorSpec:   predSpec,
 		OverheadAware:   *overhead,
 		AmortizeSeconds: *amortize,
 	}
@@ -227,36 +239,9 @@ func main() {
 			bmlCfg.Headroom = 0 // let the class default apply
 		}
 	}
-	// The predictor window is the scheduler's own (sched.Window over the
-	// planner's candidates), so a classic run and a sweep cell with the same
-	// knobs predict over the same horizon.
-	wf := *windowF
-	if wf == 0 {
-		wf = sched.DefaultWindowFactor
-	}
-	window, err := sched.Window(planner.Candidates(), wf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if p := buildPredictor(tr, *predName, *ewmaAlpha, window); p != nil {
-		bmlCfg.Predictor = p
-	}
-	if *errLevel > 0 {
-		inner := bmlCfg.Predictor
-		if inner == nil {
-			if inner, err = predict.NewLookaheadMax(tr, window); err != nil {
-				log.Fatal(err)
-			}
-		}
-		wrapped, werr := predict.NewErrorInjector(inner, *errLevel, *seed)
-		if werr != nil {
-			log.Fatal(werr)
-		}
-		bmlCfg.Predictor = wrapped
-	}
 
 	if *sweep {
-		if bmlCfg.Predictor != nil {
+		if (*predName != "lookahead" && *predName != "") || *errLevel > 0 {
 			// Grid cells run at different fleet scales, each needing a
 			// predictor over its own scaled trace; a single predictor
 			// built over the unscaled trace would be silently wrong.
@@ -276,9 +261,19 @@ func main() {
 		runSweepMode(traces, planner, configAxis, sweepOpts{
 			fleets: fleetAxis, shard: *shard, out: *outFile, sink: *sink,
 			only: *only, cacheSpec: *cacheSpec, run: *runName, token: *token,
-			tlsCA: *tlsCA, claim: *claim, dieAfter: *dieAfter, stallAfter: *stallAfter,
+			client: client, coord: coord, claim: *claim, dieAfter: *dieAfter, stallAfter: *stallAfter,
 		})
 		return
+	}
+	if *errLevel > 0 {
+		// The injector wraps the predictor the run itself would build.
+		_, inner, _, err := sim.LiveRig(tr, planner, bmlCfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if bmlCfg.Predictor, err = predict.NewErrorInjector(inner, *errLevel, *seed); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	ev, err := wc98.Run(tr, profile.PaperMachines(), wc98.Config{
@@ -327,31 +322,4 @@ func (r *repeatedString) String() string { return strings.Join(*r, ",") }
 func (r *repeatedString) Set(v string) error {
 	*r = append(*r, v)
 	return nil
-}
-
-// buildPredictor returns nil for the default look-ahead-max predictor.
-func buildPredictor(tr *trace.Trace, name string, alpha float64, window int) predict.Predictor {
-	switch name {
-	case "lookahead", "":
-		return nil
-	case "oracle":
-		return predict.NewOracle(tr)
-	case "lastvalue":
-		return predict.NewLastValue(tr)
-	case "ewma":
-		p, err := predict.NewEWMA(tr, alpha)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return p
-	case "pattern":
-		p, err := predict.NewDailyPattern(tr, window, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return p
-	default:
-		log.Fatalf("unknown predictor %q", name)
-		return nil
-	}
 }

@@ -58,57 +58,28 @@ const dieAfterExitCode = 3
 
 // sweepOpts carries -sweep's flag surface.
 type sweepOpts struct {
-	fleets     string // -fleets (or the -fleet fallback)
-	shard      string // -shard i/N
-	out        string // -out JSONL path
-	sink       string // -sink coordinator URL
-	only       string // -only cell-ID file
-	cacheSpec  string // -cache DIR|URL
-	run        string // -run: named coordinator run ("" = /v1 default run)
-	token      string // -token: bearer token for sink/lease/cache posts
-	tlsCA      string // -tls-ca: PEM trust anchor for https coordinators
-	claim      int    // -claim: lease up to N cells per poll (0 = shard mode)
-	dieAfter   int    // -die-after: abort (exit 3) after N emitted cells
-	stallAfter int    // -stall-after: hang (leases held) after N emitted cells
+	fleets     string           // -fleets (or the -fleet fallback)
+	shard      string           // -shard i/N
+	out        string           // -out JSONL path
+	sink       string           // -sink coordinator URL
+	only       string           // -only cell-ID file
+	cacheSpec  string           // -cache DIR|URL
+	run        string           // -run: named coordinator run ("" = /v1 default run)
+	token      string           // -token: bearer token for sink/lease/cache posts
+	client     *http.Client     // trusts -tls-ca; built once per process
+	coord      []sim.SinkOption // client, run and token: every coordinator call's options
+	claim      int              // -claim: lease up to N cells per poll (0 = shard mode)
+	dieAfter   int              // -die-after: abort (exit 3) after N emitted cells
+	stallAfter int              // -stall-after: hang (leases held) after N emitted cells
 }
 
-// clientWithCA resolves the worker's HTTP client once (plain unless
-// -tls-ca is given).
-func (o sweepOpts) clientWithCA() *http.Client {
-	client, err := sim.HTTPClientWithCA(o.tlsCA)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return client
-}
-
-// sinkOptions renders the network identity shared by every coordinator
-// connection this worker makes.
-func (o sweepOpts) sinkOptions(worker string) []sim.SinkOption {
-	opts := []sim.SinkOption{sim.WithSinkWorker(worker), sim.WithSinkClient(o.clientWithCA())}
-	if o.run != "" {
-		opts = append(opts, sim.WithSinkRun(o.run))
-	}
-	if o.token != "" {
-		opts = append(opts, sim.WithSinkToken(o.token))
-	}
-	return opts
-}
-
-// openCache opens -cache with the same run/token/TLS addressing as the
-// sink (directory caches ignore the options).
+// openCache opens -cache with the sink's coordinator options (directory
+// caches ignore them).
 func (o sweepOpts) openCache() sim.CellCache {
 	if o.cacheSpec == "" {
 		return nil
 	}
-	cacheOpts := []sim.CacheOption{sim.WithCacheClient(o.clientWithCA())}
-	if o.run != "" {
-		cacheOpts = append(cacheOpts, sim.WithCacheRun(o.run))
-	}
-	if o.token != "" {
-		cacheOpts = append(cacheOpts, sim.WithCacheToken(o.token))
-	}
-	cache, err := sim.OpenCellCache(o.cacheSpec, cacheOpts...)
+	cache, err := sim.OpenCellCache(o.cacheSpec, o.coord...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -240,7 +211,7 @@ func runSweepMode(traces []sim.TraceAxis, planner *bml.Planner, configAxis []sim
 		// per-remote liveness view names which shard went quiet.
 		host, _ := os.Hostname()
 		worker := fmt.Sprintf("%s:%d:shard=%s", host, os.Getpid(), spec)
-		hs, err := sim.NewHTTPSink(opts.sink, opts.sinkOptions(worker)...)
+		hs, err := sim.NewHTTPSink(opts.sink, append(opts.coord, sim.WithSinkWorker(worker))...)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -305,14 +276,13 @@ func runClaimMode(jobs []sim.SweepJob, opts sweepOpts) {
 	host, _ := os.Hostname()
 	worker := fmt.Sprintf("%s:%d:claim", host, os.Getpid())
 	w := &cellWorker{dieAfter: opts.dieAfter, stallAfter: opts.stallAfter}
-	hs, err := sim.NewHTTPSink(opts.sink, opts.sinkOptions(worker)...)
+	hs, err := sim.NewHTTPSink(opts.sink, append(opts.coord, sim.WithSinkWorker(worker))...)
 	if err != nil {
 		log.Fatal(err)
 	}
 	w.sinks = sim.MultiSink{hs}
 	w.cache = opts.openCache()
 	w.notifyStop()
-	client := opts.clientWithCA()
 	// ClaimCells needs the run spelled explicitly — the bare-Ingest /v1
 	// surface has no lease endpoint, so the default run is addressed by
 	// its fleet name.
@@ -332,7 +302,7 @@ func runClaimMode(jobs []sim.SweepJob, opts sweepOpts) {
 	attempted := make(map[string]bool)
 	interrupted := false
 	for !interrupted {
-		lr, err := sim.ClaimCells(client, opts.sink, claimRun, opts.token, worker, opts.claim)
+		lr, err := sim.ClaimCells(opts.client, opts.sink, claimRun, opts.token, worker, opts.claim)
 		if err != nil {
 			w.sinks.Close()
 			log.Fatal(err)

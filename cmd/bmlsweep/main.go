@@ -238,32 +238,24 @@ func main() {
 	// error in every mode; threaded to the serve/resume paths and, as the
 	// original flag value, to every spawned worker so they skip cached
 	// cells themselves.
+	// One client serves the cache and the register call; a coordinator-URL
+	// cache may itself be a named run behind auth and TLS, and directory
+	// caches ignore the options.
+	client, err := sim.HTTPClientWithCA(*tlsCA)
+	if err != nil {
+		die(exitUsage, "%v", err)
+	}
 	var cache sim.CellCache
 	if *cacheSpec != "" {
-		// A coordinator-URL cache may itself be a named run behind auth/TLS;
-		// directory caches ignore the options.
-		var cacheOpts []sim.CacheOption
-		if *run != "" {
-			cacheOpts = append(cacheOpts, sim.WithCacheRun(*run))
-		}
-		if *token != "" {
-			cacheOpts = append(cacheOpts, sim.WithCacheToken(*token))
-		}
-		if *tlsCA != "" {
-			client, err := sim.HTTPClientWithCA(*tlsCA)
-			if err != nil {
-				die(exitUsage, "%v", err)
-			}
-			cacheOpts = append(cacheOpts, sim.WithCacheClient(client))
-		}
-		if cache, err = sim.OpenCellCache(*cacheSpec, cacheOpts...); err != nil {
+		coord := []sim.SinkOption{sim.WithSinkClient(client), sim.WithSinkRun(*run), sim.WithSinkToken(*token)}
+		if cache, err = sim.OpenCellCache(*cacheSpec, coord...); err != nil {
 			die(exitUsage, "%v", err)
 		}
 	}
 
 	switch {
 	case registerMode:
-		os.Exit(runRegister(*register, jobs, *run, *runToken, *token, *tlsCA))
+		os.Exit(runRegister(client, *register, jobs, *run, *runToken, *token))
 	case serveMode:
 		os.Exit(runServe(serveConfig{
 			addr: *serve, run: *run, journal: *journal, journalDir: *journalDir,

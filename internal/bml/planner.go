@@ -17,10 +17,10 @@ import (
 //
 // A Planner is immutable apart from its memo, and safe for concurrent use.
 // The memo holds the combinations of Lookup, at most memoCap grid units,
-// and the exact table of Exact: 14 bytes per unit of the unit rate grid,
+// and the exact table of Exact: 8 bytes per unit of the unit rate grid,
 // covering exactly the largest LowerBound peak the planner has served. For
-// a largest peak of R units it is 14 × R bytes (8.8 MB for the paper
-// grid's largest peak, 625,000 units); when a larger peak replaces it, the
+// a largest peak of R units it is 8 × R bytes (5 MB for the paper grid's
+// largest peak, 625,000 units); when a larger peak replaces it, the
 // old table stays live until its last view is dropped.
 type Planner struct {
 	candidates []profile.Arch    // Big→Little

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -10,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 )
 
 // This file is the content-addressed result store behind incremental
@@ -159,93 +159,59 @@ func (c *DirCache) Put(rec CellRecord) error {
 
 // HTTPCache treats a bmlsweep ingest coordinator as a shared cache
 // server: Get asks GET /v1/cells?id=... (or the named run's
-// /v2/runs/{run}/cells with WithCacheRun) for the coordinator's journaled
+// /v2/runs/{run}/cells with WithSinkRun) for the coordinator's journaled
 // success (404 = miss), and Put streams the record in exactly like a
 // worker sink POST, where first-success-wins dedup makes concurrent or
 // repeated writers harmless. A long-lived coordinator over a grid
 // therefore doubles as a team-wide result cache for that grid.
 type HTTPCache struct {
-	endpoint string
-	run      string // named run (resolved into endpoint by NewHTTPCache)
-	token    string // bearer token sent with every request
-	client   *http.Client
+	s *HTTPSink // posts as cacheWorker with a write-back's retry budget
 }
 
-// CacheOption configures an HTTPCache. Options only apply to coordinator
-// (http/https) caches; OpenCellCache ignores them for local directories.
-type CacheOption func(*HTTPCache)
+// cacheWorker is the identity write-backs post under, so a write-back
+// never renews the leases of the claim worker whose cell it stores.
+const cacheWorker = "cache-writeback"
 
-// WithCacheClient substitutes the HTTP client (timeouts, TLS trust, test
-// servers).
-func WithCacheClient(c *http.Client) CacheOption {
-	return func(h *HTTPCache) { h.client = c }
-}
-
-// WithCacheRun addresses the named run on a multi-run fleet coordinator:
-// reads and write-backs go to <base>/v2/runs/{run}/cells instead of the
-// default-run /v1/cells. The empty string keeps the /v1 default.
-func WithCacheRun(run string) CacheOption {
-	return func(h *HTTPCache) { h.run = run }
-}
-
-// WithCacheToken sends `Authorization: Bearer <token>` with every request —
-// the fleet's global token or the run's own. The empty string sends
-// nothing.
-func WithCacheToken(token string) CacheOption {
-	return func(h *HTTPCache) { h.token = token }
-}
-
-// NewHTTPCache builds a cache client for the coordinator at base,
-// resolving the schema-versioned cells endpoint the same way NewHTTPSink
-// does (a WithCacheRun run name changes it).
-func NewHTTPCache(base string, opts ...CacheOption) (*HTTPCache, error) {
-	h := &HTTPCache{
-		client: &http.Client{Timeout: 30 * time.Second},
-	}
-	for _, opt := range opts {
-		opt(h)
-	}
-	endpoint, err := apiEndpoint(base, h.run, "cells")
+// NewHTTPCache builds a cache client for the coordinator at base from the
+// same options as a sink (client, run, token), resolving the same cells
+// endpoint. Whatever worker identity the options name, write-backs post
+// as cacheWorker, with 2 retries.
+func NewHTTPCache(base string, opts ...SinkOption) (*HTTPCache, error) {
+	s, err := NewHTTPSink(base, opts...)
 	if err != nil {
 		return nil, err
 	}
-	h.endpoint = endpoint
-	return h, nil
+	s.worker, s.retries = cacheWorker, 2
+	return &HTTPCache{s: s}, nil
 }
 
 // Get fetches the coordinator's journaled success for id; 404 is a miss.
+// The body is read up to the longest record line ReadCellRecords accepts.
 func (h *HTTPCache) Get(id string) (CellRecord, bool, error) {
-	req, err := http.NewRequest(http.MethodGet, h.endpoint+"?id="+url.QueryEscape(id), nil)
+	endpoint := h.s.endpoint
+	rep, err := h.s.do(http.MethodGet, endpoint+"?id="+url.QueryEscape(id), "", nil, maxRecordLine)
 	if err != nil {
-		return CellRecord{}, false, fmt.Errorf("sim: cache %s: %w", h.endpoint, err)
+		return CellRecord{}, false, fmt.Errorf("sim: cache %s: %w", endpoint, err)
 	}
-	if h.token != "" {
-		req.Header.Set("Authorization", "Bearer "+h.token)
-	}
-	resp, err := h.client.Do(req)
-	if err != nil {
-		return CellRecord{}, false, fmt.Errorf("sim: cache %s: %w", h.endpoint, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	if rep.code == http.StatusNotFound {
 		return CellRecord{}, false, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return CellRecord{}, false, fmt.Errorf("sim: cache %s: GET ?id= returned %s", h.endpoint, resp.Status)
+	if rep.code != http.StatusOK {
+		return CellRecord{}, false, fmt.Errorf("sim: cache %s: GET ?id= returned %s", endpoint, rep.status)
 	}
-	recs, err := ReadCellRecords(resp.Body)
+	recs, err := ReadCellRecords(bytes.NewReader(rep.body))
 	if err != nil {
-		return CellRecord{}, false, fmt.Errorf("sim: cache %s: %w", h.endpoint, err)
+		return CellRecord{}, false, fmt.Errorf("sim: cache %s: %w", endpoint, err)
 	}
 	if len(recs) != 1 {
-		return CellRecord{}, false, fmt.Errorf("sim: cache %s: GET ?id= returned %d records, want 1", h.endpoint, len(recs))
+		return CellRecord{}, false, fmt.Errorf("sim: cache %s: GET ?id= returned %d records, want 1", endpoint, len(recs))
 	}
 	rec := recs[0]
 	if err := CheckCellSchema(rec); err != nil {
 		return CellRecord{}, false, err
 	}
 	if rec.ID != id {
-		return CellRecord{}, false, fmt.Errorf("sim: cache %s: asked for %s, got %s", h.endpoint, id, rec.ID)
+		return CellRecord{}, false, fmt.Errorf("sim: cache %s: asked for %s, got %s", endpoint, id, rec.ID)
 	}
 	if rec.Err != "" {
 		return CellRecord{}, false, nil
@@ -255,32 +221,23 @@ func (h *HTTPCache) Get(id string) (CellRecord, bool, error) {
 
 // Put streams the record to the coordinator like a worker sink would; a
 // record foreign to the coordinator's grid is a hard error (the cache URL
-// points at a coordinator for a different grid).
+// points at a coordinator for a different grid). A failed write-back is
+// reported once and never re-sent with a later Put.
 func (h *HTTPCache) Put(rec CellRecord) error {
 	if rec.Err != "" {
 		return nil
 	}
 	rec.Cached = false
-	s := &HTTPSink{
-		endpoint: h.endpoint,
-		token:    h.token,
-		client:   h.client,
-		batchCap: 1,
-		retries:  2,
-		backoff:  100 * time.Millisecond,
-		sleep:    time.Sleep,
-		worker:   "cache-writeback",
-	}
-	return s.Emit(rec)
+	return h.s.send([]CellRecord{rec})
 }
 
 // OpenCellCache resolves a -cache flag value: an http:// or https:// URL
 // opens the coordinator at that address as a shared HTTPCache (configured
-// by the options — run name, token, TLS-aware client); anything else is a
-// local directory path, created if needed, for which the options are
+// by the sink options — run name, token, TLS-aware client); anything else
+// is a local directory path, created if needed, for which the options are
 // irrelevant and ignored. All commands (bmlsim, bmlsweep, bmlpaper
 // -cache) accept the same spellings.
-func OpenCellCache(spec string, opts ...CacheOption) (CellCache, error) {
+func OpenCellCache(spec string, opts ...SinkOption) (CellCache, error) {
 	if strings.HasPrefix(spec, "http://") || strings.HasPrefix(spec, "https://") {
 		return NewHTTPCache(spec, opts...)
 	}

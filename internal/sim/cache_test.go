@@ -210,7 +210,7 @@ func TestHTTPCacheAgainstIngest(t *testing.T) {
 	srv := httptest.NewServer(ing)
 	defer srv.Close()
 
-	cache, err := NewHTTPCache(srv.URL, WithCacheClient(srv.Client()))
+	cache, err := NewHTTPCache(srv.URL, WithSinkClient(srv.Client()))
 	if err != nil {
 		t.Fatal(err)
 	}

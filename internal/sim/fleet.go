@@ -397,7 +397,7 @@ func (f *Fleet) handleCreateRun(w http.ResponseWriter, r *http.Request, name str
 		return
 	}
 	var spec RunSpec
-	if err := decodeStrict(w, r, 64<<20, &spec); err != nil {
+	if err := strictJSON(http.MaxBytesReader(w, r.Body, 64<<20), &spec); err != nil {
 		http.Error(w, fmt.Sprintf(`bad run spec: %v (want {"cells":["<canonical cell ID>",...]})`, err), http.StatusBadRequest)
 		return
 	}
@@ -414,48 +414,4 @@ func (f *Fleet) handleCreateRun(w http.ResponseWriter, r *http.Request, name str
 		w.WriteHeader(http.StatusCreated)
 	}
 	json.NewEncoder(w).Encode(RunStatus{Run: name, Status: ing.Status()})
-}
-
-// ClaimCells is the client half of the lease protocol: one POST to
-// <base>/v2/runs/{run}/lease claiming up to max cells for worker. The
-// worker must then stream the cells' records with the same identity
-// (HTTPSink WithSinkWorker) so its posts renew the lease, and poll again
-// when the response carries no cells but pending > 0 — cells leased to a
-// stalled worker become claimable once their TTL passes.
-func ClaimCells(client *http.Client, base, run, token, worker string, max int) (LeaseResponse, error) {
-	var out LeaseResponse
-	endpoint, err := apiEndpoint(base, run, "lease")
-	if err != nil {
-		return out, err
-	}
-	body, err := json.Marshal(LeaseRequest{Worker: worker, Max: max})
-	if err != nil {
-		return out, err
-	}
-	req, err := http.NewRequest(http.MethodPost, endpoint, strings.NewReader(string(body)))
-	if err != nil {
-		return out, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(WorkerHeader, worker)
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return out, fmt.Errorf("sim: lease %s: %w", endpoint, err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("sim: lease %s: coordinator returned %s: %s",
-			endpoint, resp.Status, strings.TrimSpace(string(raw)))
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return out, fmt.Errorf("sim: lease %s: response unparsable: %v", endpoint, err)
-	}
-	return out, nil
 }

@@ -359,3 +359,31 @@ func FuzzRunSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRegisterResponse hands RegisterRun arbitrary 201 bodies. A body must
+// be accepted exactly when it decodes strictly into a RunStatus (no
+// unknown field, nothing after the object), and then RegisterRun must
+// return that status and report the run created.
+func FuzzRegisterResponse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		client := &http.Client{Transport: replyTransport{http.StatusCreated, body}}
+		got, created, err := RegisterRun(client, "http://h:1", "beta", "", RunSpec{Cells: []string{"a"}})
+
+		capped := body
+		if len(capped) > 64<<10 {
+			capped = capped[:64<<10]
+		}
+		var want RunStatus
+		dec := json.NewDecoder(bytes.NewReader(capped))
+		dec.DisallowUnknownFields()
+		strict := dec.Decode(&want) == nil && dec.Decode(new(json.RawMessage)) == io.EOF
+		switch {
+		case strict && err != nil:
+			t.Fatalf("body %q decodes strictly but was rejected: %v", body, err)
+		case !strict && err == nil:
+			t.Fatalf("body %q was accepted but does not decode strictly", body)
+		case strict && (!created || !reflect.DeepEqual(got, want)):
+			t.Fatalf("body %q: got %+v created %v, want %+v created", body, got, created, want)
+		}
+	})
+}

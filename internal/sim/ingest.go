@@ -627,17 +627,17 @@ type LeaseResponse struct {
 	Complete   bool     `json:"complete"`
 }
 
-// decodeStrict decodes a request body of at most limit bytes into v as
-// exactly one JSON object: a field v does not declare, or any data after
-// the object, is an error, so a misspelt key never passes as absent.
-func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+// strictJSON decodes rd into v as exactly one JSON object: a field v does
+// not declare, or any data after the object, is an error, so a misspelt
+// key never passes as absent.
+func strictJSON(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errors.New("trailing data after the request object")
+		return errors.New("trailing data after the JSON object")
 	}
 	return nil
 }
@@ -649,7 +649,7 @@ func (g *Ingest) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := decodeStrict(w, r, 1<<20, &req); err != nil {
+	if err := strictJSON(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		http.Error(w, fmt.Sprintf("bad lease request: %v", err), http.StatusBadRequest)
 		return
 	}

@@ -2,16 +2,12 @@ package sim
 
 import (
 	"bytes"
-	"crypto/tls"
-	"crypto/x509"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
-	"strings"
 	"time"
 )
 
@@ -95,22 +91,22 @@ func (e *sinkPermanentError) Error() string { return e.msg }
 // worker killed mid-grid has already made each completed cell durable on
 // the coordinator — the property resumable coordination depends on.
 type HTTPSink struct {
-	endpoint string
-	run      string // named run (resolved into endpoint by NewHTTPSink)
-	token    string // bearer token sent with every request
-	client   *http.Client
-	batchCap int
-	retries  int
-	backoff  time.Duration
-	sleep    func(time.Duration) // test hook
-	batch    []CellRecord
-	worker   string // X-Bml-Worker identity for coordinator liveness and lease heartbeats
+	coordClient        // client, token and worker identity
+	run         string // named run (resolved into endpoint by NewHTTPSink)
+	endpoint    string
+	batchCap    int
+	retries     int
+	backoff     time.Duration
+	sleep       func(time.Duration) // test hook
+	batch       []CellRecord
 }
 
-// SinkOption configures an HTTPSink.
+// SinkOption configures a coordinator client: an HTTPSink, and through
+// NewHTTPCache and OpenCellCache an HTTPCache, so one option list
+// addresses every call a command makes to its coordinator.
 type SinkOption func(*HTTPSink)
 
-// WithSinkClient substitutes the HTTP client (timeouts, transports, test
+// WithSinkClient substitutes the HTTP client (timeouts, TLS trust, test
 // servers).
 func WithSinkClient(c *http.Client) SinkOption {
 	return func(s *HTTPSink) { s.client = c }
@@ -129,7 +125,7 @@ func WithSinkWorker(id string) SinkOption {
 }
 
 // WithSinkRun addresses the named run on a multi-run fleet coordinator:
-// records POST to <base>/v2/runs/{run}/cells instead of the default-run
+// requests go to <base>/v2/runs/{run}/cells instead of the default-run
 // /v1/cells. The empty string keeps the /v1 default.
 func WithSinkRun(run string) SinkOption {
 	return func(s *HTTPSink) { s.run = run }
@@ -143,60 +139,17 @@ func WithSinkToken(token string) SinkOption {
 	return func(s *HTTPSink) { s.token = token }
 }
 
-// apiEndpoint resolves a coordinator base URL plus an optional run name to
-// one schema-versioned resource endpoint. With no run, a base without a
-// path gets "/v1/<resource>" appended and a base that already names a
-// /v1/ path is used as given; with a run, the base must be bare (the run
-// name picks the /v2 path: "/v2/runs/{run}/<resource>"). Shared by
-// HTTPSink (worker → coordinator streaming), HTTPCache (coordinator as
-// cache server), and ClaimCells, so all accept the same -sink/-cache URL
-// spellings.
-func apiEndpoint(base, run, resource string) (string, error) {
-	u, err := url.Parse(base)
-	if err != nil {
-		return "", fmt.Errorf("sim: sink URL %q: %w", base, err)
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return "", fmt.Errorf("sim: sink URL %q: want http:// or https://", base)
-	}
-	if u.Host == "" {
-		return "", fmt.Errorf("sim: sink URL %q: missing host", base)
-	}
-	trimmed := strings.TrimRight(base, "/")
-	if run != "" {
-		if u.Path != "" && u.Path != "/" {
-			return "", fmt.Errorf("sim: sink URL %q: a named run picks the API path itself; give a bare coordinator URL with -run %s", base, run)
-		}
-		if !runNameOK(run) {
-			return "", fmt.Errorf("sim: invalid run name %q (want [A-Za-z0-9._-]{1,128})", run)
-		}
-		return trimmed + "/v2/runs/" + url.PathEscape(run) + "/" + resource, nil
-	}
-	switch {
-	case strings.HasSuffix(trimmed, "/v1"):
-		// ".../v1" or ".../v1/" name the API root: complete the path.
-		return trimmed + "/" + resource, nil
-	case strings.Contains(u.Path, "/v1/"):
-		// An explicit endpoint path is used as given (minus a trailing
-		// slash the exact-match router would 404).
-		return trimmed, nil
-	default:
-		return trimmed + "/v1/" + resource, nil
-	}
-}
-
 // NewHTTPSink builds a sink for the coordinator at base (e.g.
 // "http://127.0.0.1:8080"). The ingest path is schema-versioned, resolved
 // by apiEndpoint after the options (a WithSinkRun run name changes it).
 func NewHTTPSink(base string, opts ...SinkOption) (*HTTPSink, error) {
 	host, _ := os.Hostname()
 	s := &HTTPSink{
-		client:   &http.Client{Timeout: 30 * time.Second},
-		batchCap: 1,
-		retries:  5,
-		backoff:  100 * time.Millisecond,
-		sleep:    time.Sleep,
-		worker:   fmt.Sprintf("%s:%d", host, os.Getpid()),
+		coordClient: coordClient{worker: fmt.Sprintf("%s:%d", host, os.Getpid())},
+		batchCap:    1,
+		retries:     5,
+		backoff:     100 * time.Millisecond,
+		sleep:       time.Sleep,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -219,15 +172,25 @@ func (s *HTTPSink) Emit(rec CellRecord) error {
 	return nil
 }
 
-// Flush POSTs the buffered records, retrying transient failures with
-// exponential backoff. On success the buffer is cleared; on failure it is
-// retained so the error is attributable to specific cells.
+// Flush POSTs the buffered records. On success the buffer is cleared; on
+// failure it is retained so the error is attributable to specific cells.
 func (s *HTTPSink) Flush() error {
 	if len(s.batch) == 0 {
 		return nil
 	}
+	if err := s.send(s.batch); err != nil {
+		return err
+	}
+	s.batch = s.batch[:0]
+	return nil
+}
+
+// send POSTs recs as one JSONL body, retrying transient failures with
+// exponential backoff. It only reads the sink, so concurrent sends are
+// safe.
+func (s *HTTPSink) send(recs []CellRecord) error {
 	var body bytes.Buffer
-	for _, rec := range s.batch {
+	for _, rec := range recs {
 		if err := WriteCellRecord(&body, rec); err != nil {
 			return err
 		}
@@ -241,7 +204,6 @@ func (s *HTTPSink) Flush() error {
 		}
 		err := s.post(body.Bytes())
 		if err == nil {
-			s.batch = s.batch[:0]
 			return nil
 		}
 		var perm *sinkPermanentError
@@ -261,30 +223,20 @@ func (s *HTTPSink) Close() error { return s.Flush() }
 // post performs one POST of the JSONL payload and interprets the
 // coordinator's response.
 func (s *HTTPSink) post(payload []byte) error {
-	req, err := http.NewRequest(http.MethodPost, s.endpoint, bytes.NewReader(payload))
-	if err != nil {
-		return &sinkPermanentError{msg: err.Error()}
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	req.Header.Set(WorkerHeader, s.worker)
-	if s.token != "" {
-		req.Header.Set("Authorization", "Bearer "+s.token)
-	}
-	resp, err := s.client.Do(req)
+	rep, err := s.do(http.MethodPost, s.endpoint, "application/x-ndjson", payload, 64<<10)
 	if err != nil {
 		return err // network error: retryable
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 	switch {
-	case resp.StatusCode >= 500:
-		return fmt.Errorf("coordinator returned %s: %s", resp.Status, strings.TrimSpace(string(raw)))
-	case resp.StatusCode >= 400:
-		return &sinkPermanentError{msg: fmt.Sprintf("coordinator rejected batch: %s: %s",
-			resp.Status, strings.TrimSpace(string(raw)))}
+	case rep.code >= 500:
+		return fmt.Errorf("coordinator returned %s", rep)
+	case rep.code >= 400:
+		return &sinkPermanentError{msg: "coordinator rejected batch: " + rep.String()}
 	}
+	// The ack is read on every post, so it decodes laxly: a strict decoder
+	// costs five allocations and 2.3 KB more per response.
 	var ack IngestResponse
-	if err := json.Unmarshal(raw, &ack); err != nil {
+	if err := json.Unmarshal(rep.body, &ack); err != nil {
 		return fmt.Errorf("coordinator response unparsable: %v", err)
 	}
 	if ack.Unknown > 0 {
@@ -293,26 +245,4 @@ func (s *HTTPSink) post(payload []byte) error {
 			ack.Unknown, ack.FirstUnknown)}
 	}
 	return nil
-}
-
-// HTTPClientWithCA builds an HTTP client (default sink/cache timeout) that
-// trusts the PEM certificates in caFile in addition to nothing else — the
-// client half of a TLS coordinator (-tls-cert/-tls-key) using a
-// self-signed or private-CA certificate, which is the normal deployment
-// for an internal fleet service. An empty path returns a plain client.
-func HTTPClientWithCA(caFile string) (*http.Client, error) {
-	client := &http.Client{Timeout: 30 * time.Second}
-	if caFile == "" {
-		return client, nil
-	}
-	pem, err := os.ReadFile(caFile)
-	if err != nil {
-		return nil, fmt.Errorf("sim: TLS CA: %w", err)
-	}
-	pool := x509.NewCertPool()
-	if !pool.AppendCertsFromPEM(pem) {
-		return nil, fmt.Errorf("sim: TLS CA %s: no PEM certificates found", caFile)
-	}
-	client.Transport = &http.Transport{TLSClientConfig: &tls.Config{RootCAs: pool}}
-	return client, nil
 }

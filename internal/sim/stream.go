@@ -160,6 +160,9 @@ func ReadJournal(r io.Reader) (recs []CellRecord, truncated bool, err error) {
 	return scanCellRecords(r, "journal", true)
 }
 
+// maxRecordLine is the longest JSONL record line a reader accepts.
+const maxRecordLine = 16 << 20
+
 // scanCellRecords is the one JSONL decode loop behind ReadCellRecords and
 // ReadJournal: blank lines are skipped, a line without an id is an error,
 // and a line that is not JSON is an error — unless tornTail is set and it
@@ -169,7 +172,7 @@ func scanCellRecords(r io.Reader, what string, tornTail bool) ([]CellRecord, boo
 	// The buffer starts at the scanner's default size and grows to the
 	// longest line: most bodies are one record of about 1 KB.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, 16<<20)
+	sc.Buffer(nil, maxRecordLine)
 	var out []CellRecord
 	var torn error // a malformed line, forgiven only if nothing follows it
 	line := 0

@@ -51,10 +51,6 @@ type Summary struct {
 	TotalUBPerDay   power.Joules
 	TotalBML        power.Joules
 	TotalLowerBound power.Joules
-	BMLDecisions    int
-	BMLSwitchOns    int
-	BMLSwitchOffs   int
-	BMLAvailability float64
 	SavingsVsGlobal float64 // fraction of UB Global energy saved by BML
 	SavingsVsPerDay float64 // fraction of UB PerDay energy saved by BML
 }
@@ -125,12 +121,8 @@ func Run(tr *trace.Trace, machines []profile.Arch, cfg Config) (*Evaluation, err
 		lower.Name:    lower,
 	}}
 	sum := Summary{
-		MinOverheadPct:  1e300,
-		MaxOverheadPct:  -1e300,
-		BMLDecisions:    bmlRes.Decisions,
-		BMLSwitchOns:    bmlRes.SwitchOns,
-		BMLSwitchOffs:   bmlRes.SwitchOffs,
-		BMLAvailability: bmlRes.QoS.Availability(),
+		MinOverheadPct: 1e300,
+		MaxOverheadPct: -1e300,
 	}
 	var overheadSum float64
 	for day := first; day <= last; day++ {

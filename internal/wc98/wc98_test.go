@@ -77,10 +77,11 @@ func TestSummaryStatistics(t *testing.T) {
 	if s.SavingsVsGlobal <= 0 || s.SavingsVsGlobal >= 1 {
 		t.Errorf("savings vs global = %v, want in (0,1)", s.SavingsVsGlobal)
 	}
-	if s.BMLAvailability < 0.99 {
-		t.Errorf("availability = %v", s.BMLAvailability)
+	bmlRes := ev.Results["Big-Medium-Little"]
+	if a := bmlRes.QoS.Availability(); a < 0.99 {
+		t.Errorf("availability = %v", a)
 	}
-	if s.BMLDecisions <= 0 {
+	if bmlRes.Decisions <= 0 {
 		t.Error("no scheduler decisions recorded")
 	}
 	var mean float64

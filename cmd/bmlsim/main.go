@@ -202,6 +202,14 @@ func main() {
 		traces = []sim.TraceAxis{{Trace: tr}}
 	}
 	tr := traces[0].Trace
+	if end := tr.Days(); !*sweep && *first == 0 {
+		if *last > 0 && *last < end {
+			end = *last
+		}
+		if end < wc98.FirstDay {
+			log.Fatalf("the evaluation ends on day %d, before the paper's first evaluated day %d: pass -first (e.g. -first 1) to evaluate a shorter trace", end, wc98.FirstDay)
+		}
+	}
 	if *fleet < 0 {
 		log.Fatalf("invalid -fleet %d (want a target machine count)", *fleet)
 	}

@@ -42,13 +42,12 @@ func driveSpans(t *testing.T, sc *Scheduler, tr *trace.Trace, chunk int) spanRun
 		}
 		next = max(next, tt+1)
 		fold := sc.StartDemandFold()
-		window := tr.Window(tt, next)
-		for _, d := range window {
-			if _, err := fold.Observe(d, 1); err != nil {
+		for s := tt; s < next; s++ {
+			if _, err := fold.Observe(tr.At(s), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := sc.FinishDemandFold(fold, window[len(window)-1], float64(next-tt)); err != nil {
+		if _, err := sc.FinishDemandFold(fold, tr.At(next-1), float64(next-tt)); err != nil {
 			t.Fatal(err)
 		}
 		out.spans = append(out.spans, [2]int{tt, next})

@@ -20,19 +20,36 @@ import (
 //   - transition completions and migration-lock expiries (NextWake),
 //   - day boundaries, telemetry bucket boundaries, and the trace end.
 //
-// Inside each span the raw samples are folded run-by-run through the same
-// float arithmetic Distribute+Tick would have performed, so the result
-// matches the 1 Hz tick oracle to summation ulps — the differential suites
-// hold the two to ≤1e-6 J and exact counters. The engine's cost is
-// O(scheduler events) iterations plus a tight allocation-free per-sample
-// fold (and sched's per-second decision scan), which is what makes raw
-// traces as cheap per simulated second as quantized ones.
+// Inside each span the trace's runs (trace.Trace.Runs) are folded through
+// the same float arithmetic Distribute+Tick would have performed, so the
+// result matches the 1 Hz tick oracle to summation ulps — the differential
+// suites hold the two to ≤1e-6 J and exact counters. The engine's cost is
+// O(scheduler events) iterations plus a tight allocation-free per-run fold
+// (and sched's per-second decision scan), which is what makes raw traces
+// as cheap per simulated second as quantized ones.
 
 // wakeCeil converts a scheduler wake-up delay in (possibly fractional)
 // seconds into the first whole second at which the 1 Hz decision loop
 // would observe the change.
 func wakeCeil(w float64) int {
 	return int(math.Ceil(w - 1e-9))
+}
+
+// blockRuns is how many runs of the trace one runBlock holds. Its
+// 4 KiB stay on the stack.
+const blockRuns = 256
+
+// runBlock is a caller's block of trace runs: the value of each and its
+// exclusive end.
+type runBlock struct {
+	demand [blockRuns]float64
+	end    [blockRuns]int
+}
+
+// fill reads the runs of tr from from on, up to to, into b and returns
+// their values: as many runs as b holds, the last ending at b.end[n-1].
+func (b *runBlock) fill(tr *trace.Trace, from, to int) []float64 {
+	return b.demand[:tr.Runs(from, to, b.demand[:], b.end[:])]
 }
 
 // spanObserver sees every integrated span [t, next) of a BML run with the
@@ -47,6 +64,7 @@ type spanObserver func(t, next int, energy power.Joules)
 // non-nil, sees every span.
 func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result, bucket int, obs spanObserver) error {
 	n := tr.Len()
+	var blk runBlock
 	for t := 0; t < n; {
 		// Spans never cross day (or bucket) boundaries, so addEnergy's day
 		// bucketing is exact without splitting energies after the fact.
@@ -71,34 +89,31 @@ func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result, bucket 
 			next = t + 1
 		}
 
-		window := tr.Window(t, next)
 		fold := sc.StartDemandFold()
 		var demandInt, servedInt power.Accumulator
 		violation := 0.0
-		for i := 0; i < len(window); {
-			d := window[i]
-			j := i + 1
-			for j < len(window) && window[j] == d {
-				j++
+		for i := t; i < next; {
+			for r, d := range blk.fill(tr, i, next) {
+				j := blk.end[r]
+				dt := float64(j - i)
+				served, err := fold.Observe(d, dt)
+				if err != nil {
+					return fmt.Errorf("sim: fold [%d,%d): %w", i, j, err)
+				}
+				// The QoS verdict is a pure per-second function of demand, so
+				// it folds exactly: same thresholds as qos.Tracker.Observe.
+				if served > d+1e-9 {
+					return fmt.Errorf("sim: fold [%d,%d): served %v exceeds offered %v", i, j, served, d)
+				}
+				if d-served > 1e-9 {
+					violation += dt
+				}
+				demandInt.Add(d * dt)
+				servedInt.Add(served * dt)
+				i = j
 			}
-			dt := float64(j - i)
-			served, err := fold.Observe(d, dt)
-			if err != nil {
-				return fmt.Errorf("sim: fold [%d,%d): %w", t+i, t+j, err)
-			}
-			// The QoS verdict is a pure per-second function of demand, so it
-			// folds exactly: same thresholds as qos.Tracker.Observe.
-			if served > d+1e-9 {
-				return fmt.Errorf("sim: fold [%d,%d): served %v exceeds offered %v", t+i, t+j, served, d)
-			}
-			if d-served > 1e-9 {
-				violation += dt
-			}
-			demandInt.Add(d * dt)
-			servedInt.Add(served * dt)
-			i = j
 		}
-		e, err := sc.FinishDemandFold(fold, window[len(window)-1], float64(next-t))
+		e, err := sc.FinishDemandFold(fold, tr.At(next-1), float64(next-t))
 		if err != nil {
 			return fmt.Errorf("sim: integrate [%d,%d): %w", t, next, err)
 		}

@@ -59,7 +59,7 @@ type SweepJob struct {
 	// the knob that turns a scenario × trace grid into a scenario × trace
 	// × fleet grid exercising thousand-node clusters. Zero or one leaves
 	// the trace unchanged. Large scales grow the LowerBound scenario's
-	// exact DP to O(scale) memory, 14 bytes per rate unit of the largest
+	// exact DP to O(scale) memory, 8 bytes per rate unit of the largest
 	// scaled peak, held once per planner (bml.Planner.Exact) and shared by
 	// every sweep, experiment and claim that uses the planner; the BML
 	// scenario stays cheap thanks to the cluster's transition heap and the

@@ -34,8 +34,8 @@ type Recording struct {
 // limits, exactly as day boundaries already are, so no integrated span
 // crosses a bucket. Each span's energy goes to its bucket whole, and the
 // bucket's load and static-reference draw are folded run by run over the
-// span's raw samples — recording costs O(spans + samples) arithmetic with
-// no extra scheduler work. WithTickEngine selects the 1 Hz oracle loop,
+// span's runs — recording costs O(spans + runs) arithmetic with no extra
+// scheduler work. WithTickEngine selects the 1 Hz oracle loop,
 // which reports every second as a one-second span;
 // recorder_differential_test.go holds the two bucket-for-bucket to
 // ≤1e-6 J with exactly equal counters.
@@ -66,22 +66,19 @@ func RunBMLRecorded(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig, bucket
 	// integrator folds one per span, and the recording differential holds
 	// the two orderings to ≤1e-6 J per bucket even for day-wide buckets.
 	powerComp := make([]float64, buckets)
+	var blk runBlock
 	res, _, err := runBML(tr, planner, cfg, false, buildOptions(opts), bucketSeconds, func(t, next int, e power.Joules) {
 		// [t, next) lies inside exactly one bucket, so the whole span's
 		// energy, demand-seconds, and reference draw belong to it.
 		b := t / bucketSeconds
 		rec.Power[b], powerComp[b] = power.NeumaierAdd(rec.Power[b], powerComp[b], float64(e))
-		window := tr.Window(t, next)
-		for i := 0; i < len(window); {
-			d := window[i]
-			j := i + 1
-			for j < len(window) && window[j] == d {
-				j++
+		for i := t; i < next; {
+			for r, d := range blk.fill(tr, i, next) {
+				dt := float64(blk.end[r] - i)
+				rec.Load[b] += d * dt
+				rec.StaticPower[b] += packLoad(d, big.MaxPerf, float64(big.MaxPower), float64(big.IdlePower)).draw(nStatic, float64(big.MaxPower), float64(big.IdlePower)) * dt
+				i = blk.end[r]
 			}
-			dt := float64(j - i)
-			rec.Load[b] += d * dt
-			rec.StaticPower[b] += packLoad(d, big.MaxPerf, float64(big.MaxPower), float64(big.IdlePower)).draw(nStatic, float64(big.MaxPower), float64(big.IdlePower)) * dt
-			i = j
 		}
 		seconds[b] += float64(next - t)
 	})

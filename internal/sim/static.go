@@ -58,22 +58,6 @@ func (r *Result) closeDay(day int, s daySums) {
 	}
 }
 
-// dayWindow returns the samples of day d (fewer on a trailing partial day).
-func dayWindow(tr *trace.Trace, d int) []float64 {
-	return tr.Window(d*trace.SecondsPerDay, (d+1)*trace.SecondsPerDay)
-}
-
-// runEnd returns the end of the maximal run of samples equal to w[i].
-func runEnd(w []float64, i int) int {
-	v := w[i]
-	for j, x := range w[i+1:] {
-		if x != v {
-			return i + 1 + j
-		}
-	}
-	return len(w)
-}
-
 // The slots of a foldStatic walk, in scenario order.
 const (
 	slotGlobal = iota // UpperBound Global
@@ -167,13 +151,6 @@ func addLower(s *daySums, p, dt []float64) error {
 	return nil
 }
 
-// blockRuns is how many runs foldStatic prices before it folds them.
-// Pricing a block first keeps each scenario's adds in a loop of their own
-// and lets an UpperBound off the shared chain observe the whole block in
-// one ObserveRuns call. A block never spans a day, whose sizing it
-// shares, and its 10 KiB stay on the stack.
-const blockRuns = 256
-
 // foldStatic integrates the static scenarios whose slots are set in want
 // (slotGlobal, slotPerDay, slotLower; big sizes the first two, solver
 // prices the third) in one walk per day and returns their finalized
@@ -215,12 +192,18 @@ func foldStatic(tr *trace.Trace, big profile.Arch, solver *bml.ExactSolver, want
 	var seconds float64
 	var demand power.Accumulator
 
+	// A block of runs is priced before it is folded. Pricing a block first
+	// keeps each scenario's adds in a loop of their own and lets an
+	// UpperBound off the shared chain observe the whole block in one
+	// ObserveRuns call. A block never spans a day, whose sizing it shares,
+	// and its 12 KiB stay on the stack.
 	var blk struct {
-		demand, dt [blockRuns]float64
-		p          [staticSlots][blockRuns]float64
+		runBlock
+		dt [blockRuns]float64
+		p  [staticSlots][blockRuns]float64
 	}
 	for day := 0; day*trace.SecondsPerDay < tr.Len(); day++ {
-		w := dayWindow(tr, day)
+		dayEnd := min((day+1)*trace.SecondsPerDay, tr.Len())
 		// Without the daily peaks, the global one bounds every day's.
 		peak := tr.Max()
 		if day < len(peaks) {
@@ -242,12 +225,11 @@ func foldStatic(tr *trace.Trace, big profile.Arch, solver *bml.ExactSolver, want
 			ls = lower.openDay(day)
 		}
 
-		for i := 0; i < len(w); {
-			n := 0
-			for ; n < blockRuns && i < len(w); n++ {
-				j := runEnd(w, i)
-				d := w[i]
-				blk.demand[n], blk.dt[n] = d, float64(j-i)
+		for i := day * trace.SecondsPerDay; i < dayEnd; {
+			runs := blk.fill(tr, i, dayEnd)
+			n := len(runs)
+			for r, d := range runs {
+				blk.dt[r] = float64(blk.end[r] - i)
 				if hasUB {
 					// Below a fleet's capacity it serves the demand itself,
 					// whose packing does not depend on the fleet size: it
@@ -261,15 +243,15 @@ func foldStatic(tr *trace.Trace, big profile.Arch, solver *bml.ExactSolver, want
 						if d <= ub[k].capacity {
 							p = pk.draw(ub[k].nodes, maxPower, idlePower)
 						}
-						blk.p[k][n] = p
+						blk.p[k][r] = p
 					}
 				}
 				if lower != nil {
-					blk.p[slotLower][n] = float64(solver.PowerAt(d))
+					blk.p[slotLower][r] = float64(solver.PowerAt(d))
 				}
-				i = j
+				i = blk.end[r]
 			}
-			runs, dts := blk.demand[:n], blk.dt[:n]
+			dts := blk.dt[:n]
 
 			for k := range ub {
 				if u := &ub[k]; u.res != nil {

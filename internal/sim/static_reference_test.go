@@ -12,9 +12,15 @@ import (
 )
 
 // nextStaticEvent is the event timeline the reference loops step over: the
-// next load change or day boundary after t, whichever comes first.
+// next load change or day boundary after t, whichever comes first. It
+// reads the trace one sample at a time, apart from trace.Trace.Runs.
 func nextStaticEvent(tr *trace.Trace, t int) int {
-	return min(tr.NextChange(t), (t/trace.SecondsPerDay+1)*trace.SecondsPerDay)
+	end := min((t/trace.SecondsPerDay+1)*trace.SecondsPerDay, tr.Len())
+	u := t + 1
+	for u < end && tr.At(u) == tr.At(t) {
+		u++
+	}
+	return u
 }
 
 // fleetPowerN is the homogeneous fleet draw as one function, before the

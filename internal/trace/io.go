@@ -23,8 +23,8 @@ import (
 // Read parses a trace from r. A line, with its line ending, must be
 // shorter than 1 MiB.
 func Read(r io.Reader) (*Trace, error) {
-	values, err := parse(r, make([]byte, 64*1024), nil)
-	if err != nil {
+	var values []float64
+	if err := parse(r, make([]byte, 64*1024), func(v float64) { values = append(values, v) }); err != nil {
 		return nil, err
 	}
 	return adopt(values)
@@ -33,24 +33,30 @@ func Read(r io.Reader) (*Trace, error) {
 // ReadFile loads the trace file at path and, when quantize > 0, quantizes
 // it to windows of quantize seconds: the same samples, bit for bit, as
 // Read followed by Quantize, and the same errors, prefixed with the path.
-// An error opening the file is os.Open's, unprefixed. A regular file's
-// lines are counted before it is parsed, so its samples go into one array
-// of the right size, which the quantization then overwrites; Read and
-// Quantize would grow one array by appending and copy it into another.
+// An error opening the file is os.Open's, unprefixed. A quantized load
+// sums each window as it parses and keeps only the runs, so it never holds
+// the samples. A raw load counts a regular file's lines before it parses
+// it, so its samples go into one array of the right size, where Read
+// would grow one by appending.
 func ReadFile(path string, quantize int) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	tr, err := readFile(f, quantize)
+	var tr *Trace
+	if quantize > 0 {
+		tr, err = readQuantized(f, quantize)
+	} else {
+		tr, err = readFile(f)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return tr, nil
 }
 
-func readFile(f *os.File, quantize int) (*Trace, error) {
+func readFile(f *os.File) (*Trace, error) {
 	buf := make([]byte, 64*1024)
 	var values []float64
 	// A pipe cannot be read twice; it is parsed as it comes.
@@ -72,29 +78,57 @@ func readFile(f *os.File, quantize int) (*Trace, error) {
 		// A last line without a newline is one more.
 		values = make([]float64, 0, lines+1)
 	}
-	values, err := parse(f, buf, values)
-	if err != nil {
+	if err := parse(f, buf, func(v float64) { values = append(values, v) }); err != nil {
 		return nil, err
-	}
-	if quantize > 0 {
-		// Read's check comes first, so a bad sample is named by its own
-		// index and not by its window's mean.
-		if _, err := validMax(values); err != nil {
-			return nil, err
-		}
-		quantizeInto(values, values, quantize)
 	}
 	return adopt(values)
 }
 
-// parse reads the samples of r into values, which must be empty: only its
-// capacity is used. Lines are scanned in buf, which grows up to 1 MiB.
-func parse(r io.Reader, buf []byte, values []float64) ([]float64, error) {
+// readQuantized parses r into a run trace of its quantize-second window
+// means, summing each window's samples in order as Quantize does. The
+// errors come in Read's order: a parse error anywhere in the file first,
+// then the first invalid sample by its own index, and only then an
+// invalid mean.
+func readQuantized(r io.Reader, quantize int) (*Trace, error) {
+	// Room for a day of 5-minute windows; append grows it past that.
+	b := newRunBuilder(256)
+	var bad error // the first invalid sample's
+	n, start, sum := 0, 0, 0.0
+	err := parse(r, make([]byte, 64*1024), func(v float64) {
+		if bad == nil {
+			bad = checkSample(n, v)
+		}
+		sum += v
+		n++
+		if n-start == quantize {
+			b.add(sum/float64(quantize), n)
+			start, sum = n, 0
+		}
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case n == 0:
+		return nil, ErrEmpty
+	case bad != nil:
+		return nil, bad
+	case n > math.MaxInt32:
+		return nil, errTooLong(n)
+	}
+	if n > start {
+		b.add(sum/float64(n-start), n)
+	}
+	return b.trace()
+}
+
+// parse reads the samples of r and hands each to add, in order. Lines are
+// scanned in buf, which grows up to 1 MiB.
+func parse(r io.Reader, buf []byte, add func(float64)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(buf, 1024*1024)
 	var prev []byte // the last rate text parsed, copied: the scanner reuses its buffer
 	var rate float64
-	line := 0
+	line, samples := 0, 0
 	for sc.Scan() {
 		line++
 		text := bytes.TrimSpace(sc.Bytes())
@@ -107,29 +141,30 @@ func parse(r io.Reader, buf []byte, values []float64) ([]float64, error) {
 			field = bytes.TrimSpace(text[comma+1:])
 			idx, err := strconv.Atoi(string(idxField))
 			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad index %q: %v", line, idxField, err)
+				return fmt.Errorf("trace: line %d: bad index %q: %v", line, idxField, err)
 			}
-			if idx != len(values) {
-				return nil, fmt.Errorf("trace: line %d: non-contiguous index %d (want %d)", line, idx, len(values))
+			if idx != samples {
+				return fmt.Errorf("trace: line %d: non-contiguous index %d (want %d)", line, idx, samples)
 			}
 		}
 		// ParseFloat is a pure function of its text, so equal text may
 		// reuse the previous value bit for bit.
-		if len(values) == 0 || !bytes.Equal(field, prev) {
+		if samples == 0 || !bytes.Equal(field, prev) {
 			var err error
 			if rate, err = strconv.ParseFloat(string(field), 64); err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad rate %q: %v", line, field, err)
+				return fmt.Errorf("trace: line %d: bad rate %q: %v", line, field, err)
 			}
 			prev = append(prev[:0], field...)
 		}
-		values = append(values, rate)
+		add(rate)
+		samples++
 	}
 	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
-		return nil, fmt.Errorf("trace: line %d: longer than 1 MiB", line+1)
+		return fmt.Errorf("trace: line %d: longer than 1 MiB", line+1)
 	} else if err != nil {
-		return nil, fmt.Errorf("trace: read: %w", err)
+		return fmt.Errorf("trace: read: %w", err)
 	}
-	return values, nil
+	return nil
 }
 
 // Write serializes the trace in the bare one-rate-per-line form, prefixed
@@ -140,12 +175,18 @@ func Write(w io.Writer, t *Trace) error {
 	if _, err := bw.Write(append(text, " samples at 1 Hz\n"...)); err != nil {
 		return err
 	}
-	for i, v := range t.values {
-		if i == 0 || math.Float64bits(v) != math.Float64bits(t.values[i-1]) {
+	c := t.cursorAt(0)
+	prev := math.Float64bits(math.NaN()) // matches no valid sample
+	for i := 0; i < t.n; {
+		v, end := c.next()
+		if b := math.Float64bits(v); b != prev {
 			text = append(strconv.AppendFloat(text[:0], v, 'g', -1, 64), '\n')
+			prev = b
 		}
-		if _, err := bw.Write(text); err != nil {
-			return err
+		for ; i < end; i++ {
+			if _, err := bw.Write(text); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()

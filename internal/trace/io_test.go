@@ -64,7 +64,7 @@ func writeReference(w io.Writer, t *Trace) error {
 	if _, err := fmt.Fprintf(bw, "# trace: %d samples at 1 Hz\n", t.Len()); err != nil {
 		return err
 	}
-	for _, v := range t.values {
+	for _, v := range t.Values() {
 		if _, err := fmt.Fprintf(bw, "%g\n", v); err != nil {
 			return err
 		}

@@ -1,25 +1,115 @@
 package trace
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
-func TestNextChange(t *testing.T) {
-	tr := MustNew([]float64{1, 1, 1, 2, 2, 3, 3, 3})
-	cases := []struct{ at, want int }{
-		{0, 3}, {1, 3}, {2, 3}, {3, 5}, {4, 5}, {5, 8}, {7, 8},
-		{-4, 3}, // clamps like At
-		{99, 8}, // past the end
+// runsOf returns the runs Runs reports for [from, to), gathered through a
+// block of size slots.
+func runsOf(tr *Trace, from, to, size int) (vals []float64, ends []int) {
+	val, end := make([]float64, size), make([]int, size)
+	for i := max(from, 0); i < min(to, tr.Len()); {
+		n := tr.Runs(i, to, val, end)
+		if n == 0 {
+			panic("Runs made no progress")
+		}
+		vals, ends = append(vals, val[:n]...), append(ends, end[:n]...)
+		i = end[n-1]
 	}
-	for _, c := range cases {
-		if got := tr.NextChange(c.at); got != c.want {
-			t.Errorf("NextChange(%d) = %d, want %d", c.at, got, c.want)
+	return vals, ends
+}
+
+// asRuns returns tr stored as runs, sample for sample.
+func asRuns(tb testing.TB, tr *Trace) *Trace {
+	tb.Helper()
+	b := newRunBuilder(0)
+	for i, v := range tr.Values() {
+		b.add(v, i+1)
+	}
+	out, err := b.trace()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// quantizeReference is Quantize as it was when it kept every sample: the
+// window means written into a dense trace.
+func quantizeReference(tr *Trace, width int) (*Trace, error) {
+	if width <= 0 {
+		return nil, fmt.Errorf("trace: invalid quantize width %d", width)
+	}
+	src := tr.Values()
+	for start := 0; start < len(src); start += width {
+		end := min(start+width, len(src))
+		sum := 0.0
+		for _, v := range src[start:end] {
+			sum += v
+		}
+		mean := sum / float64(end-start)
+		for i := start; i < end; i++ {
+			src[i] = mean
 		}
 	}
-	flat := MustNew(make([]float64, 50))
-	if got := flat.NextChange(0); got != 50 {
-		t.Errorf("constant trace NextChange = %d, want len", got)
+	return adopt(src)
+}
+
+func TestRuns(t *testing.T) {
+	dense := MustNew([]float64{1, 1, 1, 2, 2, 3, 3, 3})
+	cases := []struct {
+		from, to int
+		vals     []float64
+		ends     []int
+	}{
+		{0, 8, []float64{1, 2, 3}, []int{3, 5, 8}},
+		{1, 4, []float64{1, 2}, []int{3, 4}},
+		{5, 8, []float64{3}, []int{8}},
+		{-4, 2, []float64{1}, []int{2}}, // from clamps like At
+		{6, 99, []float64{3}, []int{8}}, // to clamps
+		{3, 3, nil, nil},                // empty
+		{5, 1, nil, nil},                // inverted
+		{9, 12, nil, nil},               // past the end
+	}
+	for name, tr := range map[string]*Trace{"dense": dense, "runs": asRuns(t, dense)} {
+		for _, size := range []int{1, 2, 256} {
+			for _, c := range cases {
+				vals, ends := runsOf(tr, c.from, c.to, size)
+				if !reflect.DeepEqual(vals, c.vals) || !reflect.DeepEqual(ends, c.ends) {
+					t.Errorf("%s, block %d: Runs(%d, %d) = %v ending %v, want %v ending %v", name, size, c.from, c.to, vals, ends, c.vals, c.ends)
+				}
+			}
+		}
+	}
+	var val [4]float64
+	var end [4]int
+	if n := dense.Runs(0, 8, val[:0], end[:]); n != 0 {
+		t.Errorf("Runs into an empty block = %d, want 0", n)
+	}
+}
+
+// TestRunsBoundaries pins Runs at the trace edges the interval integrator
+// leans on: the single-sample trace, the final sample, per-second runs of
+// length one (a raw un-quantized trace), and ±0, which compare equal and
+// share a run whose value is its first sample's.
+func TestRunsBoundaries(t *testing.T) {
+	if vals, ends := runsOf(MustNew([]float64{7}), -3, 99, 4); !reflect.DeepEqual(vals, []float64{7}) || !reflect.DeepEqual(ends, []int{1}) {
+		t.Errorf("single sample: %v ending %v", vals, ends)
+	}
+	if _, ends := runsOf(MustNew([]float64{1, 1, 2}), 0, 3, 4); !reflect.DeepEqual(ends, []int{2, 3}) {
+		t.Errorf("distinct final sample: runs end at %v, want [2 3]", ends)
+	}
+	if _, ends := runsOf(MustNew([]float64{1, 2, 3, 4}), 0, 4, 3); !reflect.DeepEqual(ends, []int{1, 2, 3, 4}) {
+		t.Errorf("raw trace: runs end at %v, want one per second", ends)
+	}
+	zeros := MustNew([]float64{math.Copysign(0, -1), 0, 0, 5})
+	for name, tr := range map[string]*Trace{"dense": zeros, "runs": asRuns(t, zeros)} {
+		vals, ends := runsOf(tr, 0, 4, 1)
+		if len(vals) != 2 || !math.Signbit(vals[0]) || vals[1] != 5 || !reflect.DeepEqual(ends, []int{3, 4}) {
+			t.Errorf("%s: ±0 runs = %v ending %v, want [-0 5] ending [3 4]", name, vals, ends)
+		}
 	}
 }
 
@@ -47,37 +137,6 @@ func TestQuantize(t *testing.T) {
 	}
 	if _, err := tr.Quantize(-3); err == nil {
 		t.Error("negative width accepted")
-	}
-}
-
-// TestNextChangeBoundaries pins NextChange behavior at the trace edges the
-// interval integrator leans on: the single-sample trace, the final sample,
-// and per-second "plateaus" of length one (a raw un-quantized trace).
-func TestNextChangeBoundaries(t *testing.T) {
-	single := MustNew([]float64{7})
-	for _, at := range []int{-3, 0, 1, 99} {
-		if got := single.NextChange(at); got != 1 {
-			t.Errorf("single-sample NextChange(%d) = %d, want 1", at, got)
-		}
-	}
-
-	// A distinct final sample: the change lands exactly on the last index,
-	// and from the last index the next change is Len().
-	tail := MustNew([]float64{1, 1, 2})
-	if got := tail.NextChange(0); got != 2 {
-		t.Errorf("NextChange(0) = %d, want 2", got)
-	}
-	if got := tail.NextChange(2); got != 3 {
-		t.Errorf("NextChange(last) = %d, want Len()", got)
-	}
-
-	// Raw 1 Hz trace: every plateau has length one, so NextChange must
-	// advance exactly one second at a time and terminate at Len().
-	raw := MustNew([]float64{1, 2, 3, 4})
-	for i := 0; i < raw.Len(); i++ {
-		if got := raw.NextChange(i); got != i+1 {
-			t.Errorf("raw NextChange(%d) = %d, want %d", i, got, i+1)
-		}
 	}
 }
 
@@ -131,34 +190,6 @@ func TestQuantizeBoundaries(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	tr := MustNew([]float64{1, 2, 3, 4, 5})
-	cases := []struct {
-		from, to int
-		want     []float64
-	}{
-		{0, 5, []float64{1, 2, 3, 4, 5}},
-		{1, 3, []float64{2, 3}},
-		{-2, 2, []float64{1, 2}}, // from clamps
-		{3, 99, []float64{4, 5}}, // to clamps
-		{2, 2, nil},              // empty
-		{4, 1, nil},              // inverted
-		{7, 9, nil},              // fully out of range
-	}
-	for _, c := range cases {
-		got := tr.Window(c.from, c.to)
-		if len(got) != len(c.want) {
-			t.Errorf("Window(%d,%d) len = %d, want %d", c.from, c.to, len(got), len(c.want))
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("Window(%d,%d)[%d] = %v, want %v", c.from, c.to, i, got[i], c.want[i])
-			}
-		}
-	}
-}
-
 func TestQuantizeSparsifiesChanges(t *testing.T) {
 	cfg := DefaultWorldCupConfig()
 	cfg.Days = 1
@@ -171,10 +202,8 @@ func TestQuantizeSparsifiesChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	changes := 0
-	for u := 0; u < q.Len(); u = q.NextChange(u) {
-		changes++
-	}
+	vals, _ := runsOf(q, 0, q.Len(), 256)
+	changes := len(vals)
 	if maxChanges := q.Len()/300 + 2; changes > maxChanges {
 		t.Errorf("quantized trace has %d change points, want ≤ %d", changes, maxChanges)
 	}

@@ -11,8 +11,9 @@ import (
 	"testing"
 )
 
-// readFileReference is what ReadFile replaces: Read, then Quantize when
-// width > 0, with every error but the open error prefixed by the path.
+// readFileReference is what ReadFile replaces: Read, then a dense
+// quantization when width > 0, with every error but the open error
+// prefixed by the path.
 func readFileReference(path string, width int) (*Trace, error) {
 	body, err := os.ReadFile(path)
 	if err != nil {
@@ -20,7 +21,7 @@ func readFileReference(path string, width int) (*Trace, error) {
 	}
 	tr, err := Read(bytes.NewReader(body))
 	if err == nil && width > 0 {
-		tr, err = tr.Quantize(width)
+		tr, err = quantizeReference(tr, width)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -104,8 +105,9 @@ func TestReadFileOpenError(t *testing.T) {
 	}
 }
 
-// TestReadFileSizesOnce: a regular file's samples land in one array sized
-// from its line count, and quantizing reuses it.
+// TestReadFileSizesOnce: a raw load puts a regular file's samples in one
+// array sized from its line count, and a quantized load holds no samples,
+// only one run per window at most.
 func TestReadFileSizesOnce(t *testing.T) {
 	for name, tr := range ioTestTraces(t) {
 		if name == "edges" {
@@ -116,16 +118,21 @@ func TestReadFileSizesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := writeTempFile(t, file.Bytes())
-		for _, width := range []int{0, 600} {
-			got, err := ReadFile(path, width)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Write's header line and the room for a last line
-			// without a newline are the only spare slots.
-			if c := cap(got.values); c != got.Len()+2 {
-				t.Errorf("%s, width %d: %d samples in an array of %d, want %d", name, width, got.Len(), c, got.Len()+2)
-			}
+		got, err := ReadFile(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Write's header line and the room for a last line without a
+		// newline are the only spare slots.
+		if c := cap(got.values); c != got.Len()+2 {
+			t.Errorf("%s: %d samples in an array of %d, want %d", name, got.Len(), c, got.Len()+2)
+		}
+		const width = 600
+		if got, err = ReadFile(path, width); err != nil {
+			t.Fatal(err)
+		}
+		if windows := (got.Len() + width - 1) / width; got.values != nil || len(got.runVals) > windows {
+			t.Errorf("%s, width %d: %d dense samples and %d runs, want none and at most %d", name, width, len(got.values), len(got.runVals), windows)
 		}
 	}
 }
@@ -153,6 +160,6 @@ func TestReadFilePipe(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Fingerprint() != want.Fingerprint() {
-		t.Fatalf("ReadFile of a pipe = %v, want %v", got.values, want.values)
+		t.Fatalf("ReadFile of a pipe = %v, want %v", got.Values(), want.Values())
 	}
 }

@@ -25,9 +25,21 @@ const SecondsPerDay = 86400
 // application-metric units and must be finite and non-negative. Values
 // are immutable after construction, which is what lets fingerprints be
 // cached and traces be shared freely across concurrent simulations.
+//
+// A trace is stored one of two ways, fixed by its constructor. New, Read,
+// raw ReadFile, GenerateWorldCup and FromAccessLog keep every sample in a
+// dense array. Quantize, quantized ReadFile, and Scale and Slice of a run
+// trace keep runs instead: a value and an exclusive end per run, a new run
+// wherever the sample's bits change, so a day quantized at 600 s is 144
+// runs rather than 86,400 samples. Every method answers the same on both.
 type Trace struct {
-	values []float64
-	max    float64 // global maximum, computed once in adopt (see Max)
+	n      int       // samples
+	values []float64 // the samples of a dense trace; nil on a run trace
+	// The runs of a run trace: run k holds runVals[k] on [runEnds[k-1],
+	// runEnds[k]), from 0 for k = 0. Neighbouring runs differ in bits.
+	runVals []float64
+	runEnds []int32
+	max     float64 // global maximum, computed once at construction (see Max)
 
 	// Fingerprint cache (computed at most once; see Fingerprint).
 	fpOnce sync.Once
@@ -46,7 +58,7 @@ func New(values []float64) (*Trace, error) {
 	return adopt(append([]float64(nil), values...))
 }
 
-// adopt validates values and wraps them in a trace without copying,
+// adopt validates values and wraps them in a dense trace without copying,
 // computing the maximum in the same pass. The caller hands over ownership:
 // values must not be reachable from anywhere else, or the trace would not
 // be immutable.
@@ -55,7 +67,7 @@ func adopt(values []float64) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Trace{values: values, max: max}, nil
+	return &Trace{n: len(values), values: values, max: max}, nil
 }
 
 // validMax returns the maximum of values, or the error adopt reports for
@@ -66,16 +78,111 @@ func validMax(values []float64) (float64, error) {
 	}
 	max := 0.0
 	for i, v := range values {
-		// One range test rejects negatives, NaN (it fails every
-		// comparison) and ±Inf.
-		if !(v >= 0 && v <= math.MaxFloat64) {
-			return 0, fmt.Errorf("%w (index %d: %v)", ErrInvalidValue, i, v)
+		if err := checkSample(i, v); err != nil {
+			return 0, err
 		}
 		if v > max {
 			max = v
 		}
 	}
 	return max, nil
+}
+
+// checkSample returns the ErrInvalidValue of sample i unless v is a valid
+// load. One range test rejects negatives, NaN (it fails every comparison)
+// and ±Inf.
+func checkSample(i int, v float64) error {
+	if !(v >= 0 && v <= math.MaxFloat64) {
+		return fmt.Errorf("%w (index %d: %v)", ErrInvalidValue, i, v)
+	}
+	return nil
+}
+
+// errTooLong is the error of a run trace past the reach of its int32 ends.
+func errTooLong(n int) error {
+	return fmt.Errorf("trace: %d samples are too many to store as runs", n)
+}
+
+// runBuilder gathers the runs of a run trace in order.
+type runBuilder struct {
+	val []float64
+	end []int32
+}
+
+// newRunBuilder returns a builder with room for runs runs.
+func newRunBuilder(runs int) runBuilder {
+	return runBuilder{make([]float64, 0, runs), make([]int32, 0, runs)}
+}
+
+// add appends a run of v ending at end (exclusive), extending the last run
+// instead when v has its bits.
+func (b *runBuilder) add(v float64, end int) {
+	if k := len(b.val) - 1; k >= 0 && math.Float64bits(b.val[k]) == math.Float64bits(v) {
+		b.end[k] = int32(end)
+		return
+	}
+	b.val = append(b.val, v)
+	b.end = append(b.end, int32(end))
+}
+
+// trace validates the runs as adopt validates samples, naming a bad run by
+// its first sample, and wraps them in a run trace.
+func (b *runBuilder) trace() (*Trace, error) {
+	if len(b.val) == 0 {
+		return nil, ErrEmpty
+	}
+	max, start := 0.0, 0
+	for k, v := range b.val {
+		if err := checkSample(start, v); err != nil {
+			return nil, err
+		}
+		if v > max {
+			max = v
+		}
+		start = int(b.end[k])
+	}
+	return &Trace{n: int(b.end[len(b.end)-1]), runVals: b.val, runEnds: b.end, max: max}, nil
+}
+
+// runIndex returns the index of the run holding sample i of a run trace,
+// or the last run's for i past the end.
+func (t *Trace) runIndex(i int) int {
+	lo, hi := 0, len(t.runEnds)-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(t.runEnds[m]) > i {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// cursor steps through what a trace stores: one sample at a time on a
+// dense trace, one run at a time on a run trace.
+type cursor struct {
+	t *Trace
+	k int
+}
+
+// cursorAt returns a cursor at what holds sample i (0 <= i < Len).
+func (t *Trace) cursorAt(i int) cursor {
+	if t.values != nil {
+		return cursor{t, i}
+	}
+	return cursor{t, t.runIndex(i)}
+}
+
+// next returns the value and the exclusive end of the stored sample or
+// run at c, and steps past it.
+func (c *cursor) next() (float64, int) {
+	k := c.k
+	c.k++
+	if c.t.values != nil {
+		return c.t.values[k], k + 1
+	}
+	return c.t.runVals[k], int(c.t.runEnds[k])
 }
 
 // MustNew is New but panics on error; for tests and literals known valid.
@@ -88,22 +195,27 @@ func MustNew(values []float64) *Trace {
 }
 
 // Len returns the number of one-second samples.
-func (t *Trace) Len() int { return len(t.values) }
+func (t *Trace) Len() int { return t.n }
 
 // Fingerprint returns a stable FNV-1a hash of the trace contents (length
 // plus every sample bit pattern), computed once per Trace and cached.
 // Two traces with equal samples fingerprint equally across processes,
-// which is what lets distributed sweep workers and coordinators agree on
-// canonical cell identities without exchanging the trace itself.
+// whichever way each is stored, which is what lets distributed sweep
+// workers and coordinators agree on canonical cell identities without
+// exchanging the trace itself.
 func (t *Trace) Fingerprint() uint64 {
 	t.fpOnce.Do(func() {
 		h := fnv.New64a()
 		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(t.values)))
+		binary.LittleEndian.PutUint64(buf[:], uint64(t.n))
 		h.Write(buf[:])
-		for _, v := range t.values {
+		c := t.cursorAt(0)
+		for i := 0; i < t.n; {
+			v, end := c.next()
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
+			for ; i < end; i++ {
+				h.Write(buf[:])
+			}
 		}
 		t.fp = h.Sum64()
 	})
@@ -113,29 +225,88 @@ func (t *Trace) Fingerprint() uint64 {
 // At returns the load at second i. Out-of-range indices clamp to the trace
 // boundary, which lets predictors look past the end without special cases.
 func (t *Trace) At(i int) float64 {
-	if i < 0 {
-		i = 0
+	i = min(max(i, 0), t.n-1)
+	if t.values != nil {
+		return t.values[i]
 	}
-	if i >= len(t.values) {
-		i = len(t.values) - 1
-	}
-	return t.values[i]
+	return t.runVals[t.runIndex(i)]
 }
 
-// Values returns a copy of the underlying samples.
+// Values returns a copy of the samples.
 func (t *Trace) Values() []float64 {
-	out := make([]float64, len(t.values))
-	copy(out, t.values)
+	out := make([]float64, t.n)
+	c := t.cursorAt(0)
+	for i := 0; i < t.n; {
+		v, end := c.next()
+		for ; i < end; i++ {
+			out[i] = v
+		}
+	}
 	return out
 }
 
-// Slice returns the subtrace [from, to) (seconds). It errors on an empty or
-// out-of-range window.
-func (t *Trace) Slice(from, to int) (*Trace, error) {
-	if from < 0 || to > len(t.values) || from >= to {
-		return nil, fmt.Errorf("trace: invalid slice [%d, %d) of %d samples", from, to, len(t.values))
+// Runs fills val and end with the maximal runs of equal samples in
+// [from, to), in order: the r-th run holds val[r] on [end[r-1], end[r]),
+// from from for r = 0. Neighbouring samples that compare == share a run,
+// whose value is its first sample's, so ±0 and neighbours that Scale or
+// Quantize made equal fold together, on either storage. It writes at most
+// min(len(val), len(end)) runs, each maximal within [from, to), and
+// returns how many; when end[n-1] < to the next run starts there. Both
+// bounds clamp to the trace. It is the bulk read of the engines: a
+// caller's fixed block holds hundreds of runs, so a span is folded without
+// a per-second At call or an allocation.
+func (t *Trace) Runs(from, to int, val []float64, end []int) int {
+	from, to = max(from, 0), min(to, t.n)
+	if from >= to {
+		return 0
 	}
-	return New(t.values[from:to])
+	size, n := min(len(val), len(end)), 0
+	if t.values != nil {
+		w := t.values[from:to]
+		for i := 0; i < len(w) && n < size; n++ {
+			d := w[i]
+			j := i + 1
+			for j < len(w) && w[j] == d {
+				j++
+			}
+			val[n], end[n] = d, from+j
+			i = j
+		}
+		return n
+	}
+	for k, i := t.runIndex(from), from; i < to; k++ {
+		v, e := t.runVals[k], min(int(t.runEnds[k]), to)
+		if n > 0 && v == val[n-1] {
+			end[n-1] = e
+		} else if n < size {
+			val[n], end[n] = v, e
+			n++
+		} else {
+			break
+		}
+		i = e
+	}
+	return n
+}
+
+// Slice returns the subtrace [from, to) (seconds), stored as t is. It
+// errors on an empty or out-of-range window.
+func (t *Trace) Slice(from, to int) (*Trace, error) {
+	if from < 0 || to > t.n || from >= to {
+		return nil, fmt.Errorf("trace: invalid slice [%d, %d) of %d samples", from, to, t.n)
+	}
+	if t.values != nil {
+		return New(t.values[from:to])
+	}
+	k := t.runIndex(from)
+	b := newRunBuilder(t.runIndex(to-1) - k + 1)
+	c := cursor{t, k}
+	for i := from; i < to; {
+		v, end := c.next()
+		i = min(end, to)
+		b.add(v, i-from)
+	}
+	return b.trace()
 }
 
 // Day returns the 1-based day d as a subtrace (the paper indexes World Cup
@@ -145,7 +316,7 @@ func (t *Trace) Day(d int) (*Trace, error) {
 }
 
 // Days returns how many complete days the trace covers.
-func (t *Trace) Days() int { return len(t.values) / SecondsPerDay }
+func (t *Trace) Days() int { return t.n / SecondsPerDay }
 
 // Max returns the global maximum load. It is computed once, when the
 // trace is built, so per-cell callers pay nothing for it.
@@ -153,36 +324,35 @@ func (t *Trace) Max() float64 { return t.max }
 
 // Mean returns the average load.
 func (t *Trace) Mean() float64 {
-	if len(t.values) == 0 {
+	if t.n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, v := range t.values {
-		sum += v
+	c := t.cursorAt(0)
+	for i := 0; i < t.n; {
+		v, end := c.next()
+		// Sample by sample, as a dense sum adds them.
+		for ; i < end; i++ {
+			sum += v
+		}
 	}
-	return sum / float64(len(t.values))
+	return sum / float64(t.n)
 }
 
 // MaxInWindow returns the maximum over samples [from, from+width), clamping
 // to the trace end — exactly the prediction the paper's scheduler uses
 // ("the maximum load value over a window of 378 seconds").
 func (t *Trace) MaxInWindow(from, width int) float64 {
-	if width <= 0 || len(t.values) == 0 {
+	if width <= 0 || t.n == 0 {
 		return 0
 	}
-	if from < 0 {
-		from = 0
-	}
-	to := from + width
-	if to > len(t.values) {
-		to = len(t.values)
-	}
-	if from >= len(t.values) {
-		from = len(t.values) - 1
-		to = len(t.values)
-	}
+	from = min(max(from, 0), t.n-1)
+	to := min(from+width, t.n)
 	max := 0.0
-	for _, v := range t.values[from:to] {
+	c := t.cursorAt(from)
+	for i := from; i < to; {
+		var v float64
+		v, i = c.next()
 		if v > max {
 			max = v
 		}
@@ -193,7 +363,7 @@ func (t *Trace) MaxInWindow(from, width int) float64 {
 // SlidingMax returns MaxInWindow(i, width) for every i: the dense form of
 // SlidingMaxRuns, one value per second.
 func (t *Trace) SlidingMax(width int) ([]float64, error) {
-	out := make([]float64, len(t.values))
+	out := make([]float64, t.n)
 	err := t.SlidingMaxRuns(width, func(from, to int, max float64) {
 		for i := from; i < to; i++ {
 			out[i] = max
@@ -227,14 +397,19 @@ type suffixRecord struct {
 // min(width, n) records, and a handful on real load traces; the forward
 // pass then walks those records while growing the next block's prefix max.
 // A width past the trace end gives the same windows as width n, so the
-// blocks never exceed the trace.
+// blocks never exceed the trace. A run trace is walked run by run instead
+// (slidingMaxStored), with the same emissions bit for bit.
 func (t *Trace) SlidingMaxRuns(width int, emit func(from, to int, max float64)) error {
 	if width <= 0 {
 		return fmt.Errorf("trace: invalid window width %d", width)
 	}
+	w := min(width, t.n)
+	if t.values == nil {
+		t.slidingMaxStored(w, emit)
+		return nil
+	}
 	vals := t.values
 	n := len(vals)
-	w := min(width, n)
 	rec := make([]suffixRecord, 0, 32) // stays on the stack unless a block needs more
 	// The NaN sentinel matches no valid sample, so second 0 opens a run.
 	runFrom, runMax, runBits := 0, 0.0, math.Float64bits(math.NaN())
@@ -290,85 +465,117 @@ func (t *Trace) SlidingMaxRuns(width int, emit func(from, to int, max float64)) 
 	return nil
 }
 
-// NextChange returns the first second u > i at which the load differs from
-// the load at i, or Len() when the trace is constant from i onward.
-// Negative i clamps to 0; i at or past the end returns Len().
-func (t *Trace) NextChange(i int) int {
-	n := len(t.values)
-	if i < 0 {
-		i = 0
+// slidingMaxStored is SlidingMaxRuns of a run trace, for a width w in
+// [1, Len()]. The window maximum changes only where a run enters or leaves
+// the window, so a queue of the runs in the window whose value no later
+// one reaches (decreasing from its head) yields it one stretch at a time.
+// Its bits are the dense kernel's: a positive maximum has one bit pattern,
+// and where the maximum is zero the whole window is ±0, and the dense
+// kernel reports the suffix maximum of second i's block, which is then
+// that block's last sample.
+func (t *Trace) slidingMaxStored(w int, emit func(from, to int, max float64)) {
+	n, vals, ends := t.n, t.runVals, t.runEnds
+	start := func(k int) int {
+		if k == 0 {
+			return 0
+		}
+		return int(ends[k-1])
 	}
-	if i >= n {
-		return n
-	}
-	v := t.values[i]
-	for u := i + 1; u < n; u++ {
-		if t.values[u] != v {
-			return u
+	// The queue's run indices; the live ones from head. It holds at most
+	// the runs of one window, and stays on the stack unless they pass 32.
+	queue := make([]int32, 0, 32)
+	head := 0
+	first, in := 0, -1 // the run holding i; the last run in the window
+	// The NaN sentinel matches no valid sample, so second 0 opens a run.
+	runFrom, runMax, runBits := 0, 0.0, math.Float64bits(math.NaN())
+	put := func(from, to int, m float64) {
+		if b := math.Float64bits(m); b != runBits {
+			if from > 0 {
+				emit(runFrom, from, runMax)
+			}
+			runFrom, runMax, runBits = from, m, b
 		}
 	}
-	return n
-}
-
-// Window returns a read-only view of the samples in [from, to), clamping
-// both bounds to the trace. Unlike Slice it neither copies nor
-// re-validates: the returned slice aliases the trace's immutable backing
-// array and must not be modified. An empty window returns nil. This is the
-// interval integrator's bulk access path — whole decide intervals of raw
-// samples are folded without a per-second At call or an allocation.
-func (t *Trace) Window(from, to int) []float64 {
-	if from < 0 {
-		from = 0
+	for i := 0; i < n; {
+		for last := min(i+w, n) - 1; in+1 < len(vals) && start(in+1) <= last; {
+			in++
+			for len(queue) > head && vals[queue[len(queue)-1]] <= vals[in] {
+				queue = queue[:len(queue)-1]
+			}
+			if len(queue) == cap(queue) && head > 0 {
+				queue, head = queue[:copy(queue, queue[head:])], 0
+			}
+			queue = append(queue, int32(in))
+		}
+		for int(ends[first]) <= i {
+			first++
+		}
+		for int(queue[head]) < first {
+			head++
+		}
+		// The window is unchanged up to the end of i's run or until the
+		// next run enters, whichever comes first.
+		next := int(ends[first])
+		if in+1 < len(vals) {
+			next = min(next, start(in+1)-w+1)
+		}
+		if m := vals[queue[head]]; m != 0 {
+			put(i, next, m)
+		} else {
+			for j := i; j < next; {
+				blockEnd := min((j/w+1)*w, n)
+				put(j, min(blockEnd, next), t.At(blockEnd-1))
+				j = min(blockEnd, next)
+			}
+		}
+		i = next
 	}
-	if to > len(t.values) {
-		to = len(t.values)
-	}
-	if from >= to {
-		return nil
-	}
-	return t.values[from:to]
+	emit(runFrom, n, runMax)
 }
 
 // Quantize returns a trace of the same length where each window of width
 // seconds is replaced by that window's mean — a piecewise-constant trace
 // modeling load known at coarser-than-1 Hz granularity (e.g. per-minute
 // aggregated access logs). The trailing partial window averages its own
-// samples. Quantized traces are what make the event-driven simulator
-// dramatically faster than the 1 Hz tick loop: fewer load changes means
-// fewer events.
+// samples. The result is a run trace. Quantized traces are what make the
+// event-driven simulator dramatically faster than the 1 Hz tick loop:
+// fewer load changes means fewer events.
 func (t *Trace) Quantize(width int) (*Trace, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("trace: invalid quantize width %d", width)
 	}
-	out := make([]float64, len(t.values))
-	quantizeInto(out, t.values, width)
-	return adopt(out)
-}
-
-// quantizeInto writes to dst the window means Quantize describes, over
-// the samples of src (len(dst) == len(src), width > 0). dst may be src
-// itself: each window is summed before any of it is overwritten.
-func quantizeInto(dst, src []float64, width int) {
-	for start := 0; start < len(src); start += width {
-		end := start + width
-		if end > len(src) {
-			end = len(src)
-		}
+	if t.n > math.MaxInt32 {
+		return nil, errTooLong(t.n)
+	}
+	b := newRunBuilder((t.n-1)/width + 1)
+	c := t.cursorAt(0)
+	v, end := c.next()
+	for start := 0; start < t.n; start += width {
+		stop := min(start+width, t.n)
 		sum := 0.0
-		for _, v := range src[start:end] {
+		for i := start; i < stop; i++ {
+			if i == end {
+				v, end = c.next()
+			}
 			sum += v
 		}
-		mean := sum / float64(end-start)
-		for i := start; i < end; i++ {
-			dst[i] = mean
-		}
+		b.add(sum/float64(stop-start), stop)
 	}
+	return b.trace()
 }
 
-// Scale returns a copy with every sample multiplied by f (>= 0).
+// Scale returns a copy with every sample multiplied by f (>= 0), stored as
+// t is.
 func (t *Trace) Scale(f float64) (*Trace, error) {
 	if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 		return nil, fmt.Errorf("trace: invalid scale factor %v", f)
+	}
+	if t.values == nil {
+		b := newRunBuilder(len(t.runVals))
+		for k, v := range t.runVals {
+			b.add(v*f, int(t.runEnds[k]))
+		}
+		return b.trace()
 	}
 	out := make([]float64, len(t.values))
 	for i, v := range t.values {
@@ -402,8 +609,8 @@ type Stats struct {
 // Summary computes summary statistics. Percentiles use the nearest-rank
 // method on a sorted copy.
 func (t *Trace) Summary() Stats {
-	s := Stats{Samples: len(t.values), Max: t.Max(), Mean: t.Mean()}
-	if len(t.values) == 0 {
+	s := Stats{Samples: t.n, Max: t.Max(), Mean: t.Mean()}
+	if t.n == 0 {
 		return s
 	}
 	sorted := t.Values()

@@ -133,35 +133,42 @@ func TestMaxInWindow(t *testing.T) {
 
 // TestSlidingMaxMatchesNaive checks SlidingMax against MaxInWindow's
 // direct scan at the block-decomposition edges (width 1, n−1, n, n+1 and
-// beyond, a single-sample trace under every width), and that the result is
-// a fresh array: the trace is untouched when the caller writes to it.
+// beyond, a single-sample trace under every width), on random and on
+// falling loads (every sample of a window then stays in the run kernel's
+// queue), stored dense and as runs, and that the result is a fresh array:
+// the trace is untouched when the caller writes to it.
 func TestSlidingMaxMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 3, 5, 63, 64, 65, 130, 500} {
+	for k, n := range []int{1, 2, 3, 5, 63, 64, 65, 130, 500, 1, 64, 500} {
 		vals := make([]float64, n)
 		for i := range vals {
 			vals[i] = rng.Float64() * 100
+			if k >= 9 {
+				vals[i] = float64(n - i)
+			}
 		}
-		tr := MustNew(vals)
-		for _, width := range []int{1, 2, 7, 50, n - 1, n, n + 1, 2*n + 3, 1000} {
-			if width <= 0 {
-				continue
-			}
-			fast, err := tr.SlidingMax(width)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(fast) != n {
-				t.Fatalf("n %d, width %d: len %d", n, width, len(fast))
-			}
-			for i := range vals {
-				if want := tr.MaxInWindow(i, width); fast[i] != want {
-					t.Fatalf("n %d, width %d, i %d: SlidingMax = %v, naive = %v", n, width, i, fast[i], want)
+		dense := MustNew(vals)
+		for _, tr := range []*Trace{dense, asRuns(t, dense)} {
+			for _, width := range []int{1, 2, 7, 50, n - 1, n, n + 1, 2*n + 3, 1000} {
+				if width <= 0 {
+					continue
 				}
-			}
-			fast[0] = -1
-			if tr.At(0) != vals[0] {
-				t.Fatalf("n %d, width %d: SlidingMax's result aliases the trace", n, width)
+				fast, err := tr.SlidingMax(width)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(fast) != n {
+					t.Fatalf("n %d, width %d: len %d", n, width, len(fast))
+				}
+				for i := range vals {
+					if want := dense.MaxInWindow(i, width); fast[i] != want {
+						t.Fatalf("n %d, width %d, i %d: SlidingMax = %v, naive = %v", n, width, i, fast[i], want)
+					}
+				}
+				fast[0] = -1
+				if tr.At(0) != vals[0] {
+					t.Fatalf("n %d, width %d: SlidingMax's result aliases the trace", n, width)
+				}
 			}
 		}
 	}

@@ -36,7 +36,6 @@ var testSeams = map[string]string{
 	"trace.MustNew":                 "sim tests (config, shard, sim, differential)",
 	"trace.Trace.SlidingMax":        "BenchmarkSlidingMax (bench_test.go), predict's look-ahead oracle",
 	"trace.Trace.Day":               "BenchmarkSlidingMax, BenchmarkSchedulerDay (bench_test.go)",
-	"trace.Trace.NextChange":        "sim's static reference test (static_reference_test.go)",
 	"power.IntervalEnergy":          "sim's static reference test (static_reference_test.go)",
 	"qos.Tracker.Seconds":           "sim's tick ≡ integrator suites (differential_test.go)",
 	"machine.Machine.CurrentPower":  "cluster's lockstep suite (differential_test.go)",

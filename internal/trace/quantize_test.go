@@ -57,7 +57,44 @@ func quantizeReference(tr *Trace, width int) (*Trace, error) {
 	return adopt(src)
 }
 
-func TestRuns(t *testing.T) {
+// nextChange returns the first index after at whose sample differs from at's:
+// the end of the first run Runs reports from at, or Len when there is none.
+func nextChange(tr *Trace, at int) int {
+	var val [1]float64
+	var end [1]int
+	if tr.Runs(at, tr.Len(), val[:], end[:]) == 0 {
+		return tr.Len()
+	}
+	return end[0]
+}
+
+// TestNextChange pins where each run Runs reports ends, from every start,
+// on dense and run storage alike.
+func TestNextChange(t *testing.T) {
+	dense := MustNew([]float64{1, 1, 1, 2, 2, 3, 3, 3})
+	cases := []struct{ at, want int }{
+		{0, 3}, {1, 3}, {2, 3}, {3, 5}, {4, 5}, {5, 8}, {7, 8},
+		{-4, 3}, // clamps like At
+		{99, 8}, // past the end
+	}
+	for name, tr := range map[string]*Trace{"dense": dense, "runs": asRuns(t, dense)} {
+		for _, c := range cases {
+			if got := nextChange(tr, c.at); got != c.want {
+				t.Errorf("%s: next change after %d = %d, want %d", name, c.at, got, c.want)
+			}
+		}
+	}
+	flat := MustNew(make([]float64, 50))
+	for name, tr := range map[string]*Trace{"dense": flat, "runs": asRuns(t, flat)} {
+		if got := nextChange(tr, 0); got != 50 {
+			t.Errorf("%s: constant trace next change = %d, want len", name, got)
+		}
+	}
+}
+
+// TestWindow pins the runs Runs reports over a span [from, to), which clamps
+// to the trace, through blocks of every size.
+func TestWindow(t *testing.T) {
 	dense := MustNew([]float64{1, 1, 1, 2, 2, 3, 3, 3})
 	cases := []struct {
 		from, to int

@@ -101,8 +101,8 @@ func main() {
 		only       = flag.String("only", "", "with -sweep: run only the canonical cell IDs listed in this file (\"-\" = stdin) — feed a coordinator's GET /v1/pending output here to re-dispatch a crashed worker's cells")
 		cacheSpec  = flag.String("cache", "", "with -sweep: content-addressed result cache, a local directory or a coordinator URL (http://...) — cells whose canonical ID already has a cached success are served from it without simulating, fresh successes are written back")
 		dieAfter   = flag.Int("die-after", 0, "with -sweep: abort the process (exit 3, no flush) after streaming N cells — fault injection for kill-and-resume end-to-end tests")
-		claim      = flag.Int("claim", 0, "with -sweep -sink: lease up to N pending cells at a time from the coordinator (POST /v2/runs/{run}/lease) instead of a static -shard split; posts renew the lease, and the loop repeats until the run completes")
-		runName    = flag.String("run", "", "with -sweep -sink: stream to this named run on a multi-run coordinator (/v2/runs/{run}/cells) instead of the /v1 default run")
+		claim      = flag.Int("claim", 0, "with -sweep -sink: lease up to N pending cells at a time from the coordinator (POST /v1/lease, or /v2/runs/{run}/lease with -run) instead of a static -shard split; posts renew the lease, and the loop repeats until the run completes")
+		runName    = flag.String("run", "", "with -sweep -sink: stream to and lease from this named run on a multi-run coordinator (/v2/runs/{run}/...) instead of the /v1 default run")
 		token      = flag.String("token", "", "with -sweep: bearer token sent to the coordinator (Authorization: Bearer) on sink, lease, and coordinator-URL cache requests")
 		tlsCA      = flag.String("tls-ca", "", "with -sweep: trust this PEM certificate (or CA bundle) when the -sink/-cache coordinator is https://")
 		stallAfter = flag.Int("stall-after", 0, "with -sweep: hang the process (alive, leases held) after streaming N cells — fault injection for the coordinator's stalled-worker lease expiry")

@@ -30,12 +30,12 @@ import (
 //
 // -claim N replaces the static shard split with coordinator-driven work
 // stealing: the worker repeatedly leases up to N pending cells from the
-// coordinator (POST /v2/runs/{run}/lease), streams them (every post
-// renews its leases — the heartbeat), and polls again until the run
-// completes. Workers join and leave freely, a fast host simply claims
+// coordinator (POST /v1/lease, or /v2/runs/{run}/lease), streams them
+// (every post renews its leases — the heartbeat), and polls again until
+// the run completes. Workers join and leave freely, a fast host simply claims
 // more batches, and a stalled worker's cells become claimable again when
-// its lease TTL passes. -run names the coordinator run to work on
-// (default run otherwise); -token/-tls-ca authenticate and trust an
+// its lease TTL passes. -run names the coordinator run to work on (the
+// /v1 default run otherwise); -token/-tls-ca authenticate and trust an
 // access-controlled or HTTPS coordinator.
 //
 // -cache DIR|URL puts a content-addressed result store in front of the
@@ -283,14 +283,6 @@ func runClaimMode(jobs []sim.SweepJob, opts sweepOpts) {
 	w.sinks = sim.MultiSink{hs}
 	w.cache = opts.openCache()
 	w.notifyStop()
-	// ClaimCells needs the run spelled explicitly — the bare-Ingest /v1
-	// surface has no lease endpoint, so the default run is addressed by
-	// its fleet name.
-	claimRun := opts.run
-	if claimRun == "" {
-		claimRun = "default"
-	}
-
 	byID := make(map[string]sim.SweepJob, len(jobs))
 	for _, j := range jobs {
 		byID[sim.CellID(j)] = j
@@ -302,7 +294,7 @@ func runClaimMode(jobs []sim.SweepJob, opts sweepOpts) {
 	attempted := make(map[string]bool)
 	interrupted := false
 	for !interrupted {
-		lr, err := sim.ClaimCells(opts.client, opts.sink, claimRun, opts.token, worker, opts.claim)
+		lr, err := sim.ClaimCells(opts.client, opts.sink, opts.run, opts.token, worker, opts.claim)
 		if err != nil {
 			w.sinks.Close()
 			log.Fatal(err)
@@ -348,6 +340,11 @@ func runClaimMode(jobs []sim.SweepJob, opts sweepOpts) {
 		} else if err != nil {
 			w.sinks.Close()
 			log.Fatal(err)
+		} else if len(batch) == lr.Pending && len(w.failedIDs) == before {
+			// This batch was every pending cell and each post was acked
+			// as a success: the run is complete, and a coordinator whose
+			// last run it was is already shutting down, so do not poll it.
+			break
 		}
 	}
 	ferr := w.sinks.Close()
@@ -363,7 +360,11 @@ func runClaimMode(jobs []sim.SweepJob, opts sweepOpts) {
 	if w.cache != nil {
 		log.Printf("claim worker %s: cache served %d cells, computed %d", worker, w.hits, w.done)
 	}
-	log.Printf("claim worker %s: run %s complete after streaming %d cells of a %d-cell grid", worker, claimRun, w.hits+w.done, len(jobs))
+	run := opts.run
+	if run == "" {
+		run = "(default)"
+	}
+	log.Printf("claim worker %s: run %s complete after streaming %d cells of a %d-cell grid", worker, run, w.hits+w.done, len(jobs))
 	if w.failed > 0 {
 		log.Fatalf("%d of %d cells failed", w.failed, w.total)
 	}

@@ -154,15 +154,14 @@ func main() {
 		wait       = flag.Duration("wait", 0, "with -serve: exit 1 after this long with the grid still incomplete (0 = wait forever)")
 		redispatch = flag.Int("redispatch", 2, "with -serve -spawn: rounds of pending-cell re-dispatch after the initial workers exit")
 		cacheSpec  = flag.String("cache", "", "content-addressed result cache, a local directory or a coordinator URL (http://...): cells already cached are served without re-simulating, merged successes are written back; spawned workers inherit the same cache")
-		run        = flag.String("run", "", "named run on a multi-run coordinator: -serve hosts the local grid under this name (default \"default\"), -register creates it remotely, and coordinator-URL caches address /v2/runs/{run} instead of the /v1 default run")
+		run        = flag.String("run", "", "named run on a multi-run coordinator: -serve hosts the local grid under this name (default \"default\"; /v1 aliases it), -register creates it remotely, and coordinator-URL caches address /v2/runs/{run} instead of the /v1 default run")
 		register   = flag.String("register", "", "create the named run (-run) on the fleet coordinator at this base URL from the grid's canonical cell IDs (PUT /v2/runs/{run}), then exit — no trace files needed server-side")
-		token      = flag.String("token", "", "bearer token: -serve requires it on the /v2 API (and on /v1 with -v1-auth); client modes send it as Authorization: Bearer")
+		token      = flag.String("token", "", "bearer token: -serve requires it on every route, /v1 and /v2; client modes send it as Authorization: Bearer")
 		runToken   = flag.String("run-token", "", "with -register: per-run bearer token accepted (alongside the coordinator's global -token) on the created run's endpoints")
-		v1Auth     = flag.Bool("v1-auth", false, "with -serve -token: require the token on the /v1 API too (default: /v1 stays open for pre-v2 workers)")
 		tlsCert    = flag.String("tls-cert", "", "with -serve: serve HTTPS with this PEM certificate (requires -tls-key); spawned workers automatically trust it")
 		tlsKey     = flag.String("tls-key", "", "with -serve: the PEM private key for -tls-cert")
 		tlsCA      = flag.String("tls-ca", "", "trust this PEM certificate (or CA bundle) when dialing an https:// coordinator (-register, coordinator-URL caches)")
-		leaseTTL   = flag.Duration("lease-ttl", sim.DefaultLeaseTTL, "with -serve: worker lease TTL — cells claimed via /v2/runs/{run}/lease whose worker stops posting for this long are reclaimed and re-dispatched")
+		leaseTTL   = flag.Duration("lease-ttl", sim.DefaultLeaseTTL, "with -serve: worker lease TTL of every hosted run — claimed cells whose worker stops posting for this long are reclaimed and re-dispatched")
 		journalDir = flag.String("journal-dir", "", "with -serve: directory of per-run JSONL journals (<run>.jsonl) for runs created remotely with -register")
 	)
 	flag.Usage = usage
@@ -197,10 +196,6 @@ func main() {
 		die(exitUsage, "-tls-cert and -tls-key go together")
 	case *tlsCert != "" && !serveMode:
 		die(exitUsage, "-tls-cert/-tls-key require -serve (clients trust the coordinator with -tls-ca)")
-	case *v1Auth && !serveMode:
-		die(exitUsage, "-v1-auth requires -serve")
-	case *v1Auth && *token == "":
-		die(exitUsage, "-v1-auth requires -token (there is no token to require on /v1)")
 	case *runToken != "" && !registerMode:
 		die(exitUsage, "-run-token requires -register (with -serve, the default run uses the global -token)")
 	case *redispatch < 0:
@@ -259,7 +254,7 @@ func main() {
 	case serveMode:
 		os.Exit(runServe(serveConfig{
 			addr: *serve, run: *run, journal: *journal, journalDir: *journalDir,
-			token: *token, v1Auth: *v1Auth, tlsCert: *tlsCert, tlsKey: *tlsKey,
+			token: *token, tlsCert: *tlsCert, tlsKey: *tlsKey,
 			leaseTTL: *leaseTTL, spawnN: *spawn, bin: *bin, dir: *dir, grid: grid,
 			wait: *wait, redispatch: *redispatch, csv: *csv, cache: cache, cacheSpec: *cacheSpec,
 		}, jobs))
@@ -403,11 +398,11 @@ Modes:
   bmlsweep <grid flags> a.jsonl b.jsonl       merge worker JSONL files, report
   bmlsweep -serve addr [-journal j.jsonl] [-spawn N] [-wait d] <grid flags>
       run the HTTP fleet coordinator. The local grid becomes the default
-      run, served byte-compatibly on the schema-versioned /v1 API (POST
-      /v1/cells, GET /v1/pending, GET /v1/status) for
-      `+"`bmlsim -sweep -sink http://addr`"+` workers; further named runs are
-      hosted concurrently on /v2/runs/{run}/... (journaled per run under
-      -journal-dir, guarded by -token, optionally over TLS). Workers may
+      run, which /v1 aliases (POST /v1/cells, GET /v1/pending, GET
+      /v1/status, POST /v1/lease) for `+"`bmlsim -sweep -sink http://addr`"+`
+      workers; further named runs are hosted concurrently on
+      /v2/runs/{run}/... (journaled per run under -journal-dir). -token
+      guards every route, optionally over TLS. Workers may
       also claim cells under a TTL lease (`+"`bmlsim -claim N`"+`); a stalled
       worker's leases expire and its cells are re-dispatched. With -spawn,
       workers are launched locally and pending cells are automatically

@@ -4,8 +4,8 @@ package main
 // run registration (-register) modes.
 //
 // -serve runs internal/sim's Fleet handler on a TCP listener: the grid the
-// local flags describe becomes the default run (served byte-compatibly at
-// /v1/*, so pre-v2 workers keep working), and any number of further named
+// local flags describe becomes the default run (which /v1 aliases, so
+// workers that name no run reach it), and any number of further named
 // runs are hosted concurrently — created remotely with PUT /v2/runs/{run}
 // (bmlsweep -register) and journaled per run under -journal-dir. Workers
 // stream completed cells to POST /v1/cells or /v2/runs/{run}/cells
@@ -30,9 +30,9 @@ package main
 // runs' reclaimed cells return to the claimable pool for their own
 // workers' next poll.
 //
-// -token guards the /v2 surface with a bearer token (and /v1 too with
-// -v1-auth); -tls-cert/-tls-key serve HTTPS, with workers pointing
-// -tls-ca at the certificate.
+// -token guards every route, /v1 and /v2, with a bearer token;
+// -tls-cert/-tls-key serve HTTPS, with workers pointing -tls-ca at the
+// certificate.
 
 import (
 	"bytes"
@@ -120,11 +120,10 @@ type serveConfig struct {
 	run        string        // default run's name ("" = "default")
 	journal    string        // default run's journal path
 	journalDir string        // per-run journals for remotely created runs
-	token      string        // global bearer token for /v2 ("" = open)
-	v1Auth     bool          // require the token on /v1 too
+	token      string        // global bearer token for every route ("" = open)
 	tlsCert    string        // serve HTTPS with this certificate...
 	tlsKey     string        // ...and key
-	leaseTTL   time.Duration // worker lease TTL
+	leaseTTL   time.Duration // worker lease TTL of every hosted run
 	spawnN     int
 	bin, dir   string
 	grid       gridFlags
@@ -172,11 +171,7 @@ func runServe(cfg serveConfig, jobs []sim.SweepJob) int {
 		primed, journalW, closeJournal = openJournal(cfg.journal)
 		defer closeJournal()
 	}
-	ingOpts := []sim.IngestOption{sim.WithJournal(journalW), sim.WithLeaseTTL(cfg.leaseTTL)}
-	if cfg.v1Auth {
-		ingOpts = append(ingOpts, sim.WithAuth(cfg.token))
-	}
-	ing := sim.NewIngest(jobs, ingOpts...)
+	ing := sim.NewIngest(jobs, sim.WithJournal(journalW))
 	if len(primed) > 0 {
 		n, err := ing.Prime(primed)
 		if err != nil {
@@ -233,7 +228,7 @@ func runServe(cfg serveConfig, jobs []sim.SweepJob) int {
 		}
 	}()
 	defer srv.Close()
-	log.Printf("ingest listening on %s://%s (default run %q: POST /v1/cells, GET /v1/pending, GET /v1/status; multi-run: GET/PUT /v2/runs)",
+	log.Printf("ingest listening on %s://%s (default run %q: POST /v1/cells, GET /v1/pending, GET /v1/status, POST /v1/lease; multi-run: GET/PUT /v2/runs)",
 		scheme, ln.Addr(), cfg.runName())
 	sinkURL := scheme + "://" + ln.Addr().String()
 

@@ -1104,9 +1104,8 @@ func TestCmdFleetMultiRunAuthRegisterClaim(t *testing.T) {
 		append([]string{"-run", "alpha", "-journal", filepath.Join(dir, "alpha.jsonl"),
 			"-journal-dir", journals, "-token", token, "-wait", "180s"}, sweepGridArgs...)...)
 
-	// The /v2 surface is guarded: unauthenticated probes get 401 (with a
-	// challenge, no run names leaked); the token opens it; /v1 stays open
-	// for pre-v2 workers.
+	// Every route is guarded: unauthenticated probes get 401 (with a
+	// challenge, no run names leaked); the token opens /v2 and /v1 alike.
 	resp := httpGet(t, baseURL+"/v2/runs", "")
 	readBody(t, resp)
 	if resp.StatusCode != http.StatusUnauthorized || resp.Header.Get("WWW-Authenticate") == "" {
@@ -1117,8 +1116,13 @@ func TestCmdFleetMultiRunAuthRegisterClaim(t *testing.T) {
 		t.Fatalf("authenticated /v2/runs: %s: %s", resp.Status, body)
 	}
 	resp = httpGet(t, baseURL+"/v1/status", "")
+	readBody(t, resp)
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("unauthenticated /v1/status: %s, want 401", resp.Status)
+	}
+	resp = httpGet(t, baseURL+"/v1/status", token)
 	if body := readBody(t, resp); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"complete":false`) {
-		t.Fatalf("/v1 should stay open without -v1-auth: %s: %s", resp.Status, body)
+		t.Fatalf("authenticated /v1/status: %s: %s", resp.Status, body)
 	}
 
 	// Remote run creation needs the token (exit 2 without it) and only the
@@ -1225,6 +1229,25 @@ func TestCmdFleetStalledWorkerLeaseRedispatch(t *testing.T) {
 	}
 }
 
+// TestCmdClaimWithoutRunReachesDefaultRun is the binary-level regression
+// test for a claim worker that names no run: against a token-guarded
+// coordinator whose default run is called alpha, it leases through
+// /v1/lease and posts through /v1/cells, and both the worker and the
+// coordinator exit 0 with the grid complete.
+func TestCmdClaimWithoutRunReachesDefaultRun(t *testing.T) {
+	token := "fleet-secret"
+	baseURL, _, stdout, wait := startCoordinator(t,
+		append([]string{"-run", "alpha", "-token", token, "-wait", "120s"}, sweepGridArgs...)...)
+	out := runCmd(t, "bmlsim", append([]string{"-sweep", "-sink", baseURL, "-claim", "2", "-token", token}, sweepGridArgs...)...)
+	if !strings.Contains(out, "complete after streaming 8 cells of a 8-cell grid") {
+		t.Errorf("claim worker summary missing:\n%s", out)
+	}
+	wait()
+	if !strings.Contains(stdout.String(), "8 cells") {
+		t.Errorf("coordinator report missing the grid:\n%s", stdout.String())
+	}
+}
+
 // TestCmdFleetFlagValidation pins the new flags' usage contract: claim
 // mode's preconditions on the worker, and the coordinator's fleet flags
 // rejecting modes they do not belong to (exit 2).
@@ -1247,7 +1270,6 @@ func TestCmdFleetFlagValidation(t *testing.T) {
 	}
 
 	runCmdExit(t, 2, "bmlsweep", "-run-token", "x", "-spawn", "1")
-	runCmdExit(t, 2, "bmlsweep", "-v1-auth", "-serve", "127.0.0.1:0")
 	runCmdExit(t, 2, "bmlsweep", "-tls-cert", "c.pem", "-serve", "127.0.0.1:0")
 	runCmdExit(t, 2, "bmlsweep", "-journal-dir", "x", "-spawn", "1")
 	runCmdExit(t, 2, "bmlsweep", "-register", "http://127.0.0.1:1/", "-spawn", "1")

@@ -16,8 +16,9 @@
 //
 // For span-integrating engines, StartFold (integrate.go) exposes the same
 // fill-first dispatch arithmetic as a demand fold: whole runs of constant
-// demand integrate in closed form against a frozen configuration, with
-// machine state materialized once per span instead of once per sample.
+// demand integrate in closed form against a frozen configuration, and only
+// transitioning machines are ticked, once per span instead of once per
+// sample.
 package cluster
 
 import (

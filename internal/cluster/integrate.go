@@ -15,11 +15,16 @@ import (
 // demand: Observe replays Distribute's closed-form pool arithmetic — the
 // same expressions in the same order, so every per-run float is identical
 // to what Distribute+Tick would have produced — but touches no machine and
-// allocates nothing. Commit then materializes the end-of-span state once
-// (dispatch is memoryless: the final loads depend only on the last sample),
-// merges the folded pool aggregates, and ticks only the transitioning
-// machines, whose automata charge exact transition energies over the whole
-// span.
+// allocates nothing. Commit then merges the folded pool aggregates and
+// ticks only the transitioning machines, whose automata charge exact
+// transition energies over the whole span.
+//
+// A fold leaves the dispatch state (per-machine loads, the pools' cached
+// shape and draw) as the last Distribute left it. Nothing on the fold path
+// reads that state — it feeds only Tick, and Distribute rebuilds it from
+// the On lists before any Tick — and every fleet change keeps it
+// consistent with the machines, so an engine may mix folds and
+// Distribute+Tick steps.
 //
 // The contract mirrors the integrator's span bounds: no transition may
 // complete strictly before the span's final second (the caller bounds spans
@@ -138,18 +143,12 @@ func (f *DemandFold) Observe(load, dt float64) (served float64, err error) {
 	return served, nil
 }
 
-// Commit closes the span: it materializes the end-of-span machine state by
-// dispatching the span's final demand sample (per-machine loads, cached
-// aggregates, and the dispatch shape all become exactly what per-sample
-// integration would have left behind), advances the clock by the whole span,
-// merges the folded pool energy splits, ticks the transitioning machines,
-// and folds any transition completions. It returns the span's total energy:
+// Commit closes the span: it advances the clock by the whole span, merges
+// the folded pool energy splits, ticks the transitioning machines, and
+// folds any transition completions. It returns the span's total energy:
 // the folded On-fleet energy plus the exact transition energies.
-func (f *DemandFold) Commit(lastDemand, dt float64) (power.Joules, error) {
+func (f *DemandFold) Commit(dt float64) (power.Joules, error) {
 	c := f.c
-	if _, err := c.Distribute(lastDemand); err != nil {
-		return 0, err
-	}
 	c.now += dt
 	for i, p := range c.poolList {
 		fp := &f.pools[i]

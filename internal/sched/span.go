@@ -133,12 +133,11 @@ func (s *Scheduler) StartDemandFold() *cluster.DemandFold {
 	return s.cl.StartFold()
 }
 
-// FinishDemandFold commits a demand fold over dt seconds ending on
-// lastDemand and drains the application migration lock, mirroring what a
-// sequence of 1 Hz Step calls over the span would have done to the
-// scheduler's timers.
-func (s *Scheduler) FinishDemandFold(f *cluster.DemandFold, lastDemand, dt float64) (power.Joules, error) {
-	e, err := f.Commit(lastDemand, dt)
+// FinishDemandFold commits a demand fold over dt seconds and drains the
+// application migration lock, mirroring what a sequence of 1 Hz Step calls
+// over the span would have done to the scheduler's timers.
+func (s *Scheduler) FinishDemandFold(f *cluster.DemandFold, dt float64) (power.Joules, error) {
+	e, err := f.Commit(dt)
 	s.drainMigrationLock(dt)
 	return e, err
 }

@@ -47,7 +47,7 @@ func driveSpans(t *testing.T, sc *Scheduler, tr *trace.Trace, chunk int) spanRun
 				t.Fatal(err)
 			}
 		}
-		if _, err := sc.FinishDemandFold(fold, tr.At(next-1), float64(next-tt)); err != nil {
+		if _, err := sc.FinishDemandFold(fold, float64(next-tt)); err != nil {
 			t.Fatal(err)
 		}
 		out.spans = append(out.spans, [2]int{tt, next})

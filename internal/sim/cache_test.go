@@ -207,7 +207,7 @@ func TestWarmCacheDifferential(t *testing.T) {
 func TestHTTPCacheAgainstIngest(t *testing.T) {
 	jobs, recs := gridAndRecords(t)
 	ing := NewIngest(jobs)
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	defer srv.Close()
 
 	cache, err := NewHTTPCache(srv.URL, WithSinkClient(srv.Client()))

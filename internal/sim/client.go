@@ -22,9 +22,11 @@ import (
 // spellings and run names and send the same credentials.
 
 // apiEndpoint resolves a coordinator base URL plus an optional run name to
-// one schema-versioned resource endpoint. With no run, a base without a
-// path gets "/v1/<resource>" appended and a base that already names a
-// /v1/ path is used as given; with a run, the base must be bare (the run
+// one schema-versioned resource endpoint. With no run, the resource hangs
+// off the base's /v1 root (the default run): a base without a /v1 path
+// gets "/v1/<resource>" appended, and a base that names /v1 or anything
+// under it (".../v1/cells") is cut back to its /v1 root first, so a lease
+// never goes to a cells URL. With a run, the base must be bare (the run
 // name picks the /v2 path: "/v2/runs/{run}/<resource>", or the run itself
 // for an empty resource). Every coordinator client resolves through it,
 // so all accept the same -sink/-cache/-register URL spellings.
@@ -52,17 +54,11 @@ func apiEndpoint(base, run, resource string) (string, error) {
 		}
 		return trimmed + "/v2/runs/" + url.PathEscape(run) + "/" + resource, nil
 	}
-	switch {
-	case strings.HasSuffix(trimmed, "/v1"):
-		// ".../v1" or ".../v1/" name the API root: complete the path.
-		return trimmed + "/" + resource, nil
-	case strings.Contains(u.Path, "/v1/"):
-		// An explicit endpoint path is used as given (minus a trailing
-		// slash the exact-match router would 404).
-		return trimmed, nil
-	default:
-		return trimmed + "/v1/" + resource, nil
+	if i := strings.Index(strings.TrimRight(u.Path, "/")+"/", "/v1/"); i >= 0 {
+		u.Path, u.RawPath = u.Path[:i]+"/v1/"+resource, ""
+		return u.String(), nil
 	}
+	return trimmed + "/v1/" + resource, nil
 }
 
 // coordClient is what every coordinator client call sends with its
@@ -145,9 +141,10 @@ func HTTPClientWithCA(caFile string) (*http.Client, error) {
 }
 
 // ClaimCells is the client half of the lease protocol: one POST to
-// <base>/v2/runs/{run}/lease claiming up to max cells for worker. The
-// worker must then stream the cells' records with the same identity
-// (HTTPSink WithSinkWorker) so its posts renew the lease, and poll again
+// <base>/v2/runs/{run}/lease (<base>/v1/lease, the default run, when run
+// is empty) claiming up to max cells for worker. The worker must then
+// stream the cells' records with the same identity (HTTPSink
+// WithSinkWorker) so its posts renew the lease, and poll again
 // when the response carries no cells but pending > 0 — cells leased to a
 // stalled worker become claimable once their TTL passes. A nil client is
 // the sink's default (30 s timeout).

@@ -346,7 +346,7 @@ func TestMergeCellsRejectsMixedSchema(t *testing.T) {
 // primed v1 journal refuses to resume, and Add rejects offline records.
 func TestIngestRejectsMixedSchema(t *testing.T) {
 	ing, _, recs := ingestFixture(t, nil)
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	defer srv.Close()
 
 	v1 := recs[0]
@@ -394,8 +394,7 @@ func TestIngestRejectsMixedSchema(t *testing.T) {
 func TestIngestStatusRemoteLiveness(t *testing.T) {
 	ing, _, recs := ingestFixture(t, nil)
 	clock := time.Unix(1000, 0)
-	ing.now = func() time.Time { return clock }
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing, withFleetClock(func() time.Time { return clock })))
 	defer srv.Close()
 
 	post := func(worker string, rec CellRecord) {
@@ -503,7 +502,7 @@ func TestAblationGridKillResumeMatchesPerConfigSweeps(t *testing.T) {
 	}
 
 	ing := NewIngest(jobs)
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	defer srv.Close()
 
 	shard0, err := ShardJobs(jobs, ShardSpec{Index: 0, Count: 2})

@@ -11,24 +11,29 @@ import (
 	"time"
 )
 
-// This file is the multi-tenant layer over Ingest: a Fleet hosts many
-// named runs — each an independent Ingest with its own journal, pending
-// set, leases, and (optionally) per-run token — behind one HTTP listener.
-// The /v2/runs/... surface addresses runs by name; /v1/* delegates to a
-// designated default run byte-compatibly, so a fleet coordinator is a
-// drop-in replacement for the single-grid one and pre-v2 workers keep
-// working unchanged. Runs are created either in-process (AddRun — how
-// bmlsweep -serve installs the run its own grid flags describe) or
-// remotely (PUT /v2/runs/{run} with the grid's canonical cell IDs, which
-// are pure functions of the grid — the coordinator never needs the
-// client's trace files to track a run).
+// This file is the coordinator's HTTP surface: a Fleet hosts many named
+// runs — each an independent Ingest with its own journal, pending set,
+// leases, and (optionally) per-run token — behind one listener and one
+// route table. /v2/runs/{run}/... addresses runs by name; /v1/... is an
+// alias of the default run (the first one installed), so a worker that
+// names no run posts, leases and reads through the same handlers and the
+// same auth check as /v2/runs/{default}/.... Runs are created either
+// in-process (AddRun — how bmlsweep -serve installs the run its own grid
+// flags describe) or remotely (PUT /v2/runs/{run} with the grid's
+// canonical cell IDs, which are pure functions of the grid — the
+// coordinator never needs the client's trace files to track a run).
+//
+//	GET  /v2/runs                          list hosted runs with status
+//	PUT  /v2/runs/{run}                    create a run from its cell IDs
+//	GET  /v2/runs/{run}[/status], /v1[/status]
+//	     /v2/runs/{run}/{cells,pending,lease}, /v1/{cells,pending,lease}
+//	                                       the run's resources (ingest.go)
 //
 // The auth boundary: the fleet's global token (WithFleetAuth) guards every
-// /v2 request; a run created with its own token is additionally reachable
-// with that token on its own endpoints (so one coordinator can serve many
-// teams, each holding only its run's credential). /v1/* answers with the
-// default run's own auth — unauthenticated by default, the compatibility
-// contract — unless that run was built with WithAuth.
+// request, /v1 included; a run created with its own token is additionally
+// reachable with that token on its own endpoints (so one coordinator can
+// serve many teams, each holding only its run's credential). The fleet
+// also owns every run's lease TTL and clock.
 
 // RunStatus pairs a hosted run's name with its progress snapshot — one
 // element of GET /v2/runs.
@@ -52,14 +57,14 @@ type RunSpec struct {
 // unjournaled.
 type JournalOpener func(run string) (primed []CellRecord, w io.Writer, err error)
 
-// Fleet hosts many named runs behind one /v1 + /v2 HTTP surface. Safe for
+// Fleet hosts many named runs behind one HTTP route table. Safe for
 // concurrent use; implements http.Handler.
 type Fleet struct {
 	mu          sync.Mutex
 	runs        map[string]*Ingest
 	order       []string // run names in creation order
-	defaultRun  string   // the run /v1/* delegates to (first added)
-	token       string   // global bearer token guarding /v2 (empty = open)
+	defaultRun  string   // the run /v1 aliases (first added)
+	token       string   // global bearer token guarding every route (empty = open)
 	leaseTTL    time.Duration
 	now         func() time.Time
 	openJournal JournalOpener
@@ -68,16 +73,19 @@ type Fleet struct {
 // FleetOption configures a Fleet.
 type FleetOption func(*Fleet)
 
-// WithFleetAuth requires `Authorization: Bearer <token>` on every /v2
-// request (401 otherwise). Per-run tokens (RunSpec.Token, or a default run
-// built with WithAuth) are accepted alongside it on their run's endpoints.
-// The empty string leaves /v2 open.
+// WithFleetAuth requires `Authorization: Bearer <token>` on every request,
+// /v1 and /v2 alike (401 otherwise). Per-run tokens (RunSpec.Token) are
+// accepted alongside it on their run's endpoints. The empty string leaves
+// the coordinator open.
 func WithFleetAuth(token string) FleetOption {
 	return func(f *Fleet) { f.token = token }
 }
 
-// WithFleetLeaseTTL sets the lease TTL runs created through the fleet
-// (PUT /v2/runs/{run}) inherit. Runs installed with AddRun keep their own.
+// WithFleetLeaseTTL sets how long a claimed cell of any hosted run stays
+// reserved for its worker without a heartbeat (any POST from that worker
+// renews all its leases). Shorter TTLs re-dispatch a stalled worker's
+// cells sooner but tolerate less per-cell compute time between posts.
+// Non-positive values keep DefaultLeaseTTL.
 func WithFleetLeaseTTL(d time.Duration) FleetOption {
 	return func(f *Fleet) {
 		if d > 0 {
@@ -96,7 +104,8 @@ func WithJournalOpener(open JournalOpener) FleetOption {
 
 // NewFleet builds an empty fleet coordinator; install at least one run
 // with AddRun (the first becomes the /v1 default) or let clients create
-// them via PUT /v2/runs/{run}.
+// them via PUT /v2/runs/{run}. Runs lease for DefaultLeaseTTL on the wall
+// clock unless WithFleetLeaseTTL says otherwise.
 func NewFleet(opts ...FleetOption) *Fleet {
 	f := &Fleet{
 		runs:     make(map[string]*Ingest),
@@ -126,8 +135,9 @@ func runNameOK(name string) bool {
 	return true
 }
 
-// AddRun installs an existing Ingest as the named run. The first run added
-// becomes the default run /v1/* delegates to.
+// AddRun installs an existing Ingest as the named run under the fleet's
+// lease TTL and clock. The first run added becomes the default run /v1
+// aliases.
 func (f *Fleet) AddRun(name string, ing *Ingest) error {
 	if !runNameOK(name) {
 		return fmt.Errorf("sim: invalid run name %q (want [A-Za-z0-9._-]{1,128})", name)
@@ -140,12 +150,21 @@ func (f *Fleet) AddRun(name string, ing *Ingest) error {
 	if _, ok := f.runs[name]; ok {
 		return fmt.Errorf("sim: run %q already exists", name)
 	}
+	f.installLocked(name, ing)
+	return nil
+}
+
+// installLocked hosts ing as the named run under the fleet's lease TTL and
+// clock; the first run installed becomes the default.
+func (f *Fleet) installLocked(name string, ing *Ingest) {
+	ing.mu.Lock()
+	ing.leaseTTL, ing.now = f.leaseTTL, f.now
+	ing.mu.Unlock()
 	f.runs[name] = ing
 	f.order = append(f.order, name)
 	if f.defaultRun == "" {
 		f.defaultRun = name
 	}
-	return nil
 }
 
 // Run returns the named run's Ingest.
@@ -246,7 +265,7 @@ func (f *Fleet) CreateRun(name string, ids []string, token string) (ing *Ingest,
 	opener := f.openJournal
 	f.mu.Unlock()
 
-	opts := []IngestOption{WithLeaseTTL(f.leaseTTL), WithClock(f.now), WithAuth(token)}
+	var opts []IngestOption
 	var primed []CellRecord
 	if opener != nil {
 		var jw io.Writer
@@ -258,6 +277,7 @@ func (f *Fleet) CreateRun(name string, ids []string, token string) (ing *Ingest,
 		}
 	}
 	ing = NewIngestIDs(append([]string(nil), ids...), opts...)
+	ing.token = token
 	if len(primed) > 0 {
 		if _, err := ing.Prime(primed); err != nil {
 			return nil, false, fmt.Errorf("sim: run %q journal: %w", name, err)
@@ -270,11 +290,7 @@ func (f *Fleet) CreateRun(name string, ids []string, token string) (ing *Ingest,
 		// Lost a creation race; the winner's run is authoritative.
 		return existing, false, nil
 	}
-	f.runs[name] = ing
-	f.order = append(f.order, name)
-	if f.defaultRun == "" {
-		f.defaultRun = name
-	}
+	f.installLocked(name, ing)
 	return ing, true, nil
 }
 
@@ -284,8 +300,9 @@ func (f *Fleet) authorizedGlobal(r *http.Request) bool {
 	return f.token == "" || bearerMatch(r, f.token)
 }
 
-// authorizedRun gates one run's /v2 endpoints: open when neither a global
-// nor a per-run token is configured, otherwise either token authorizes.
+// authorizedRun gates one run's endpoints (/v1 for the default run): open
+// when neither a global nor a per-run token is configured, otherwise
+// either token authorizes.
 func (f *Fleet) authorizedRun(r *http.Request, ing *Ingest) bool {
 	if f.token == "" && ing.token == "" {
 		return true
@@ -294,29 +311,36 @@ func (f *Fleet) authorizedRun(r *http.Request, ing *Ingest) bool {
 		(ing.token != "" && bearerMatch(r, ing.token))
 }
 
-// ServeHTTP routes the fleet surface: /v1/* to the default run
-// (byte-compatibly — same handlers, same auth, as a standalone Ingest)
-// and /v2/runs/... by run name.
+// ServeHTTP is the coordinator's one route table: /v1[/{sub}] resolves
+// the default run and /v2/runs/{run}[/{sub}] the named one, and both go
+// through handleRun.
 func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Path
+	var name, sub string
 	switch {
-	case strings.HasPrefix(path, "/v1/") || path == "/v1":
+	case path == "/v1" || strings.HasPrefix(path, "/v1/"):
 		f.mu.Lock()
-		ing := f.runs[f.defaultRun]
+		name = f.defaultRun
 		f.mu.Unlock()
-		if ing == nil {
-			http.Error(w, "this fleet coordinator hosts no default run; address a named run under /v2/runs/", http.StatusNotFound)
-			return
-		}
-		ing.ServeHTTP(w, r)
+		sub = strings.TrimPrefix(strings.TrimPrefix(path, "/v1"), "/")
 	case path == "/v2/runs":
 		f.handleRuns(w, r)
+		return
 	case strings.HasPrefix(path, "/v2/runs/"):
-		f.handleRun(w, r, strings.TrimPrefix(path, "/v2/runs/"))
+		name, sub, _ = strings.Cut(strings.TrimPrefix(path, "/v2/runs/"), "/")
+		if dec, err := url.PathUnescape(name); err == nil {
+			name = dec
+		}
+		if r.Method == http.MethodPut && sub == "" {
+			f.handleCreateRun(w, r, name)
+			return
+		}
 	default:
-		http.Error(w, "unknown path (this ingest API is schema-versioned: /v1/{cells,pending,status} for the default run, GET/PUT /v2/runs[/{run}], /v2/runs/{run}/{cells,pending,status,lease})",
+		http.Error(w, "unknown path (this ingest API is schema-versioned: GET/PUT /v2/runs[/{run}], /v2/runs/{run}/{cells,pending,status,lease}, and /v1/{cells,pending,status,lease} for the default run)",
 			http.StatusNotFound)
+		return
 	}
+	f.handleRun(w, r, name, sub)
 }
 
 // handleRuns serves GET /v2/runs: every hosted run with its status.
@@ -335,16 +359,9 @@ func (f *Fleet) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}{Runs: f.Statuses()})
 }
 
-// handleRun routes /v2/runs/{run}[/{sub}].
-func (f *Fleet) handleRun(w http.ResponseWriter, r *http.Request, rest string) {
-	name, sub, _ := strings.Cut(rest, "/")
-	if dec, err := url.PathUnescape(name); err == nil {
-		name = dec
-	}
-	if r.Method == http.MethodPut && sub == "" {
-		f.handleCreateRun(w, r, name)
-		return
-	}
+// handleRun serves resource sub of the named run ("" names the default
+// run of a fleet that hosts none).
+func (f *Fleet) handleRun(w http.ResponseWriter, r *http.Request, name, sub string) {
 	ing, ok := f.Run(name)
 	if !ok {
 		if !f.authorizedGlobal(r) {
@@ -362,13 +379,13 @@ func (f *Fleet) handleRun(w http.ResponseWriter, r *http.Request, rest string) {
 	switch sub {
 	case "", "status":
 		if r.Method != http.MethodGet {
-			http.Error(w, "GET /v2/runs/{run}/status", http.StatusMethodNotAllowed)
+			http.Error(w, "GET {run}/status", http.StatusMethodNotAllowed)
 			return
 		}
 		ing.handleStatus(w)
 	case "pending":
 		if r.Method != http.MethodGet {
-			http.Error(w, "GET /v2/runs/{run}/pending", http.StatusMethodNotAllowed)
+			http.Error(w, "GET {run}/pending", http.StatusMethodNotAllowed)
 			return
 		}
 		ing.handlePending(w)
@@ -376,12 +393,14 @@ func (f *Fleet) handleRun(w http.ResponseWriter, r *http.Request, rest string) {
 		switch {
 		case r.Method == http.MethodPost:
 			ing.handleCells(w, r)
-		case r.Method == http.MethodGet && r.URL.Query().Get("id") != "":
-			ing.handleCellGet(w, r)
 		case r.Method == http.MethodGet:
-			ing.handleRecords(w)
+			if id := r.URL.Query().Get("id"); id != "" {
+				ing.handleCellGet(w, id)
+			} else {
+				ing.handleRecords(w)
+			}
 		default:
-			http.Error(w, "POST JSONL cell records to /v2/runs/{run}/cells, or GET [?id=<cell-id>]", http.StatusMethodNotAllowed)
+			http.Error(w, "POST JSONL cell records to {run}/cells, or GET [?id=<cell-id>]", http.StatusMethodNotAllowed)
 		}
 	case "lease":
 		ing.handleLease(w, r)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -47,7 +48,8 @@ func (c *fakeClock) Advance(d time.Duration) {
 func TestLeaseLifecycle(t *testing.T) {
 	clock := newFakeClock()
 	jobs, recs := gridAndRecords(t)
-	ing := NewIngest(jobs, WithLeaseTTL(time.Minute), WithClock(clock.Now))
+	ing := NewIngest(jobs)
+	oneRunFleet(t, ing, WithFleetLeaseTTL(time.Minute), withFleetClock(clock.Now))
 	ids := CellIDs(jobs)
 
 	// Worker a claims the whole grid, in grid order.
@@ -125,7 +127,8 @@ func TestLeaseLifecycle(t *testing.T) {
 func TestClaimRenewsOwnLeases(t *testing.T) {
 	clock := newFakeClock()
 	jobs, _ := gridAndRecords(t)
-	ing := NewIngest(jobs, WithLeaseTTL(time.Minute), WithClock(clock.Now))
+	ing := NewIngest(jobs)
+	oneRunFleet(t, ing, WithFleetLeaseTTL(time.Minute), withFleetClock(clock.Now))
 
 	ids := CellIDs(jobs)
 	first := ing.Claim("a", 2)
@@ -149,20 +152,27 @@ func TestClaimRenewsOwnLeases(t *testing.T) {
 	}
 }
 
-// fleetFixture builds a Fleet hosting the test grid as its default run.
-func fleetFixture(t *testing.T, clock *fakeClock, fleetOpts []FleetOption, ingOpts ...IngestOption) (*Fleet, *Ingest, []SweepJob, []CellRecord) {
+// oneRunFleet hosts ing as the default run of a fleet built with opts:
+// the one way a test serves a run over HTTP, and the one place a run gets
+// its lease TTL and clock.
+func oneRunFleet(t *testing.T, ing *Ingest, opts ...FleetOption) *Fleet {
 	t.Helper()
-	jobs, recs := gridAndRecords(t)
-	if clock != nil {
-		ingOpts = append(ingOpts, WithClock(clock.Now))
-		fleetOpts = append(fleetOpts, withFleetClock(clock.Now))
-	}
-	ing := NewIngest(jobs, ingOpts...)
-	f := NewFleet(fleetOpts...)
+	f := NewFleet(opts...)
 	if err := f.AddRun("default", ing); err != nil {
 		t.Fatal(err)
 	}
-	return f, ing, jobs, recs
+	return f
+}
+
+// fleetFixture builds a Fleet hosting the test grid as its default run.
+func fleetFixture(t *testing.T, clock *fakeClock, opts ...FleetOption) (*Fleet, *Ingest, []SweepJob, []CellRecord) {
+	t.Helper()
+	jobs, recs := gridAndRecords(t)
+	if clock != nil {
+		opts = append(opts, withFleetClock(clock.Now))
+	}
+	ing := NewIngest(jobs)
+	return oneRunFleet(t, ing, opts...), ing, jobs, recs
 }
 
 // TestLeaseHTTPProtocol drives the lease endpoint the way a claim worker
@@ -170,7 +180,7 @@ func fleetFixture(t *testing.T, clock *fakeClock, fleetOpts []FleetOption, ingOp
 // expiry freeing a quiet worker's cells for the next claimer.
 func TestLeaseHTTPProtocol(t *testing.T) {
 	clock := newFakeClock()
-	f, ing, jobs, recs := fleetFixture(t, clock, nil, WithLeaseTTL(time.Minute))
+	f, ing, jobs, recs := fleetFixture(t, clock, WithFleetLeaseTTL(time.Minute))
 	srv := httptest.NewServer(f)
 	defer srv.Close()
 	ids := CellIDs(jobs)
@@ -307,11 +317,8 @@ func TestLeaseContention(t *testing.T) {
 	for _, rec := range recs {
 		byID[rec.ID] = rec
 	}
-	ing := NewIngest(jobs, WithJournal(&journal), WithLeaseTTL(200*time.Millisecond))
-	f := NewFleet(WithFleetLeaseTTL(200 * time.Millisecond))
-	if err := f.AddRun("default", ing); err != nil {
-		t.Fatal(err)
-	}
+	ing := NewIngest(jobs, WithJournal(&journal))
+	f := oneRunFleet(t, ing, WithFleetLeaseTTL(200*time.Millisecond))
 	srv := httptest.NewServer(f)
 	defer srv.Close()
 
@@ -419,17 +426,20 @@ func get(t *testing.T, client *http.Client, url, token string) *http.Response {
 	return resp
 }
 
-// TestFleetAuth pins the auth boundary: the global token guards all of
-// /v2 (constant 401s, no run-name leaking), per-run tokens authorize only
-// their run, and /v1 stays open — the compatibility contract.
+// TestFleetAuth pins the auth boundary: the global token guards every
+// route, /v1 included (constant 401s, no run-name leaking), and per-run
+// tokens authorize only their run.
 func TestFleetAuth(t *testing.T) {
-	f, _, jobs, recs := fleetFixture(t, nil, []FleetOption{WithFleetAuth("global-secret")})
+	f, _, jobs, recs := fleetFixture(t, nil, WithFleetAuth("global-secret"))
 	srv := httptest.NewServer(f)
 	defer srv.Close()
 
-	// /v1 is untouched by the global token.
-	if resp := get(t, srv.Client(), srv.URL+"/v1/status", ""); resp.StatusCode != http.StatusOK {
-		t.Fatalf("unauthenticated /v1/status = %s, want 200", resp.Status)
+	// /v1 is the default run: it takes the global token like /v2 does.
+	if resp := get(t, srv.Client(), srv.URL+"/v1/status", ""); resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("unauthenticated /v1/status = %s, want 401", resp.Status)
+	}
+	if resp := get(t, srv.Client(), srv.URL+"/v1/status", "global-secret"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("authenticated /v1/status = %s, want 200", resp.Status)
 	}
 
 	// /v2 without (or with a wrong) token: 401 with a challenge header.
@@ -562,60 +572,121 @@ func TestFleetJournalIsolation(t *testing.T) {
 	}
 }
 
-// TestFleetV1ByteCompat holds the fleet's /v1 surface byte-identical to a
-// standalone Ingest's — the contract that makes a fleet coordinator a
-// drop-in replacement for pre-v2 workers.
+// TestFleetV1ByteCompat holds /v1 byte-identical to /v2/runs/{default}:
+// two fleets over the same grid and clock, each hosting it as run alpha
+// behind a token, get the same requests, one through /v1 and one through
+// /v2/runs/alpha, and must answer each with the same status, content type
+// and body — 401s without the token, the POST ack, the lease, status,
+// pending, one cell, every record, and the 404/405 errors.
 func TestFleetV1ByteCompat(t *testing.T) {
 	jobs, recs := gridAndRecords(t)
-	bare := httptest.NewServer(NewIngest(jobs))
-	defer bare.Close()
-	f := NewFleet()
-	if err := f.AddRun("default", NewIngest(jobs)); err != nil {
+	clock := newFakeClock()
+	fleets := [2]*Fleet{}
+	for i := range fleets {
+		fleets[i] = NewFleet(WithFleetAuth("secret"), withFleetClock(clock.Now))
+		if err := fleets[i].AddRun("alpha", NewIngest(jobs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var post bytes.Buffer
+	if err := WriteCellRecord(&post, recs[0]); err != nil {
 		t.Fatal(err)
 	}
-	fleet := httptest.NewServer(f)
-	defer fleet.Close()
-
-	compare := func(label, path string) {
+	serve := func(method, sub, token, body string) [2]*httptest.ResponseRecorder {
 		t.Helper()
-		bareResp := get(t, bare.Client(), bare.URL+path, "")
-		fleetResp := get(t, fleet.Client(), fleet.URL+path, "")
-		if bareResp.StatusCode != fleetResp.StatusCode {
-			t.Fatalf("%s: bare %s vs fleet %s", label, bareResp.Status, fleetResp.Status)
+		var out [2]*httptest.ResponseRecorder
+		for i, prefix := range []string{"/v1", "/v2/runs/alpha"} {
+			req := httptest.NewRequest(method, prefix+sub, strings.NewReader(body))
+			req.Header.Set(WorkerHeader, "w1")
+			if token != "" {
+				req.Header.Set("Authorization", "Bearer "+token)
+			}
+			out[i] = httptest.NewRecorder()
+			fleets[i].ServeHTTP(out[i], req)
 		}
-		bareBody, err := readAll(bareResp)
-		if err != nil {
-			t.Fatal(err)
+		v1, v2 := out[0], out[1]
+		if v1.Code != v2.Code || v1.Header().Get("Content-Type") != v2.Header().Get("Content-Type") || v1.Body.String() != v2.Body.String() {
+			t.Fatalf("%s %s diverges:\n/v1: %d %s %q\n/v2: %d %s %q", method, sub,
+				v1.Code, v1.Header().Get("Content-Type"), v1.Body, v2.Code, v2.Header().Get("Content-Type"), v2.Body)
 		}
-		fleetBody, err := readAll(fleetResp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bareBody != fleetBody {
-			t.Fatalf("%s diverges through the fleet:\nbare:  %s\nfleet: %s", label, bareBody, fleetBody)
+		return out
+	}
+	for _, sub := range []string{"", "/status", "/pending", "/cells", "/lease"} {
+		if got := serve(http.MethodGet, sub, "", "")[0].Code; got != http.StatusUnauthorized {
+			t.Fatalf("GET %s without the token = %d, want 401", sub, got)
 		}
 	}
-	compare("GET /v1/status", "/v1/status")
-	compare("GET /v1/pending", "/v1/pending")
-	compare("GET /v1/cells?id=...", "/v1/cells?id="+recs[0].ID)
+	if got := serve(http.MethodPost, "/cells", "", post.String())[0].Code; got != http.StatusUnauthorized {
+		t.Fatalf("POST /cells without the token = %d, want 401", got)
+	}
+	if st := fleets[0].Statuses()[0].Status; st.Received != 0 {
+		t.Fatalf("an unauthenticated post was folded in: %+v", st)
+	}
 
-	bareAck := postCells(t, bare, recs[0])
-	fleetAck := postCells(t, fleet, recs[0])
-	if !reflect.DeepEqual(bareAck, fleetAck) {
-		t.Fatalf("POST /v1/cells ack diverges: bare %+v, fleet %+v", bareAck, fleetAck)
+	ack := serve(http.MethodPost, "/cells", "secret", post.String())[0].Body
+	var resp IngestResponse
+	if err := json.Unmarshal(ack.Bytes(), &resp); err != nil || resp.Accepted != 1 {
+		t.Fatalf("POST ack %q (%v), want one accepted record", ack, err)
 	}
-	// After a post the status carries wall-clock worker ages; compare
-	// structurally with the ages zeroed.
-	bareSt := getStatus(t, bare)
-	fleetSt := getStatus(t, fleet)
-	for i := range bareSt.Remotes {
-		bareSt.Remotes[i].LastIngestAgeSeconds = 0
+	clock.Advance(3 * time.Second)
+	lease := serve(http.MethodPost, "/lease", "secret", `{"worker":"w1","max":2}`)[0]
+	var lr LeaseResponse
+	if err := json.Unmarshal(lease.Body.Bytes(), &lr); err != nil || len(lr.Cells) != 2 {
+		t.Fatalf("lease %q (%v), want two cells", lease.Body, err)
 	}
-	for i := range fleetSt.Remotes {
-		fleetSt.Remotes[i].LastIngestAgeSeconds = 0
+	serve(http.MethodPost, "/cells", "secret", post.String()) // a duplicate's ack
+	for _, sub := range []string{"", "/status", "/pending", "/cells", "/cells?id=" + url.QueryEscape(recs[0].ID)} {
+		if got := serve(http.MethodGet, sub, "secret", "")[0].Code; got != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200", sub, got)
+		}
 	}
-	if !reflect.DeepEqual(bareSt, fleetSt) {
-		t.Fatalf("status after a post diverges: bare %+v, fleet %+v", bareSt, fleetSt)
+	for _, c := range []struct {
+		method, sub string
+		want        int
+	}{
+		{http.MethodGet, "/cells?id=" + url.QueryEscape(recs[1].ID), http.StatusNotFound},
+		{http.MethodGet, "/bogus", http.StatusNotFound},
+		{http.MethodDelete, "/cells", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/status", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/pending", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/lease", http.StatusMethodNotAllowed},
+	} {
+		if got := serve(c.method, c.sub, "secret", "")[0].Code; got != c.want {
+			t.Errorf("%s %s = %d, want %d", c.method, c.sub, got, c.want)
+		}
+	}
+}
+
+// TestClaimWithoutRunUsesDefaultRun is the regression test for a claim
+// worker that names no run against a coordinator whose default run is not
+// called "default": the lease goes to /v1/lease, so it gets the default
+// run's cells, and the sink's posts land in that same run.
+func TestClaimWithoutRunUsesDefaultRun(t *testing.T) {
+	jobs, recs := gridAndRecords(t)
+	ing := NewIngest(jobs)
+	f := NewFleet()
+	if err := f.AddRun("alpha", ing); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(f)
+	defer srv.Close()
+
+	lr, err := ClaimCells(srv.Client(), srv.URL, "", "", "w1", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := CellIDs(jobs); !reflect.DeepEqual(lr.Cells, ids[:2]) || lr.Pending != len(ids) {
+		t.Fatalf("claim without a run = %+v, want the first two of %d cells", lr, len(ids))
+	}
+	sink, err := NewHTTPSink(srv.URL, WithSinkClient(srv.Client()), WithSinkWorker("w1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Emit(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if st := ing.Status(); st.Received != 1 || st.Leased != 1 || len(st.Remotes) != 1 || st.Remotes[0].Remote != "w1" {
+		t.Fatalf("run alpha after the claim and one post: %+v", st)
 	}
 }
 
@@ -623,7 +694,7 @@ func TestFleetV1ByteCompat(t *testing.T) {
 // 200 on an idempotent re-PUT, 409 on a conflicting cell set, 400 on bad
 // specs, and the run list in creation order.
 func TestCreateRunHTTP(t *testing.T) {
-	f, _, jobs, recs := fleetFixture(t, nil, nil)
+	f, _, jobs, recs := fleetFixture(t, nil)
 	srv := httptest.NewServer(f)
 	defer srv.Close()
 	ids := CellIDs(jobs)
@@ -700,8 +771,9 @@ func TestCreateRunHTTP(t *testing.T) {
 }
 
 // TestAPIEndpointNamedRuns extends the /v1 spelling table with the named-
-// run resolution rules: a run name picks the /v2 path from a bare base,
-// and refuses a base that already names a path.
+// run resolution rules — a run name picks the /v2 path from a bare base,
+// and refuses a base that already names a path — and with a /v1 resource
+// other than cells.
 func TestAPIEndpointNamedRuns(t *testing.T) {
 	for base, want := range map[string]string{
 		"http://h:1":  "http://h:1/v2/runs/exp.1/cells",
@@ -713,6 +785,20 @@ func TestAPIEndpointNamedRuns(t *testing.T) {
 			t.Errorf("apiEndpoint(%q, exp.1): %v", base, err)
 		} else if got != want {
 			t.Errorf("apiEndpoint(%q, exp.1) = %q, want %q", base, got, want)
+		}
+	}
+	// With no run, every /v1 spelling resolves from its /v1 root, so a
+	// lease never goes to a cells URL.
+	for base, want := range map[string]string{
+		"http://h:1":            "http://h:1/v1/lease",
+		"http://h:1/v1":         "http://h:1/v1/lease",
+		"http://h:1/v1/":        "http://h:1/v1/lease",
+		"http://h:1/v1/cells":   "http://h:1/v1/lease",
+		"http://h:1/v1/cells/":  "http://h:1/v1/lease",
+		"http://h:1/p/v1/cells": "http://h:1/p/v1/lease",
+	} {
+		if got, err := apiEndpoint(base, "", "lease"); err != nil || got != want {
+			t.Errorf("apiEndpoint(%q, lease) = %q, %v; want %q", base, got, err, want)
 		}
 	}
 	if _, err := apiEndpoint("http://h:1/v1", "exp", "cells"); err == nil {
@@ -727,7 +813,7 @@ func TestAPIEndpointNamedRuns(t *testing.T) {
 // from the coordinator's own certificate PEM talks to an HTTPS fleet, and
 // bad trust inputs fail loudly.
 func TestHTTPClientWithCA(t *testing.T) {
-	f, _, _, _ := fleetFixture(t, nil, nil)
+	f, _, _, _ := fleetFixture(t, nil)
 	srv := httptest.NewTLSServer(f)
 	defer srv.Close()
 

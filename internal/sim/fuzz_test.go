@@ -252,7 +252,8 @@ func FuzzLeaseRequest(f *testing.F) {
 		if jobs == nil {
 			t.Fatal("no grid")
 		}
-		ing := NewIngest(jobs, WithClock(clock))
+		ing := NewIngest(jobs)
+		fl := oneRunFleet(t, ing, withFleetClock(clock))
 		if err := ing.Add(recs[0]); err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +263,7 @@ func FuzzLeaseRequest(f *testing.F) {
 		}
 
 		w := httptest.NewRecorder()
-		ing.handleLease(w, httptest.NewRequest(http.MethodPost, "/v2/runs/default/lease", bytes.NewReader(body)))
+		fl.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v2/runs/default/lease", bytes.NewReader(body)))
 		switch w.Code {
 		case http.StatusBadRequest:
 			if st := ing.Status(); st.Leased != 1 {

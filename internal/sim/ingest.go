@@ -13,40 +13,28 @@ import (
 	"time"
 )
 
-// This file is the coordinator half of networked sweeps: Ingest is an
-// http.Handler that accepts streamed cell records from any number of
-// workers, journals every state-changing record to an append-only JSONL
-// file (the same schema as worker -out files, so the journal is itself a
-// mergeable record set), and tracks the pending set — the canonical cell
-// IDs of the expected grid that no successful record has covered yet.
-// Because cell IDs are pure functions of the grid, resumable coordination
-// is a set difference: re-read the journal, re-enumerate the grid, and
-// re-dispatch only the missing cells.
+// This file is the coordinator half of networked sweeps: Ingest tracks
+// one run's expected grid against the cell records workers stream in,
+// journals every state-changing record to an append-only JSONL file (the
+// same schema as worker -out files, so the journal is itself a mergeable
+// record set), and tracks the pending set — the canonical cell IDs of the
+// expected grid that no successful record has covered yet. Because cell
+// IDs are pure functions of the grid, resumable coordination is a set
+// difference: re-read the journal, re-enumerate the grid, and re-dispatch
+// only the missing cells.
 //
-// The HTTP surface is schema-versioned. One Ingest serves the original
-// single-grid /v1/ API:
+// Ingest serves no HTTP itself. Fleet (fleet.go) is the one route table:
+// it hosts many Ingests as named runs and serves each one's resources at
+// /v2/runs/{run}/..., and the default run's also at /v1/...:
 //
-//	POST /v1/cells           JSONL CellRecords (same lines a -out file holds)
-//	GET  /v1/cells?id=<id>   the journaled success for one canonical cell ID
-//	                         (JSONL, 404 on miss) — the coordinator as a
-//	                         content-addressed cache server (see HTTPCache)
-//	GET  /v1/pending         outstanding canonical cell IDs, one per line
-//	GET  /v1/status          IngestStatus as JSON
-//
-// The multi-run /v2/ surface (named runs, worker leases, per-run tokens)
-// is served by Fleet (fleet.go), which hosts many Ingests and routes
-// /v2/runs/{run}/... to the right one — while delegating /v1/* to a
-// designated default run byte-compatibly, so pre-v2 workers and scripts
-// keep working against a fleet coordinator unchanged:
-//
-//	GET  /v2/runs                          list hosted runs with status
-//	PUT  /v2/runs/{run}                    create a run from its cell IDs
-//	GET  /v2/runs/{run}                    one run's IngestStatus
-//	POST /v2/runs/{run}/cells              JSONL CellRecords (as /v1/cells)
-//	GET  /v2/runs/{run}/cells[?id=<id>]    one success, or every record
-//	GET  /v2/runs/{run}/pending            outstanding cell IDs
-//	GET  /v2/runs/{run}/status             IngestStatus as JSON
-//	POST /v2/runs/{run}/lease              claim pending cells under a TTL lease
+//	POST {run}/cells          JSONL CellRecords (same lines a -out file holds)
+//	GET  {run}/cells?id=<id>  the journaled success for one canonical cell ID
+//	                          (JSONL, 404 on miss) — the coordinator as a
+//	                          content-addressed cache server (see HTTPCache)
+//	GET  {run}/cells          every record: the best per covered cell
+//	GET  {run}/pending        outstanding canonical cell IDs, one per line
+//	GET  {run}[/status]       IngestStatus as JSON
+//	POST {run}/lease          claim pending cells under a TTL lease
 //
 // Dedup is the cellSet rule MergeCells also applies: the first successful
 // record for a cell wins (later re-runs with different wall times are
@@ -70,8 +58,7 @@ type RemoteStatus struct {
 	Leased               int     `json:"leased,omitempty"`
 }
 
-// IngestStatus is the coordinator's progress snapshot (GET /v1/status,
-// GET /v2/runs/{run}/status).
+// IngestStatus is the coordinator's progress snapshot (GET {run}/status).
 type IngestStatus struct {
 	Total      int  `json:"total"`            // cells in the expected grid
 	Received   int  `json:"received"`         // cells with a successful record
@@ -89,7 +76,7 @@ type IngestStatus struct {
 	Remotes []RemoteStatus `json:"remotes,omitempty"`
 }
 
-// IngestResponse acknowledges one POST /v1/cells batch.
+// IngestResponse acknowledges one POST {run}/cells batch.
 type IngestResponse struct {
 	Accepted     int    `json:"accepted"`   // records that changed coordinator state
 	Duplicates   int    `json:"duplicates"` // records dropped as re-runs
@@ -99,8 +86,8 @@ type IngestResponse struct {
 	Complete     bool   `json:"complete"`
 }
 
-// DefaultLeaseTTL is the lease duration used when WithLeaseTTL is not
-// given: long enough that a healthy worker's per-cell posts (each one a
+// DefaultLeaseTTL is the lease duration used when WithFleetLeaseTTL is
+// not given: long enough that a healthy worker's per-cell posts (each one a
 // heartbeat) always renew in time, short enough that a stalled worker's
 // cells return to the pool within minutes.
 const DefaultLeaseTTL = 2 * time.Minute
@@ -112,7 +99,8 @@ type cellLease struct {
 }
 
 // Ingest tracks one expected grid against the records workers stream in.
-// Safe for concurrent use; implements http.Handler (the /v1/ surface).
+// Safe for concurrent use. A Fleet serves it over HTTP and sets its lease
+// TTL and clock; a standalone Ingest keeps DefaultLeaseTTL and time.Now.
 type Ingest struct {
 	mu       sync.Mutex
 	cells    *cellSet // per-cell state and the dedup rule (incremental counts: POST accounting stays O(batch), not O(grid))
@@ -123,8 +111,8 @@ type Ingest struct {
 	remotes  map[string]*remoteInfo
 	leases   map[string]cellLease // pending cell ID → holder (released on success, reclaimed on expiry)
 	leaseTTL time.Duration
-	token    string           // bearer token required by ServeHTTP when non-empty
-	now      func() time.Time // injectable clock for liveness ages and lease expiry
+	token    string           // per-run bearer token (RunSpec.Token), accepted beside the fleet's
+	now      func() time.Time // clock for liveness ages and lease expiry
 }
 
 // remoteInfo is one worker's liveness accounting.
@@ -148,43 +136,8 @@ func WithJournal(w io.Writer) IngestOption {
 	return func(g *Ingest) { g.journal = w }
 }
 
-// WithAuth requires `Authorization: Bearer <token>` on every HTTP request
-// this Ingest serves (401 otherwise). Standalone this protects the /v1/
-// surface; under a Fleet it is the run's per-run token, accepted alongside
-// the fleet's global token on that run's /v2 endpoints. The empty string
-// leaves the surface open (the /v1 compatibility default).
-func WithAuth(token string) IngestOption {
-	return func(g *Ingest) { g.token = token }
-}
-
-// WithLeaseTTL sets how long a claimed cell stays reserved for its worker
-// without a heartbeat (any POST from that worker renews all its leases).
-// Shorter TTLs re-dispatch a stalled worker's cells sooner but tolerate
-// less per-cell compute time between posts. Non-positive values keep
-// DefaultLeaseTTL.
-func WithLeaseTTL(d time.Duration) IngestOption {
-	return func(g *Ingest) {
-		if d > 0 {
-			g.leaseTTL = d
-		}
-	}
-}
-
-// WithClock substitutes the time source used for liveness ages and lease
-// expiry — deterministic lease tests advance a fake clock instead of
-// sleeping.
-func WithClock(now func() time.Time) IngestOption {
-	return func(g *Ingest) {
-		if now != nil {
-			g.now = now
-		}
-	}
-}
-
 // NewIngest builds a coordinator for the expected grid. By default it
-// journals nothing, serves unauthenticated (the /v1 compatibility
-// behavior), and leases cells for DefaultLeaseTTL; see WithJournal,
-// WithAuth, WithLeaseTTL, WithClock.
+// journals nothing (see WithJournal).
 func NewIngest(expected []SweepJob, opts ...IngestOption) *Ingest {
 	return NewIngestIDs(CellIDs(expected), opts...)
 }
@@ -298,7 +251,7 @@ func (g *Ingest) Pending() []string {
 
 // Claim reserves up to max pending, unleased cells for worker under the
 // coordinator's lease TTL and returns their canonical IDs in grid order —
-// the server half of POST /v2/runs/{run}/lease. Cells whose lease has
+// the server half of POST {run}/lease. Cells whose lease has
 // expired are reclaimable immediately. A claim is also a heartbeat: all of
 // the worker's existing leases are renewed, so a worker that claims in
 // batches never loses an earlier batch mid-compute.
@@ -410,13 +363,6 @@ func (g *Ingest) Records() []CellRecord {
 	return g.cells.records()
 }
 
-// authorized reports whether the request may use this Ingest's surface:
-// always when no token is configured, otherwise only with the matching
-// bearer token (constant-time compare).
-func (g *Ingest) authorized(r *http.Request) bool {
-	return g.token == "" || bearerMatch(r, g.token)
-}
-
 // bearerMatch checks the Authorization header against one bearer token in
 // constant time.
 func bearerMatch(r *http.Request, token string) bool {
@@ -427,41 +373,6 @@ func bearerMatch(r *http.Request, token string) bool {
 func deny401(w http.ResponseWriter) {
 	w.Header().Set("WWW-Authenticate", `Bearer realm="bmlsweep"`)
 	http.Error(w, "missing or invalid bearer token", http.StatusUnauthorized)
-}
-
-// ServeHTTP routes the /v1/ ingest API (the multi-run /v2/ surface is
-// Fleet's). With WithAuth, every request needs the bearer token first.
-func (g *Ingest) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !g.authorized(r) {
-		deny401(w)
-		return
-	}
-	switch r.URL.Path {
-	case "/v1/cells":
-		switch r.Method {
-		case http.MethodPost:
-			g.handleCells(w, r)
-		case http.MethodGet:
-			g.handleCellGet(w, r)
-		default:
-			http.Error(w, "POST JSONL cell records to /v1/cells, or GET /v1/cells?id=<cell-id>", http.StatusMethodNotAllowed)
-		}
-	case "/v1/pending":
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET /v1/pending", http.StatusMethodNotAllowed)
-			return
-		}
-		g.handlePending(w)
-	case "/v1/status":
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET /v1/status", http.StatusMethodNotAllowed)
-			return
-		}
-		g.handleStatus(w)
-	default:
-		http.Error(w, "unknown path (this ingest API is schema-versioned: POST /v1/cells, GET /v1/pending, GET /v1/status; multi-run fleet coordinators add /v2/runs/...)",
-			http.StatusNotFound)
-	}
 }
 
 // handlePending writes the pending cell IDs, one per line.
@@ -485,12 +396,7 @@ func (g *Ingest) handleStatus(w http.ResponseWriter) {
 // state. Failures and uncovered cells are both 404: neither is a result a
 // cache may replay. The Cached flag is stripped so the served record is
 // the canonical result, however this coordinator obtained it.
-func (g *Ingest) handleCellGet(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		http.Error(w, "GET /v1/cells needs ?id=<canonical cell ID>", http.StatusBadRequest)
-		return
-	}
+func (g *Ingest) handleCellGet(w http.ResponseWriter, id string) {
 	g.mu.Lock()
 	rec, ok := g.cells.success(id)
 	g.mu.Unlock()
@@ -504,9 +410,8 @@ func (g *Ingest) handleCellGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRecords streams every record the coordinator holds (best per
-// covered cell, grid order) as JSONL — GET /v2/runs/{run}/cells without
-// ?id=, the remote-merge path for runs whose journal lives on the
-// coordinator host.
+// covered cell, grid order) as JSONL — GET {run}/cells without ?id=, the
+// remote-merge path for runs whose journal lives on the coordinator host.
 func (g *Ingest) handleRecords(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	for _, rec := range g.Records() {
@@ -609,7 +514,7 @@ func (g *Ingest) handleCells(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// LeaseRequest is the body of POST /v2/runs/{run}/lease: which worker is
+// LeaseRequest is the body of POST {run}/lease: which worker is
 // claiming and how many cells it wants at most.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
@@ -642,7 +547,7 @@ func strictJSON(rd io.Reader, v any) error {
 	return nil
 }
 
-// handleLease serves one claim (POST /v2/runs/{run}/lease).
+// handleLease serves one claim (POST {run}/lease).
 func (g *Ingest) handleLease(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, `POST {"worker":"...","max":N} to claim pending cells under a lease`, http.StatusMethodNotAllowed)

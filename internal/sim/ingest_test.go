@@ -86,7 +86,7 @@ func getStatus(t *testing.T, srv *httptest.Server) IngestStatus {
 func TestIngestHTTPLifecycle(t *testing.T) {
 	var journal bytes.Buffer
 	ing, jobs, recs := ingestFixture(t, &journal)
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	defer srv.Close()
 
 	// Empty coordinator: everything pending.
@@ -153,7 +153,7 @@ func readAll(resp *http.Response) (string, error) {
 
 func TestIngestFailedRecordStaysPendingUntilSuccess(t *testing.T) {
 	ing, jobs, recs := ingestFixture(t, nil)
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	defer srv.Close()
 
 	failed := recs[0]
@@ -182,7 +182,7 @@ func TestIngestFailedRecordStaysPendingUntilSuccess(t *testing.T) {
 
 func TestIngestRejectsForeignAndMalformed(t *testing.T) {
 	ing, _, recs := ingestFixture(t, nil)
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	defer srv.Close()
 
 	alien := recs[0]
@@ -208,18 +208,9 @@ func TestIngestRejectsForeignAndMalformed(t *testing.T) {
 
 func TestIngestRoutesAndMethods(t *testing.T) {
 	ing, _, _ := ingestFixture(t, nil)
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	defer srv.Close()
 
-	// GET /v1/cells is the cache-server read path: it needs an id.
-	if resp, err := http.Get(srv.URL + "/v1/cells"); err != nil {
-		t.Fatal(err)
-	} else {
-		body, _ := readAll(resp)
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "?id=") {
-			t.Errorf("GET /v1/cells = %s (%s), want 400 naming ?id=", resp.Status, strings.TrimSpace(body))
-		}
-	}
 	if resp, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/cells", nil); err != nil {
 		t.Fatal(err)
 	} else if res, err := http.DefaultClient.Do(resp); err != nil {
@@ -254,7 +245,7 @@ func TestIngestRoutesAndMethods(t *testing.T) {
 // healing a failure flips the same URL from 404 to 200.
 func TestIngestServesCellsByID(t *testing.T) {
 	ing, jobs, recs := ingestFixture(t, nil)
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	defer srv.Close()
 
 	ids := CellIDs(jobs)
@@ -327,7 +318,7 @@ func TestIngestJournalFailureKeepsRecordRetryable(t *testing.T) {
 	jobs, recs := gridAndRecords(t)
 	jw := &failingWriter{}
 	ing := NewIngest(jobs, WithJournal(jw))
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	defer srv.Close()
 
 	// A journal write failure is a 5xx: the record must NOT be folded in,
@@ -398,7 +389,7 @@ func TestIngestSyncFailureDefersAckAndDone(t *testing.T) {
 	jobs, recs := gridAndRecords(t)
 	jw := &syncFailingWriter{}
 	ing := NewIngest(jobs, WithJournal(jw))
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	defer srv.Close()
 
 	var body bytes.Buffer
@@ -446,7 +437,7 @@ func TestIngestSyncFailureDefersAckAndDone(t *testing.T) {
 func TestIngestPrimeMatchesLiveState(t *testing.T) {
 	ing, jobs, recs := ingestFixture(t, nil)
 	// Live: fold some records, one duplicated, one foreign.
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	alien := recs[0]
 	alien.ID = "bml|alien|fleet=1|trace=0000000000000000:0"
 	postCells(t, srv, recs[0], recs[1], recs[0], alien)

@@ -113,7 +113,7 @@ func runBMLIntegrator(tr *trace.Trace, sc *sched.Scheduler, res *Result, bucket 
 				i = j
 			}
 		}
-		e, err := sc.FinishDemandFold(fold, tr.At(next-1), float64(next-t))
+		e, err := sc.FinishDemandFold(fold, float64(next-t))
 		if err != nil {
 			return fmt.Errorf("sim: integrate [%d,%d): %w", t, next, err)
 		}

@@ -276,7 +276,7 @@ func TestNetworkKillResumeMatchesSweep(t *testing.T) {
 
 	var journal bytes.Buffer
 	ing := NewIngest(jobs, WithJournal(&journal))
-	srv := httptest.NewServer(ing)
+	srv := httptest.NewServer(oneRunFleet(t, ing))
 	defer srv.Close()
 
 	shard0, err := ShardJobs(jobs, ShardSpec{Index: 0, Count: 2})
@@ -436,6 +436,7 @@ func TestHTTPSinkRetryAfterDroppedResponseIsHarmless(t *testing.T) {
 
 	var journal bytes.Buffer
 	ing := NewIngest(jobs, WithJournal(&journal))
+	coord := oneRunFleet(t, ing)
 	// The flaky front end: the first two POSTs are fully processed by the
 	// coordinator (journaled, folded in) but the connection is severed
 	// before any response bytes go out — the worker-visible failure mode of
@@ -445,7 +446,7 @@ func TestHTTPSinkRetryAfterDroppedResponseIsHarmless(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && drops.Add(-1) >= 0 {
 			rr := httptest.NewRecorder()
-			ing.ServeHTTP(rr, r)
+			coord.ServeHTTP(rr, r)
 			if rr.Code != http.StatusOK {
 				t.Errorf("coordinator failed the dropped batch: %d %s", rr.Code, rr.Body)
 			}
@@ -456,7 +457,7 @@ func TestHTTPSinkRetryAfterDroppedResponseIsHarmless(t *testing.T) {
 			conn.Close()
 			return
 		}
-		ing.ServeHTTP(w, r)
+		coord.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
 

@@ -132,11 +132,12 @@ func BenchmarkFig3ProfileSeries(b *testing.B) {
 	}
 }
 
-// capacity returns the rate c's nodes sustain fully loaded.
-func capacity(c bml.Combination) float64 {
+// capacity returns the rate the counted nodes of archs sustain fully
+// loaded.
+func capacity(archs []profile.Arch, counts []int) float64 {
 	var cap float64
-	for _, s := range c.Slots {
-		cap += float64(s.Nodes()) * s.Arch.MaxPerf
+	for i, a := range archs {
+		cap += float64(counts[i]) * a.MaxPerf
 	}
 	return cap
 }
@@ -146,11 +147,14 @@ func capacity(c bml.Combination) float64 {
 // Big-only and BML-linear references.
 func BenchmarkFig4CombinationCurve(b *testing.B) {
 	planner := getPlanner(b)
+	cands := planner.Candidates()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tab := planner.Lookup(1331)
+		var counts []int
 		for r := 0; r <= 1331; r++ {
-			if cap := capacity(tab.At(float64(r))); cap < float64(r) {
+			counts = tab.Counts(float64(r), counts)
+			if cap := capacity(cands, counts); cap < float64(r) {
 				b.Fatalf("combination at %d serves %v", r, cap)
 			}
 		}
@@ -384,12 +388,6 @@ func benchBMLEngines(b *testing.B, tr *trace.Trace, engines []struct {
 	opts []sim.Option
 }) {
 	planner := getPlanner(b)
-	// One untimed run fills the fresh planner's combination memo, so a
-	// -benchtime 1x run of the first engine reads the same allocs/op as a
-	// long one.
-	if _, err := sim.RunBML(tr, planner, sim.BMLConfig{}); err != nil {
-		b.Fatal(err)
-	}
 	for _, eng := range engines {
 		b.Run(eng.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -501,8 +499,8 @@ func BenchmarkEngineMonthTrace(b *testing.B) { benchEngines(b, 30) }
 // BenchmarkEngineMonthAllScenarios runs the whole four-scenario evaluation
 // (the Figure 5 workload) on the month-long trace with the default
 // engines, fanned out across cores by RunAll. One untimed run builds the
-// planner's exact table and combination memo, so a -benchtime 1x run reads
-// the same allocs/op as a long one.
+// planner's exact table, so a -benchtime 1x run reads the same allocs/op
+// as a long one.
 func BenchmarkEngineMonthAllScenarios(b *testing.B) {
 	tr := engineBenchTrace(b, 30)
 	planner := getPlanner(b)
@@ -522,8 +520,8 @@ func BenchmarkEngineMonthAllScenarios(b *testing.B) {
 // evaluation through RunAll on the un-quantized month, the shape of
 // perfbench's fig5-raw workload: every second is a run of its own, so the
 // static scenarios' per-sample walk weighs as much as BML's engine. The
-// trace, the planner's exact table and its combination memo are built
-// before the timer starts, by one untimed run.
+// trace and the planner's exact table are built before the timer starts,
+// by one untimed run.
 func BenchmarkEngineMonthAllScenariosRaw(b *testing.B) {
 	tr := engineBenchTraceRaw(b, 30)
 	planner := getPlanner(b)
@@ -658,12 +656,6 @@ func BenchmarkFleetScaling(b *testing.B) {
 	planner := getPlanner(b)
 	for _, n := range []int{100, 1000, 10000} {
 		rig := fleetBenchRig(b, n)
-		// One untimed run fills the planner's combination memo for this
-		// scale, so a -benchtime 1x run reads the same allocs/op as a long
-		// one.
-		if _, err := sim.RunBML(rig.tr, planner, sim.BMLConfig{Predictor: rig.pred}); err != nil {
-			b.Fatal(err)
-		}
 		b.Run(fmt.Sprintf("fleet=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var switchOns int
@@ -731,6 +723,32 @@ func BenchmarkPlannerCombination(b *testing.B) {
 		if c.TotalNodes() == 0 {
 			b.Fatal("empty combination")
 		}
+	}
+}
+
+// BenchmarkPlannerLookup measures the scheduler's lookup, the node counts
+// of the ideal combination, from 5,000 units (paper scale) and from
+// 625,000 units (the largest rate a fleet-500 paper-grid cell asks for).
+// An op is 1,000 lookups at consecutive grid rates, so a -benchtime 1x
+// run times more than the timer. Counts writes into a reused vector and
+// allocates nothing.
+func BenchmarkPlannerLookup(b *testing.B) {
+	planner := getPlanner(b)
+	lk := planner.Lookup(1e6)
+	for _, units := range []float64{5000, 625000} {
+		b.Run(fmt.Sprintf("units=%.0f", units), func(b *testing.B) {
+			counts := make([]int, 0, len(planner.Candidates()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := units; r < units+1000; r++ {
+					counts = lk.Counts(r, counts)
+				}
+			}
+			if counts[0] == 0 {
+				b.Fatal("no big node")
+			}
+		})
 	}
 }
 

@@ -310,7 +310,7 @@ func runClaimMode(jobs []sim.SweepJob, opts sweepOpts) {
 				interrupted = true
 				break
 			}
-			time.Sleep(leasePoll(lr.TTLSeconds))
+			time.Sleep(sim.LeasePoll(lr.TTLSeconds))
 			continue
 		}
 		var batch []sim.SweepJob
@@ -340,10 +340,9 @@ func runClaimMode(jobs []sim.SweepJob, opts sweepOpts) {
 		} else if err != nil {
 			w.sinks.Close()
 			log.Fatal(err)
-		} else if len(batch) == lr.Pending && len(w.failedIDs) == before {
-			// This batch was every pending cell and each post was acked
-			// as a success: the run is complete, and a coordinator whose
-			// last run it was is already shutting down, so do not poll it.
+		} else if hs.RunComplete() {
+			// A post's acknowledgement said the run is complete: do not
+			// claim again from a coordinator that may be shutting down.
 			break
 		}
 	}
@@ -368,20 +367,6 @@ func runClaimMode(jobs []sim.SweepJob, opts sweepOpts) {
 	if w.failed > 0 {
 		log.Fatalf("%d of %d cells failed", w.failed, w.total)
 	}
-}
-
-// leasePoll picks the re-poll delay when all pending cells are leased
-// elsewhere: a fraction of the coordinator's TTL, bounded away from both
-// busy-polling and oversleeping expiry.
-func leasePoll(ttlSeconds float64) time.Duration {
-	d := time.Duration(ttlSeconds / 4 * float64(time.Second))
-	if d < 200*time.Millisecond {
-		d = 200 * time.Millisecond
-	}
-	if d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	return d
 }
 
 // filterOnly restricts shard to the canonical cell IDs listed in path (one

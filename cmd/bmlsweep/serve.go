@@ -276,6 +276,16 @@ func runServe(cfg serveConfig, jobs []sim.SweepJob) int {
 	defer progress.Stop()
 
 	finish := func() int {
+		// Keep answering until every claim worker heard from within the
+		// lease TTL has been told the runs are complete (complete: true
+		// on a lease answer or a post ack), or one lease poll has passed:
+		// a worker asleep on an answer with no cells claims again within
+		// one poll, and would find the port closed and exit 1. The
+		// second of slack covers its wake-up and round trip.
+		linger := time.Now().Add(sim.LeasePoll(cfg.leaseTTL.Seconds()) + time.Second)
+		for fleet.AwaitingComplete() > 0 && time.Now().Before(linger) {
+			time.Sleep(20 * time.Millisecond)
+		}
 		// Drain gracefully before reporting: the POST that completed the
 		// last grid may still be writing its acknowledgement, and tearing
 		// the listener down under it would make the finishing worker see a

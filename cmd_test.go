@@ -1248,6 +1248,36 @@ func TestCmdClaimWithoutRunReachesDefaultRun(t *testing.T) {
 	}
 }
 
+// TestCmdTwoClaimWorkersExitZero: two claim workers sharing the
+// coordinator's only run both exit 0 with the coordinator, although only
+// one of them streams the run's final cell. The other is asleep on an
+// answer with no cells, or claims again after its last batch; the
+// coordinator keeps answering until each has been told the run is
+// complete, instead of closing its listener under them.
+func TestCmdTwoClaimWorkersExitZero(t *testing.T) {
+	baseURL, _, stdout, wait := startCoordinator(t,
+		append([]string{"-run", "alpha", "-wait", "120s"}, sweepGridArgs...)...)
+	workers := make([]*exec.Cmd, 2)
+	outs := make([]strings.Builder, 2)
+	for i := range workers {
+		workers[i] = exec.Command(cmdBinary(t, "bmlsim"),
+			append([]string{"-sweep", "-sink", baseURL, "-claim", "2"}, sweepGridArgs...)...)
+		workers[i].Stdout, workers[i].Stderr = &outs[i], &outs[i]
+		if err := workers[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, w := range workers {
+		if err := w.Wait(); err != nil {
+			t.Errorf("claim worker %d exited with %v (want 0):\n%s", i, err, outs[i].String())
+		}
+	}
+	wait()
+	if !strings.Contains(stdout.String(), "8 cells") {
+		t.Errorf("coordinator report missing the grid:\n%s", stdout.String())
+	}
+}
+
 // TestCmdFleetFlagValidation pins the new flags' usage contract: claim
 // mode's preconditions on the worker, and the coordinator's fleet flags
 // rejecting modes they do not belong to (exit 2).

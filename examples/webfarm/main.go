@@ -62,7 +62,12 @@ func main() {
 			log.Fatal(err)
 		}
 		hwRate := res.Rate / rateScale * 1.2 // 20% headroom like a cautious operator
-		target := table.At(hwRate).Counts()
+		target := map[string]int{}
+		for i, n := range table.Counts(hwRate, nil) {
+			if n > 0 {
+				target[table.Candidates()[i].Name] = n
+			}
+		}
 		if err := farm.Reconfigure(ctx, target); err != nil {
 			log.Fatal(err)
 		}

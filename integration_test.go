@@ -187,7 +187,12 @@ func TestPipelineLiveFarmFollowsPlannerCombinations(t *testing.T) {
 	defer front.Close()
 
 	for _, hwRate := range []float64{9, 40, 9} {
-		target := planner.Combination(hwRate).Counts()
+		target := map[string]int{}
+		for _, s := range planner.Combination(hwRate).Slots {
+			if n := s.Nodes(); n > 0 {
+				target[s.Arch.Name] = n
+			}
+		}
 		if err := farm.Reconfigure(ctx, target); err != nil {
 			t.Fatal(err)
 		}

@@ -52,40 +52,6 @@ func (s Slot) Power() power.Watts {
 	return p
 }
 
-func newCombination(order []profile.Arch) Combination {
-	slots := make([]Slot, len(order))
-	for i, a := range order {
-		slots[i] = Slot{Arch: a}
-	}
-	return Combination{Slots: slots}
-}
-
-func (c *Combination) slotFor(a profile.Arch) *Slot {
-	for i := range c.Slots {
-		if c.Slots[i].Arch.Name == a.Name {
-			return &c.Slots[i]
-		}
-	}
-	c.Slots = append(c.Slots, Slot{Arch: a})
-	return &c.Slots[len(c.Slots)-1]
-}
-
-func (c *Combination) addFull(a profile.Arch, n int) { c.slotFor(a).Full += n }
-
-func (c *Combination) addPartial(a profile.Arch, load float64) {
-	s := c.slotFor(a)
-	// Merge: a second partial request for the same arch consolidates into
-	// full nodes plus one partial, preserving the <=1-partial invariant.
-	total := s.PartialLoad + load
-	extraFull := int(total / a.MaxPerf)
-	if rem := total - float64(extraFull)*a.MaxPerf; rem > 1e-9 {
-		s.PartialLoad = rem
-	} else {
-		s.PartialLoad = 0
-	}
-	s.Full += extraFull
-}
-
 // Power returns the combination's total draw.
 func (c Combination) Power() power.Watts {
 	var p power.Watts
@@ -102,17 +68,6 @@ func (c Combination) TotalNodes() int {
 		n += s.Nodes()
 	}
 	return n
-}
-
-// Counts returns node counts keyed by architecture name.
-func (c Combination) Counts() map[string]int {
-	m := make(map[string]int, len(c.Slots))
-	for _, s := range c.Slots {
-		if n := s.Nodes(); n > 0 {
-			m[s.Arch.Name] = n
-		}
-	}
-	return m
 }
 
 // String renders the combination compactly, e.g.

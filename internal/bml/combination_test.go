@@ -26,3 +26,23 @@ func (c Combination) Capacity() float64 {
 	}
 	return cap
 }
+
+// Counts returns node counts keyed by architecture name.
+func (c Combination) Counts() map[string]int {
+	m := make(map[string]int, len(c.Slots))
+	for _, s := range c.Slots {
+		if n := s.Nodes(); n > 0 {
+			m[s.Arch.Name] = n
+		}
+	}
+	return m
+}
+
+// nodes returns the node count of each slot, in slot order.
+func (c Combination) nodes() []int {
+	n := make([]int, len(c.Slots))
+	for i, s := range c.Slots {
+		n[i] = s.Nodes()
+	}
+	return n
+}

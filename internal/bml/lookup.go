@@ -2,38 +2,26 @@ package bml
 
 import (
 	"math"
-	"sync/atomic"
+
+	"repro/internal/profile"
 )
 
-// Lookup is the rate→combination interface the scheduler consumes.
-// Planner.Lookup serves it from the planner's shared memo.
+// Lookup is the rate→node-count interface the scheduler consumes.
 type Lookup interface {
-	// At returns the ideal combination for the given rate, rounding demand
-	// up to the planner's grid and clamping to the lookup's maximum rate.
-	At(rate float64) Combination
+	// Candidates returns the architectures Counts reports on, in
+	// Big→Little order. The slice is shared: callers must not modify it.
+	Candidates() []profile.Arch
+	// Counts writes into dst, and returns, the node count of each
+	// candidate in the ideal combination for rate, rounding demand up to
+	// the planner's grid and clamping to the lookup's maximum rate. It
+	// allocates nothing when cap(dst) holds every candidate, and it is
+	// safe for concurrent use.
+	Counts(rate float64, dst []int) []int
 }
 
-// memoCap bounds the planner's combination memo: grid indexes below it are
-// computed once and kept for the planner's lifetime, while indexes at or
-// past it (fleet-scaled rates) are computed on every lookup and never
-// stored. A long-lived planner therefore holds at most memoCap entries,
-// whatever rates it serves.
-const memoCap = 1 << 16
-
-// memoChunk is the number of grid indexes per lazily allocated memo chunk,
-// so a planner that only serves paper-scale rates allocates a few chunks.
-const memoChunk = 1 << 8
-
-// combinationMemo maps a grid index k below memoCap to Combination(k·step).
-// Chunks and entries are published with compare-and-swap, so lookups from
-// any number of goroutines never block. Two goroutines racing on one new
-// entry both compute it and agree, since an entry is a pure function of k.
-type combinationMemo [memoCap / memoChunk]atomic.Pointer[[memoChunk]atomic.Pointer[Combination]]
-
-// Lookup returns the rate→combination lookup over [0, maxRate]. Every
-// lookup of one planner reads the same memo: an entry does not depend on
-// maxRate, which only sets where At clamps. Building one is O(1),
-// and it is safe for concurrent use.
+// Lookup returns the rate→node-count lookup over [0, maxRate]. It keeps
+// no state of its own: every Counts call places the clamped rate afresh,
+// through the same placement as Combination. Building one is O(1).
 func (p *Planner) Lookup(maxRate float64) Lookup {
 	return &planLookup{p: p, maxIdx: gridIndex(maxRate, p.step, math.MaxInt)}
 }
@@ -43,28 +31,21 @@ type planLookup struct {
 	maxIdx int
 }
 
-func (l *planLookup) At(rate float64) Combination {
-	return l.p.combinationAt(gridIndex(rate, l.p.step, l.maxIdx))
-}
+func (l *planLookup) Candidates() []profile.Arch { return l.p.candidates }
 
-// combinationAt returns Combination(k·step) through the memo.
-func (p *Planner) combinationAt(k int) Combination {
-	if k >= memoCap {
-		return p.Combination(float64(k) * p.step)
+func (l *planLookup) Counts(rate float64, dst []int) []int {
+	n := len(l.p.candidates)
+	if cap(dst) < n {
+		dst = make([]int, n)
+	} else {
+		dst = dst[:n]
+		clear(dst)
 	}
-	dir := &p.memo[k/memoChunk]
-	chunk := dir.Load()
-	if chunk == nil {
-		dir.CompareAndSwap(nil, new([memoChunk]atomic.Pointer[Combination]))
-		chunk = dir.Load()
+	k := gridIndex(rate, l.p.step, l.maxIdx)
+	if i, load, _ := l.p.place(float64(k)*l.p.step, dst); load > 0 {
+		dst[i]++
 	}
-	e := &chunk[k%memoChunk]
-	if c := e.Load(); c != nil {
-		return *c
-	}
-	c := p.Combination(float64(k) * p.step)
-	e.CompareAndSwap(nil, &c)
-	return c
+	return dst
 }
 
 // gridIndex rounds x up to whole grid units of size step and clamps the

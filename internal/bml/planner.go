@@ -16,12 +16,11 @@ import (
 // that serves the remainder.
 //
 // A Planner is immutable apart from its memo, and safe for concurrent use.
-// The memo holds the combinations of Lookup, at most memoCap grid units,
-// and the exact table of Exact: 8 bytes per unit of the unit rate grid,
-// covering exactly the largest LowerBound peak the planner has served. For
-// a largest peak of R units it is 8 × R bytes (5 MB for the paper grid's
-// largest peak, 625,000 units); when a larger peak replaces it, the
-// old table stays live until its last view is dropped.
+// The memo holds the exact table of Exact: 8 bytes per unit of the unit
+// rate grid, covering exactly the largest LowerBound peak the planner has
+// served. For a largest peak of R units it is 8 × R bytes (5 MB for the
+// paper grid's largest peak, 625,000 units); when a larger peak replaces
+// it, the old table stays live until its last view is dropped.
 type Planner struct {
 	candidates []profile.Arch    // Big→Little
 	thresholds []Threshold       // aligned with candidates
@@ -29,8 +28,7 @@ type Planner struct {
 	roles      map[string]string // name → Big/Medium/Little label
 	inventory  map[string]int    // optional per-class node limits; nil = unlimited
 	step       float64
-	memo       combinationMemo // Combination(k·step), shared by every Lookup
-	exact      exactMemo       // the exact table, shared by every Exact view
+	exact      exactMemo // the exact table, shared by every Exact view
 }
 
 // PlannerOption customizes planner construction.
@@ -157,26 +155,14 @@ func (p *Planner) MaxRate() float64 {
 	return cap
 }
 
-// available returns how many more nodes of candidate i may be added given
-// current usage in c.
-func (p *Planner) available(c *Combination, i int) int {
-	if p.inventory == nil {
-		return math.MaxInt32
-	}
+// available returns how many more nodes of candidate i may be added to
+// the full nodes counted so far.
+func (p *Planner) available(full []int, i int) int {
 	limit, ok := p.inventory[p.candidates[i].Name]
 	if !ok {
 		return math.MaxInt32
 	}
-	used := 0
-	for _, s := range c.Slots {
-		if s.Arch.Name == p.candidates[i].Name {
-			used = s.Nodes()
-		}
-	}
-	if limit < used {
-		return 0
-	}
-	return limit - used
+	return max(limit-full[i], 0)
 }
 
 // Combination computes the ideal BML combination for the target rate:
@@ -184,29 +170,47 @@ func (p *Planner) available(c *Combination, i int) int {
 // the remainder, recursively. Rates are rounded up to the grid. A zero or
 // negative rate yields the empty combination (everything switched off).
 func (p *Planner) Combination(rate float64) Combination {
-	c := newCombination(p.candidates)
-	if rate <= 0 || math.IsNaN(rate) {
-		return c
+	var buf [8]int // room for the paper's candidates without a heap count vector
+	full := buf[:]
+	if n := len(p.candidates); n <= len(buf) {
+		full = buf[:n]
+	} else {
+		full = make([]int, n)
 	}
-	// Round the demand up to the grid: a fractional residual still needs
-	// capacity.
-	units := math.Ceil(rate/p.step - 1e-9)
-	rem := units * p.step
-	p.place(&c, rem, 0)
+	partial, load, infeasible := p.place(rate, full)
+	c := Combination{Slots: make([]Slot, len(p.candidates)), Infeasible: infeasible}
+	for i, a := range p.candidates {
+		c.Slots[i] = Slot{Arch: a, Full: full[i]}
+	}
+	if load > 0 {
+		c.Slots[partial].PartialLoad = load
+	}
 	return c
 }
 
-// place assigns rem across candidates[from:], honoring thresholds and
-// inventory limits.
-func (p *Planner) place(c *Combination, rem float64, from int) {
+// place is the placement behind Combination and every Lookup. It rounds
+// rate up to the grid and assigns it across the candidates, honoring
+// thresholds and inventory limits: it adds into full (zeroed, one entry
+// per candidate) the fully loaded nodes of each, and returns the candidate
+// carrying the remainder on one partially loaded node with that node's
+// load (zero: no partial node), and the rate no admissible candidate could
+// cover.
+func (p *Planner) place(rate float64, full []int) (partial int, load, infeasible float64) {
+	if rate <= 0 || math.IsNaN(rate) {
+		return 0, 0, 0
+	}
 	const eps = 1e-9
+	// Round the demand up to the grid: a fractional residual still needs
+	// capacity.
+	rem := math.Ceil(rate/p.step-1e-9) * p.step
+	from := 0
 	for rem > eps {
 		// Pick the biggest admissible class whose threshold is at or below
 		// the remainder; fall back to the littlest admissible class when
 		// none qualifies (remainder below every threshold).
 		chosen := -1
 		for j := from; j < len(p.candidates); j++ {
-			if p.available(c, j) == 0 {
+			if p.available(full, j) == 0 {
 				continue
 			}
 			if p.thresholds[j].Rate <= rem+eps {
@@ -216,43 +220,35 @@ func (p *Planner) place(c *Combination, rem float64, from int) {
 		}
 		if chosen == -1 {
 			for j := len(p.candidates) - 1; j >= from; j-- {
-				if p.available(c, j) > 0 {
+				if p.available(full, j) > 0 {
 					chosen = j
 					break
 				}
 			}
 		}
 		if chosen == -1 {
-			c.Infeasible += rem
-			return
+			return 0, 0, rem
 		}
 		a := p.candidates[chosen]
-		avail := p.available(c, chosen)
-		if rem >= a.MaxPerf-eps {
-			n := int(math.Floor(rem/a.MaxPerf + eps))
-			if n > avail {
-				n = avail
-			}
-			if n > 0 {
-				c.addFull(a, n)
-				rem -= float64(n) * a.MaxPerf
-				if rem < eps {
-					rem = 0
-				}
-			}
-			if p.available(c, chosen) == 0 {
-				// Class exhausted; continue the search excluding it by
-				// relying on available() during the next iteration.
-				continue
-			}
-			// Remainder below one full node: next iteration picks the
-			// right class (possibly this one, as a partial node).
-			from = chosen
-			continue
+		if rem < a.MaxPerf-eps {
+			// Below one full node: a single partially loaded node.
+			return chosen, rem, 0
 		}
-		c.addPartial(a, rem)
-		return
+		if n := min(int(math.Floor(rem/a.MaxPerf+eps)), p.available(full, chosen)); n > 0 {
+			full[chosen] += n
+			rem -= float64(n) * a.MaxPerf
+			if rem < eps {
+				rem = 0
+			}
+		}
+		// An exhausted class drops out through available(); otherwise the
+		// remainder is below one full node, and the next iteration picks
+		// the right class (possibly this one, as a partial node).
+		if p.available(full, chosen) > 0 {
+			from = chosen
+		}
 	}
+	return 0, 0, 0
 }
 
 // PowerAt returns the power of the ideal combination at rate — the quantity

@@ -107,8 +107,9 @@ type Stats struct {
 type Config struct {
 	// Farm is the live farm to drive. Required.
 	Farm Reconfigurer
-	// Table is the rate→combination lookup, built by sim.LiveRig so live
-	// and simulated runs plan from the identical table. Required.
+	// Table is the rate→node-count lookup, built by sim.LiveRig so live
+	// and simulated runs plan from the identical table; decisions key its
+	// counts by its candidates' names. Required.
 	Table bml.Lookup
 	// Predictor forecasts trace load at simulated second t. Nil runs the
 	// controller reactively from the observed arrival rate (which then
@@ -198,6 +199,7 @@ type Controller struct {
 	cfg    Config
 	clock  Clock
 	archs  map[string]profile.Arch
+	names  []string // the table's candidates, in its count order
 	inject chan Event
 
 	mu        sync.Mutex
@@ -299,10 +301,15 @@ func New(cfg Config) (*Controller, error) {
 		}
 		archs[a.Name] = a
 	}
+	var names []string
+	for _, a := range cfg.Table.Candidates() {
+		names = append(names, a.Name)
+	}
 	return &Controller{
 		cfg:    cfg,
 		clock:  cfg.Clock,
 		archs:  archs,
+		names:  names,
 		inject: make(chan Event, 8),
 	}, nil
 }
@@ -463,7 +470,12 @@ func (c *Controller) replan(ctx context.Context, trigger Trigger, reason string)
 	if p < c.cfg.MinRate {
 		p = c.cfg.MinRate
 	}
-	target := c.cfg.Table.At(p).Counts()
+	target := make(map[string]int, len(c.names))
+	for i, n := range c.cfg.Table.Counts(p, nil) {
+		if n > 0 {
+			target[c.names[i]] = n
+		}
+	}
 	current := c.cfg.Farm.Counts()
 	changed := !sameCounts(target, current)
 	d := Decision{

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bml"
 	"repro/internal/profile"
 )
 
@@ -25,9 +24,10 @@ func testArch(name string, perf float64, on, off time.Duration) profile.Arch {
 // architecture.
 type stepTable struct{ arch profile.Arch }
 
-func (t stepTable) At(rate float64) bml.Combination {
-	n := int(math.Ceil(rate / t.arch.MaxPerf))
-	return bml.Combination{Slots: []bml.Slot{{Arch: t.arch, Full: n}}}
+func (t stepTable) Candidates() []profile.Arch { return []profile.Arch{t.arch} }
+
+func (t stepTable) Counts(rate float64, dst []int) []int {
+	return append(dst[:0], int(math.Ceil(rate/t.arch.MaxPerf)))
 }
 
 // fakeFarm records reconfigurations.

@@ -147,8 +147,8 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 	}
 	// The QoS boost looks up rates beyond the trace maximum the rig's
 	// lookup clamps at. Widen the live lookup's range for the boosted
-	// rates; it reads the same planner memo, so for every in-range rate it
-	// returns the simulator's combination.
+	// rates; it places through the same planner, so for every in-range
+	// rate it returns the simulator's counts.
 	if boost := cfg.QoSBoost; boost > 1 {
 		table = cfg.Planner.Lookup(cfg.Trace.Max() * headroom * boost)
 	}

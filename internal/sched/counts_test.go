@@ -5,7 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/app"
-	"repro/internal/bml"
+	"repro/internal/cluster"
+	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
@@ -59,8 +60,7 @@ func TestDecisionPathAllocatesNothing(t *testing.T) {
 			const n = 2200
 			tr := blockTrace(t, n, tc.cycle...)
 			sc, _ := rigWith(t, tr, tc.mutate)
-			// One pass settles the fleet and fills the planner's memo for
-			// every predicted rate.
+			// One pass settles the fleet.
 			runAll(t, sc, tr)
 			decisions, skipped, adjusted := sc.Decisions(), sc.Skipped(), sc.Adjustments()
 			u := 400
@@ -100,94 +100,49 @@ func TestDecisionPathAllocatesNothing(t *testing.T) {
 	}
 }
 
-// lookupFunc adapts a function to bml.Lookup.
-type lookupFunc func(rate float64) bml.Combination
+// fixedLookup is a bml.Lookup over the given candidates that asks for no
+// node at any rate.
+type fixedLookup []profile.Arch
 
-func (f lookupFunc) At(rate float64) bml.Combination { return f(rate) }
+func (l fixedLookup) Candidates() []profile.Arch { return l }
 
-// TestForeignArchitectureFails: a combination with nodes on an
-// architecture the cluster does not host is an error from both entry
-// points — whether it is decided at once or first met by DecideSpan's
-// forward scan — and never a silent no-op.
+func (l fixedLookup) Counts(rate float64, dst []int) []int { return make([]int, len(l)) }
+
+// TestForeignArchitectureFails: a lookup whose candidates are not the
+// cluster's architectures in the cluster's Big→Little order — one the
+// cluster does not host, one missing, or the order swapped — fails at
+// construction with an error naming both lists, before any decision could
+// write its counts into the wrong architecture.
 func TestForeignArchitectureFails(t *testing.T) {
 	archs := fastArchs()
 	alien := profile.Arch{Name: "alien", MaxPerf: 50, IdlePower: 5, MaxPower: 30}
-	foreign := map[string]bml.Combination{
-		"alone":       {Slots: []bml.Slot{{Arch: alien, Full: 1}}},
-		"after-big":   {Slots: []bml.Slot{{Arch: archs[0], Full: 1}, {Arch: alien, Full: 1}}},
-		"before-big":  {Slots: []bml.Slot{{Arch: alien, PartialLoad: 3}, {Arch: archs[0], Full: 1}}},
-		"in-big-slot": {Slots: []bml.Slot{{Arch: alien, Full: 2}, {Arch: archs[1]}}},
+	foreign := map[string]fixedLookup{
+		"alone":         {alien},
+		"after-big":     {archs[0], alien},
+		"before-big":    {alien, archs[0], archs[1]},
+		"in-big-slot":   {alien, archs[1]},
+		"missing":       {archs[0]},
+		"swapped-order": {archs[1], archs[0]},
 	}
-	hosted := bml.Combination{Slots: []bml.Slot{{Arch: archs[0], Full: 1}, {Arch: archs[1]}}}
-	for name, combo := range foreign {
-		// Low load gets the hosted combination, high load the foreign one:
-		// the scan meets the foreign one after the first decision settles.
-		lookup := lookupFunc(func(rate float64) bml.Combination {
-			if rate > 50 {
-				return combo
-			}
-			return hosted
-		})
-		vals := make([]float64, 300)
-		for i := range vals {
-			vals[i] = 40
-			if i >= 150 {
-				vals[i] = 90
-			}
-		}
-		tr, err := trace.New(vals)
+	tr := constTrace(t, 90, 50)
+	for name, lookup := range foreign {
+		cl, err := cluster.New(archs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		withLookup := func(c *Config) { c.Table = lookup }
-
-		sc, _ := rigWith(t, tr, withLookup)
-		if _, err := sc.Step(200, 90, 1); err == nil || !strings.Contains(err.Error(), `"alien"`) {
-			t.Errorf("%s: Step error %v, want one naming the foreign architecture", name, err)
+		_, err = New(Config{Table: lookup, Predictor: predict.NewOracle(tr), Cluster: cl})
+		if err == nil || !strings.Contains(err.Error(), `["big" "little"]`) {
+			t.Errorf("%s: New error %v, want one naming the cluster's architectures", name, err)
 		}
-		sc, _ = rigWith(t, tr, withLookup)
-		if _, _, err := sc.DecideSpan(200, 300); err == nil || !strings.Contains(err.Error(), `"alien"`) {
-			t.Errorf("%s: DecideSpan error %v, want one naming the foreign architecture", name, err)
-		}
-		// Driven span by span from the start, the run must still fail.
-		sc, _ = rigWith(t, tr, withLookup)
-		var failed error
-		for tt := 0; tt < tr.Len() && failed == nil; {
-			var next int
-			_, next, failed = sc.DecideSpan(tt, tr.Len())
-			if w := sc.NextWake(); w > 0 {
-				next = min(next, tt+int(w+0.5))
-			}
-			next = max(next, tt+1)
-			if _, err := sc.cl.Tick(float64(next - tt)); err != nil {
-				t.Fatal(err)
-			}
-			tt = next
-		}
-		if failed == nil {
-			t.Errorf("%s: span-driven run over a foreign combination never failed", name)
+		if name != "missing" && name != "swapped-order" && (err == nil || !strings.Contains(err.Error(), `"alien"`)) {
+			t.Errorf("%s: New error %v, want one naming the foreign architecture", name, err)
 		}
 	}
-}
-
-// TestZeroSlotOnForeignArchitectureIgnored: a slot that names an unhosted
-// architecture but uses no node of it asks nothing of the cluster, so it
-// is accepted, as a map of the combination's non-zero counts would be.
-func TestZeroSlotOnForeignArchitectureIgnored(t *testing.T) {
-	archs := fastArchs()
-	alien := profile.Arch{Name: "alien", MaxPerf: 50, IdlePower: 5, MaxPower: 30}
-	combo := bml.Combination{Slots: []bml.Slot{{Arch: alien}, {Arch: archs[0], Full: 1}}}
-	tr := constTrace(t, 90, 50)
-	sc, cl := rigWith(t, tr, func(c *Config) {
-		c.Table = lookupFunc(func(float64) bml.Combination { return combo })
-	})
-	if _, err := sc.Step(0, 90, 1); err != nil {
+	cl, err := cluster.New(archs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.ActiveCounts(nil); got[0] != 1 || got[1] != 0 {
-		t.Errorf("active counts %v, want one big node", got)
-	}
-	if got := sc.LastTarget(); len(got) != 1 || got["big"] != 1 {
-		t.Errorf("LastTarget %v, want map[big:1]", got)
+	if _, err := New(Config{Table: fixedLookup(archs), Predictor: predict.NewOracle(tr), Cluster: cl}); err != nil {
+		t.Errorf("New with the cluster's own architectures: %v", err)
 	}
 }

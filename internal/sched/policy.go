@@ -3,7 +3,6 @@ package sched
 import (
 	"math"
 
-	"repro/internal/bml"
 	"repro/internal/profile"
 )
 
@@ -24,15 +23,15 @@ import (
 //     with Little nodes below the minimum, consolidated onto the fewest
 //     Big nodes above the maximum.
 
-// adjustForMalleability writes the target combination's node counts into
-// the scheduler's want vector, adjusted to satisfy the application's
-// instance bounds, and reports whether an adjustment happened. It fails
-// when the combination uses an architecture the cluster does not host.
-func (s *Scheduler) adjustForMalleability(target bml.Combination, predicted float64) ([]int, bool, error) {
-	counts, err := s.countsOf(target, s.want)
+// targetFor writes the ideal combination's node counts for the predicted
+// rate into the scheduler's want vector, adjusted to satisfy the
+// application's instance bounds, and reports whether an adjustment
+// happened.
+func (s *Scheduler) targetFor(predicted float64) ([]int, bool) {
+	counts := s.table.Counts(predicted, s.want)
 	s.want = counts
-	if err != nil || s.app == nil {
-		return counts, false, err
+	if s.app == nil {
+		return counts, false
 	}
 	total := 0
 	for _, n := range counts {
@@ -56,7 +55,7 @@ func (s *Scheduler) adjustForMalleability(target bml.Combination, predicted floa
 		consolidate(counts, archs, predicted, max)
 		adjusted = true
 	}
-	return counts, adjusted, nil
+	return counts, adjusted
 }
 
 // consolidate writes into counts the packing of the rate onto at most

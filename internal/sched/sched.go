@@ -61,9 +61,10 @@ func Window(candidates []profile.Arch, factor float64) (int, error) {
 
 // Config assembles a scheduler.
 type Config struct {
-	// Table is the rate→combination lookup from the planner
-	// (bml.Planner.Lookup), a clamped view of the planner's memo that
-	// every run sharing the planner reads.
+	// Table is the rate→node-count lookup from the planner
+	// (bml.Planner.Lookup). Its candidates must be the cluster's
+	// architectures in the cluster's Big→Little order, so its counts are
+	// the scheduler's target vectors as they stand.
 	Table bml.Lookup
 	// Predictor forecasts load; the paper uses predict.LookaheadMax.
 	Predictor predict.Predictor
@@ -144,6 +145,9 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if cfg.Cluster == nil {
 		return nil, errors.New("sched: nil cluster")
+	}
+	if plan, host := cfg.Table.Candidates(), cfg.Cluster.Architectures(); !slices.EqualFunc(plan, host, sameName) {
+		return nil, fmt.Errorf("sched: combination table plans %q, but the cluster hosts %q", names(plan), names(host))
 	}
 	if cfg.App != nil {
 		if err := cfg.App.Validate(); err != nil {
@@ -273,10 +277,7 @@ func (s *Scheduler) decide(t int, rep *StepReport) error {
 	}
 	p := s.pred.Predict(t) * s.headroom
 	rep.Predicted = p
-	want, adjusted, err := s.adjustForMalleability(s.table.At(p), p)
-	if err != nil {
-		return err
-	}
+	want, adjusted := s.targetFor(p)
 	if adjusted {
 		s.adjustments++
 	}
@@ -375,22 +376,13 @@ func (s *Scheduler) byName(counts []int) map[string]int {
 	return out
 }
 
-// countsOf writes the combination's node counts into dst, one entry per
-// cluster architecture in the cluster's Big→Little order, and returns it.
-// A slot with nodes on an architecture the cluster does not host is an
-// error.
-func (s *Scheduler) countsOf(c bml.Combination, dst []int) ([]int, error) {
-	archs := s.cl.Architectures()
-	dst = slices.Grow(dst[:0], len(archs))[:len(archs)]
-	clear(dst)
-	for _, sl := range c.Slots {
-		if n := sl.Nodes(); n > 0 {
-			i := slices.IndexFunc(archs, func(a profile.Arch) bool { return a.Name == sl.Arch.Name })
-			if i < 0 {
-				return dst, fmt.Errorf("sched: combination uses architecture %q, which the cluster does not host", sl.Arch.Name)
-			}
-			dst[i] = n
-		}
+func sameName(a, b profile.Arch) bool { return a.Name == b.Name }
+
+// names lists the architectures' names in order.
+func names(archs []profile.Arch) []string {
+	out := make([]string, len(archs))
+	for i, a := range archs {
+		out[i] = a.Name
 	}
-	return dst, nil
+	return out
 }

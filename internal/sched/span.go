@@ -79,10 +79,7 @@ func (s *Scheduler) DecideSpan(t, limit int) (StepReport, int, error) {
 			}
 			continue
 		}
-		want, adjusted, err := s.adjustForMalleability(s.table.At(p), p)
-		if err != nil {
-			return rep, 0, err
-		}
+		want, adjusted := s.targetFor(p)
 		prevP, prevSkip, prevAdjusted = p, false, adjusted
 		switch {
 		case slices.Equal(want, cur):

@@ -175,16 +175,22 @@ func (f *Fleet) Run(name string) (*Ingest, bool) {
 	return ing, ok
 }
 
-// Statuses snapshots every hosted run in creation order — the body of
-// GET /v2/runs.
-func (f *Fleet) Statuses() []RunStatus {
+// hosted snapshots the hosted runs and their names in creation order.
+func (f *Fleet) hosted() ([]string, []*Ingest) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	names := append([]string(nil), f.order...)
 	runs := make([]*Ingest, len(names))
 	for i, n := range names {
 		runs[i] = f.runs[n]
 	}
-	f.mu.Unlock()
+	return names, runs
+}
+
+// Statuses snapshots every hosted run in creation order — the body of
+// GET /v2/runs.
+func (f *Fleet) Statuses() []RunStatus {
+	names, runs := f.hosted()
 	out := make([]RunStatus, len(names))
 	for i, n := range names {
 		out[i] = RunStatus{Run: n, Status: runs[i].Status()}
@@ -203,18 +209,25 @@ func (f *Fleet) AllComplete() bool {
 	return true
 }
 
+// AwaitingComplete counts, over every hosted run, the claim workers that
+// claimed or posted within the lease TTL and have not had a response
+// carrying complete: true since — the workers a coordinator whose runs
+// are all complete keeps answering before it shuts down.
+func (f *Fleet) AwaitingComplete() int {
+	_, runs := f.hosted()
+	n := 0
+	for _, ing := range runs {
+		n += ing.awaitingComplete()
+	}
+	return n
+}
+
 // ExpireAll runs lease expiry on every hosted run and returns the freed
 // cells as run → worker → cell IDs — what the lease supervisor logs and
 // re-dispatches.
 func (f *Fleet) ExpireAll() map[string]map[string][]string {
 	var out map[string]map[string][]string
-	f.mu.Lock()
-	names := append([]string(nil), f.order...)
-	runs := make([]*Ingest, len(names))
-	for i, n := range names {
-		runs[i] = f.runs[n]
-	}
-	f.mu.Unlock()
+	names, runs := f.hosted()
 	for i, n := range names {
 		if freed := runs[i].ExpireLeases(); len(freed) > 0 {
 			if out == nil {

@@ -866,3 +866,86 @@ func TestRunNameValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestAwaitingComplete: a coordinator whose runs are complete still owes
+// an answer to every claim worker heard from within the lease TTL until a
+// lease answer or a post ack has told it complete: true. Workers that only
+// post are not awaited, and a claim worker quiet for a whole TTL is not
+// either. The sink that streamed the final cell reads the run complete
+// from its ack.
+func TestAwaitingComplete(t *testing.T) {
+	clock := newFakeClock()
+	f, _, jobs, recs := fleetFixture(t, clock, WithFleetLeaseTTL(time.Minute))
+	srv := httptest.NewServer(f)
+	defer srv.Close()
+	ids := CellIDs(jobs)
+	claim := func(worker string) LeaseResponse {
+		t.Helper()
+		lr, err := ClaimCells(srv.Client(), srv.URL, "", "", worker, len(ids))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lr
+	}
+	awaiting := func(want int) {
+		t.Helper()
+		if got := f.AwaitingComplete(); got != want {
+			t.Fatalf("AwaitingComplete() = %d, want %d", got, want)
+		}
+	}
+
+	if lr := claim("w1"); len(lr.Cells) != len(ids) {
+		t.Fatalf("w1 claimed %v, want the whole grid", lr.Cells)
+	}
+	awaiting(1)
+	claim("w2")
+	claim("w3")
+	awaiting(3)
+	shard, err := NewHTTPSink(srv.URL, WithSinkClient(srv.Client()), WithSinkWorker("shard"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shard.Emit(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	awaiting(3)
+
+	sink, err := NewHTTPSink(srv.URL, WithSinkClient(srv.Client()), WithSinkWorker("w1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if sink.RunComplete() {
+			t.Fatal("sink read the run complete before its final cell")
+		}
+		if err := sink.Emit(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sink.RunComplete() {
+		t.Fatal("the sink that streamed the final cell did not read the run complete")
+	}
+	if shard.RunComplete() {
+		t.Error("a sink whose only ack preceded completion reads the run complete")
+	}
+	awaiting(2) // w2 and w3, asleep on answers with no cells
+	if lr := claim("w2"); !lr.Complete || len(lr.Cells) != 0 {
+		t.Fatalf("claim after completion = %+v, want complete with no cells", lr)
+	}
+	awaiting(1)
+	clock.Advance(time.Minute)
+	awaiting(0)
+}
+
+// TestLeasePoll pins the claim worker's re-poll delay: a quarter of the
+// lease TTL within [0.2 s, 5 s].
+func TestLeasePoll(t *testing.T) {
+	for ttl, want := range map[float64]time.Duration{
+		0: 200 * time.Millisecond, 0.4: 200 * time.Millisecond, 2: 500 * time.Millisecond,
+		20: 5 * time.Second, 120: 5 * time.Second,
+	} {
+		if got := LeasePoll(ttl); got != want {
+			t.Errorf("LeasePoll(%v) = %v, want %v", ttl, got, want)
+		}
+	}
+}

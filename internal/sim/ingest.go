@@ -102,17 +102,27 @@ type cellLease struct {
 // Safe for concurrent use. A Fleet serves it over HTTP and sets its lease
 // TTL and clock; a standalone Ingest keeps DefaultLeaseTTL and time.Now.
 type Ingest struct {
-	mu       sync.Mutex
-	cells    *cellSet // per-cell state and the dedup rule (incremental counts: POST accounting stays O(batch), not O(grid))
-	cached   int      // accepted successes marked Cached (served from a result cache)
-	journal  io.Writer
-	done     chan struct{}
-	closed   bool
-	remotes  map[string]*remoteInfo
-	leases   map[string]cellLease // pending cell ID → holder (released on success, reclaimed on expiry)
-	leaseTTL time.Duration
-	token    string           // per-run bearer token (RunSpec.Token), accepted beside the fleet's
-	now      func() time.Time // clock for liveness ages and lease expiry
+	mu      sync.Mutex
+	cells   *cellSet // per-cell state and the dedup rule (incremental counts: POST accounting stays O(batch), not O(grid))
+	cached  int      // accepted successes marked Cached (served from a result cache)
+	journal io.Writer
+	done    chan struct{}
+	closed  bool
+	remotes map[string]*remoteInfo
+	// claimants holds every worker that has claimed cells, keyed like
+	// remotes: its last claim or post and whether that response carried
+	// complete: true (see awaitingComplete).
+	claimants map[string]claimant
+	leases    map[string]cellLease // pending cell ID → holder (released on success, reclaimed on expiry)
+	leaseTTL  time.Duration
+	token     string           // per-run bearer token (RunSpec.Token), accepted beside the fleet's
+	now       func() time.Time // clock for liveness ages and lease expiry
+}
+
+// claimant is a claim worker's last contact with the run.
+type claimant struct {
+	last time.Time
+	told bool // the response to the last contact carried complete: true
 }
 
 // remoteInfo is one worker's liveness accounting.
@@ -148,12 +158,13 @@ func NewIngest(expected []SweepJob, opts ...IngestOption) *Ingest {
 // needs the client's trace files to track pending cells).
 func NewIngestIDs(ids []string, opts ...IngestOption) *Ingest {
 	g := &Ingest{
-		cells:    newCellSet(ids),
-		done:     make(chan struct{}),
-		remotes:  make(map[string]*remoteInfo),
-		leases:   make(map[string]cellLease),
-		leaseTTL: DefaultLeaseTTL,
-		now:      time.Now,
+		cells:     newCellSet(ids),
+		done:      make(chan struct{}),
+		remotes:   make(map[string]*remoteInfo),
+		claimants: make(map[string]claimant),
+		leases:    make(map[string]cellLease),
+		leaseTTL:  DefaultLeaseTTL,
+		now:       time.Now,
 	}
 	for _, opt := range opts {
 		opt(g)
@@ -291,6 +302,31 @@ func (g *Ingest) renewLocked(worker string, expiry time.Time) {
 			g.leases[id] = l
 		}
 	}
+}
+
+// awaitingComplete counts the claim workers whose last claim or post lies
+// within the lease TTL and was not answered complete: true. Such a worker
+// will claim again — at the latest one lease poll after an answer with
+// no cells — so a coordinator that stopped listening would fail it.
+func (g *Ingest) awaitingComplete() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	now, n := g.now(), 0
+	for _, c := range g.claimants {
+		if !c.told && now.Sub(c.last) < g.leaseTTL {
+			n++
+		}
+	}
+	return n
+}
+
+// LeasePoll is how long a claim worker waits before claiming again after
+// an answer with no cells (every pending cell leased to another live
+// worker): a quarter of the lease TTL, bounded away from both busy-polling
+// and oversleeping expiry.
+func LeasePoll(ttlSeconds float64) time.Duration {
+	d := time.Duration(ttlSeconds / 4 * float64(time.Second))
+	return min(max(d, 200*time.Millisecond), 5*time.Second)
 }
 
 // ExpireLeases releases every lease whose TTL has passed and returns the
@@ -503,6 +539,9 @@ func (g *Ingest) handleCells(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Pending = len(g.cells.order) - g.cells.received
 	resp.Complete = resp.Pending == 0
+	if _, ok := g.claimants[label]; ok {
+		g.claimants[label] = claimant{last: now, told: resp.Complete && journalFailure == nil}
+	}
 	g.mu.Unlock()
 	if journalFailure != nil {
 		// 5xx: the client retries the whole batch; already-folded records
@@ -573,6 +612,9 @@ func (g *Ingest) handleLease(w http.ResponseWriter, r *http.Request) {
 	st := g.Status()
 	resp.Pending = st.Pending
 	resp.Complete = st.Complete
+	g.mu.Lock()
+	g.claimants[req.Worker] = claimant{last: g.now(), told: resp.Complete}
+	g.mu.Unlock()
 	if resp.Cells == nil {
 		resp.Cells = []string{}
 	}

@@ -63,7 +63,7 @@ type SweepJob struct {
 	// scaled peak, held once per planner (bml.Planner.Exact) and shared by
 	// every sweep, experiment and claim that uses the planner; the BML
 	// scenario stays cheap thanks to the cluster's transition heap and the
-	// planner's bounded combination memo (bml.Planner.Lookup).
+	// planner's allocation-free node-count lookup (bml.Planner.Lookup).
 	FleetScale float64
 	// Options forwards engine options (e.g. WithTickEngine) to the run.
 	Options []Option
@@ -73,10 +73,10 @@ type SweepJob struct {
 // one sweep or shard: fleet-scaled trace copies, the BML predictors'
 // precomputation (one pass over the trace; the look-ahead predictor keeps
 // only its runs of equal predictions, about 1.4 MB for 92 days). Neither
-// BML nor LowerBound cells need an entry for per-planner work: they read
-// the planner's own combination memo (bml.Planner.Lookup) and exact table
-// (bml.Planner.Exact), which are built under the planner's locks, not
-// this one. Computation happens under the lock so concurrent cells wait for
+// BML nor LowerBound cells need an entry for per-planner work: BML cells
+// place each decision's counts afresh (bml.Planner.Lookup), and LowerBound
+// cells read the planner's exact table (bml.Planner.Exact), which is built
+// under the planner's lock, not this one. Computation happens under the lock so concurrent cells wait for
 // one precomputation instead of racing to repeat it.
 type sweepCache struct {
 	mu     sync.Mutex

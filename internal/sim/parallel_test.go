@@ -262,7 +262,7 @@ func TestSweepFleetScaleInvalid(t *testing.T) {
 // TestSweepSharedExactSolverMatchesRunLowerBound runs a two-trace grid over
 // fleets {0, 50, 500} in shuffled cell order, so the sweep's one exact
 // solver per planner is grown and sliced in an arbitrary order while BML
-// cells read the planner's shared combination memo, and holds every
+// cells share the planner's lookups, and holds every
 // LowerBound cell to a standalone RunLowerBound and every BML cell to a
 // standalone RunBML, field by field.
 func TestSweepSharedExactSolverMatchesRunLowerBound(t *testing.T) {

@@ -188,7 +188,7 @@ type BMLConfig struct {
 	AmortizeSeconds float64
 }
 
-// LiveRig builds the decision components of a BML run — combination
+// LiveRig builds the decision components of a BML run — node-count
 // lookup, predictor, and effective headroom — exactly as the simulator's
 // scenario would build them. The live controller (internal/ctrl) plans
 // from these so that sim-versus-live differential tests compare two
@@ -226,8 +226,6 @@ func LiveRig(tr *trace.Trace, planner *bml.Planner, cfg BMLConfig) (bml.Lookup, 
 			headroom = 1
 		}
 	}
-	// The lookup is a clamped view of the planner's memo, which every cell
-	// that shares the planner reads instead of rebuilding.
 	return planner.Lookup(tr.Max() * headroom), pred, headroom, nil
 }
 

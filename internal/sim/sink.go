@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"sync/atomic"
 	"time"
 )
 
@@ -99,6 +100,7 @@ type HTTPSink struct {
 	backoff     time.Duration
 	sleep       func(time.Duration) // test hook
 	batch       []CellRecord
+	complete    atomic.Bool // an acknowledgement said the run is complete
 }
 
 // SinkOption configures a coordinator client: an HTTPSink, and through
@@ -244,5 +246,14 @@ func (s *HTTPSink) post(payload []byte) error {
 			"%d records foreign to the coordinator's grid (first: %s) — mismatched grid flags between worker and coordinator?",
 			ack.Unknown, ack.FirstUnknown)}
 	}
+	if ack.Complete {
+		s.complete.Store(true)
+	}
 	return nil
 }
+
+// RunComplete reports whether an acknowledgement has said the run is
+// complete: every cell of its grid has a successful record. A claim worker
+// told so stops; it does not claim again from a coordinator that may
+// already be shutting down.
+func (s *HTTPSink) RunComplete() bool { return s.complete.Load() }

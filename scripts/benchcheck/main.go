@@ -28,7 +28,7 @@
 // Allocations are gated too, and tightly: allocs/op and B/op are nearly
 // deterministic for a fixed input, so a row that records allocs_per_op or
 // bytes_per_op fails when the run measures more than allocFactor (1.1)
-// times either number. A row whose allocations differ at -benchtime 1x from
+// times either number; a recorded 0 fails on any allocation. A row whose allocations differ at -benchtime 1x from
 // the recorded medians (first-iteration warm-up, scheduling-dependent
 // buffers) names the reason in "alloc_exempt" and is gated on ns/op only.
 // A gated row whose run output carries no allocation numbers fails: run
@@ -59,11 +59,13 @@ import (
 // than the global default without tightening the noisy short ones.
 type baseline struct {
 	Results []struct {
-		Benchmark   string  `json:"benchmark"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		MaxFactor   float64 `json:"max_factor,omitempty"`
-		AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-		BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+		Benchmark string  `json:"benchmark"`
+		NsPerOp   float64 `json:"ns_per_op"`
+		MaxFactor float64 `json:"max_factor,omitempty"`
+		// AllocsPerOp and BytesPerOp are nil when the row records none; a
+		// recorded 0 gates too, so any allocation fails it.
+		AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+		BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 		// AllocExempt, when set, says why the row's allocation numbers
 		// are not gated.
 		AllocExempt string `json:"alloc_exempt,omitempty"`
@@ -172,18 +174,19 @@ func main() {
 			continue
 		}
 		for _, g := range []struct {
-			unit       string
-			base, meas float64
+			unit string
+			base *float64
+			meas float64
 		}{{"allocs/op", b.AllocsPerOp, got.allocs}, {"B/op", b.BytesPerOp, got.bytes}} {
-			if g.base == 0 {
+			if g.base == nil {
 				continue
 			}
-			status := allocStatus(g.base, g.meas)
+			status := allocStatus(*g.base, g.meas)
 			if status != "ok" {
 				regressions++
 			}
 			fmt.Printf("%-55s baseline %12.0f %-9s measured %12.0f %-9s (max %gx)  %s\n",
-				"", g.base, g.unit, g.meas, g.unit, allocFactor, status)
+				"", *g.base, g.unit, g.meas, g.unit, allocFactor, status)
 		}
 	}
 	if compared == 0 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -145,9 +146,28 @@ func TestAllocStatus(t *testing.T) {
 		{100, 111, false},
 		{100, 50, true},
 		{100, -1, false},
+		{0, 0, true},
+		{0, 1, false},
 	} {
 		if got := allocStatus(c.base, c.measured); (got == "ok") != c.ok {
 			t.Errorf("allocStatus(%g, %g) = %q, want ok=%t", c.base, c.measured, got, c.ok)
 		}
+	}
+}
+
+// TestBaselineKeepsRecordedZero: a row that records 0 allocs/op is gated
+// (any allocation fails it), unlike a row that records no allocation
+// numbers at all.
+func TestBaselineKeepsRecordedZero(t *testing.T) {
+	var b baseline
+	raw := `{"results":[{"benchmark":"A","ns_per_op":1,"allocs_per_op":0,"bytes_per_op":0},{"benchmark":"B","ns_per_op":1}]}`
+	if err := json.Unmarshal([]byte(raw), &b); err != nil {
+		t.Fatal(err)
+	}
+	if a := b.Results[0]; a.AllocsPerOp == nil || *a.AllocsPerOp != 0 || a.BytesPerOp == nil || *a.BytesPerOp != 0 {
+		t.Errorf("recorded zeros decoded as %v, %v; want gated zeros", a.AllocsPerOp, a.BytesPerOp)
+	}
+	if r := b.Results[1]; r.AllocsPerOp != nil || r.BytesPerOp != nil {
+		t.Errorf("a row without allocation numbers decoded as gated: %v, %v", r.AllocsPerOp, r.BytesPerOp)
 	}
 }

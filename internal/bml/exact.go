@@ -167,35 +167,43 @@ func (t *exactTable) prefix(n int) *exactTable {
 	return &exactTable{step: t.step, cost: t.cost[:n+1]}
 }
 
-// units converts a rate to grid units, rounding up (a fractional residual
-// demand still needs capacity for the full unit) and clamping to the table.
-func (t *exactTable) units(rate float64) int {
-	return gridIndex(rate, t.step, t.maxUnits())
-}
-
 // powerAt returns the optimal power for the given rate, or +Inf if the rate
 // is not exactly coverable by the candidate set (which cannot happen when a
 // 1-unit architecture is present). Fractional rates interpolate linearly
 // between the adjacent grid optima: because every configuration's power is
 // linear in its partial node's load, the true fractional optimum between
 // two grid points is a concave lower envelope, and the chord never exceeds
-// it — so interpolation keeps the value a valid lower bound.
+// it — so interpolation keeps the value a valid lower bound. On the unit
+// grid, the LowerBound scenario's, the rate is already in grid units and
+// is not divided.
 func (t *exactTable) powerAt(rate float64) float64 {
-	if rate <= 0 {
+	if t.step != 1 {
+		rate /= t.step
+	}
+	return t.unitPowerAt(rate)
+}
+
+// unitPowerAt is powerAt of x grid units. It rounds x up to the grid as
+// gridIndex does, clamped to the table, and is small enough to inline.
+func (t *exactTable) unitPowerAt(x float64) float64 {
+	u := math.Ceil(x - 1e-9)
+	if !(u > 0) { // no rate, NaN, or within the tolerance of 0: cost[0]
 		return 0
 	}
-	exact := rate / t.step
-	k1 := t.units(rate)
-	k0 := k1 - 1
-	if k0 < 0 || float64(k1) <= exact {
-		return t.cost[k1]
+	k := len(t.cost) - 1
+	if u < float64(k) {
+		k = int(u)
 	}
-	frac := exact - float64(k0)
-	c0, c1 := t.cost[k0], t.cost[k1]
-	if math.IsInf(c0, 1) || math.IsInf(c1, 1) {
-		return t.cost[k1]
+	c1 := t.cost[k]
+	if float64(k) <= x {
+		return c1
 	}
-	return c0 + frac*(c1-c0)
+	// A +Inf c1 interpolates to itself; a +Inf c0 would give NaN.
+	c0 := t.cost[k-1]
+	if c0 > math.MaxFloat64 {
+		return c1
+	}
+	return c0 + (x-float64(k-1))*(c1-c0)
 }
 
 // maxUnits returns the largest representable grid index.

@@ -267,7 +267,7 @@ func TestPlannerExactConcurrent(t *testing.T) {
 						errs <- fmt.Errorf("Exact(%v).PowerAt(%v) = %v, want %v", maxRate, r, got, w)
 						return
 					}
-					k := view.t.units(r)
+					k := gridIndex(r, view.t.step, view.t.maxUnits())
 					if got, w := view.t.cost[k], float64(ref.prefix(n).combinationAt(r).Power()); math.Abs(got-w) > 1e-6 {
 						errs <- fmt.Errorf("Exact(%v) at unit %d costs %v, the reference combination %v", maxRate, k, got, w)
 						return
@@ -381,4 +381,61 @@ func (t *refExactTable) combinationAt(rate float64) Combination {
 		k -= t.sizes[i]
 	}
 	return c
+}
+
+// refPowerAt is exactTable.powerAt as it was before it priced unit-grid
+// rates without dividing: the oracle powerAt must match bit for bit.
+func refPowerAt(t *exactTable, rate float64) float64 {
+	if rate <= 0 {
+		return 0
+	}
+	exact := rate / t.step
+	k1 := gridIndex(rate, t.step, t.maxUnits())
+	k0 := k1 - 1
+	if k0 < 0 || float64(k1) <= exact {
+		return t.cost[k1]
+	}
+	frac := exact - float64(k0)
+	c0, c1 := t.cost[k0], t.cost[k1]
+	if math.IsInf(c0, 1) || math.IsInf(c1, 1) {
+		return t.cost[k1]
+	}
+	return c0 + frac*(c1-c0)
+}
+
+// TestPowerAtMatchesParent holds powerAt to refPowerAt on tables of the
+// paper's and of random candidates at unit and other steps, and on tables
+// with uncoverable (+Inf) entries, at rates on and between grid points,
+// within the grid tolerance of them, past the top, and at NaN, ±Inf, 0
+// and negative rates.
+func TestPowerAtMatchesParent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var tables []*exactTable
+	for _, step := range []float64{1, 0.5, 0.1, 3} {
+		for _, archs := range [][]profile.Arch{paperCandidates(t), randomArchs(rng, step), randomArchs(rng, step)} {
+			tab, err := newExactTable(archs, 400*step, step)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables = append(tables, tab, tab.prefix(0), tab.prefix(1))
+		}
+	}
+	inf := math.Inf(1)
+	for _, step := range []float64{1, 0.5} {
+		tables = append(tables, &exactTable{step: step, cost: []float64{0, inf, 5, inf, inf, 9, 10, inf}})
+	}
+	for _, tab := range tables {
+		top := float64(tab.maxUnits()) * tab.step
+		rates := []float64{math.NaN(), inf, -inf, 0, math.Copysign(0, -1), -1, 1e-10, 1e-9, 2e-9, 1e300, top, top + 0.5, top * 2}
+		for k := 0; k <= tab.maxUnits()+2; k++ {
+			r := float64(k) * tab.step
+			rates = append(rates, r, r+1e-10*tab.step, r-1e-10*tab.step, r+1e-9*tab.step, r-1e-9*tab.step,
+				math.Nextafter(r, inf), math.Nextafter(r, -inf), r+0.5*tab.step, r+rng.Float64()*tab.step)
+		}
+		for _, r := range rates {
+			if got, want := tab.powerAt(r), refPowerAt(tab, r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %v, %d units: powerAt(%v) = %v, reference %v", tab.step, tab.maxUnits(), r, got, want)
+			}
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/power"
 	"repro/internal/profile"
 )
 
@@ -226,6 +227,38 @@ func TestOutOfRangeRatesClamp(t *testing.T) {
 		}
 		if got := ref.combinationAt(r); got.TotalNodes() != 0 {
 			t.Errorf("CombinationAt(%v) = %v, want empty", r, got)
+		}
+	}
+}
+
+// TestPlannerPowerAtMatchesCombination holds PowerAt, which prices the
+// placement without building a Combination, to Combination(rate).Power()
+// bit for bit, on the lookup planners and on one with more candidates
+// than PowerAt's stack count vector holds.
+func TestPlannerPowerAtMatchesCombination(t *testing.T) {
+	planners := lookupPlanners(t)
+	var many []profile.Arch
+	for i := 0; i < 10; i++ {
+		many = append(many, profile.Arch{
+			Name: fmt.Sprintf("c%d", i), MaxPerf: float64(10 + 7*i),
+			IdlePower: power.Watts(1 + i), MaxPower: power.Watts(5 + 4*i),
+		})
+	}
+	wide, err := NewPlanner(many, WithPreFilteredCandidates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	planners["ten candidates"] = wide
+	rng := rand.New(rand.NewSource(9))
+	for name, p := range planners {
+		rates := []float64{math.NaN(), math.Inf(-1), -1, 0, 1e-12, 1e7}
+		for i := 0; i < 3000; i++ {
+			rates = append(rates, float64(i)*0.5, rng.Float64()*5000)
+		}
+		for _, r := range rates {
+			if got, want := p.PowerAt(r), p.Combination(r).Power(); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+				t.Fatalf("%s: PowerAt(%v) = %v, Combination power %v", name, r, got, want)
+			}
 		}
 	}
 }

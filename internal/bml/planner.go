@@ -170,13 +170,8 @@ func (p *Planner) available(full []int, i int) int {
 // the remainder, recursively. Rates are rounded up to the grid. A zero or
 // negative rate yields the empty combination (everything switched off).
 func (p *Planner) Combination(rate float64) Combination {
-	var buf [8]int // room for the paper's candidates without a heap count vector
-	full := buf[:]
-	if n := len(p.candidates); n <= len(buf) {
-		full = buf[:n]
-	} else {
-		full = make([]int, n)
-	}
+	var buf [8]int
+	full := p.countVector(&buf)
 	partial, load, infeasible := p.place(rate, full)
 	c := Combination{Slots: make([]Slot, len(p.candidates)), Infeasible: infeasible}
 	for i, a := range p.candidates {
@@ -188,7 +183,17 @@ func (p *Planner) Combination(rate float64) Combination {
 	return c
 }
 
-// place is the placement behind Combination and every Lookup. It rounds
+// countVector returns a zeroed vector of one node count per candidate,
+// in buf when it fits: room for the paper's candidates without a heap
+// allocation.
+func (p *Planner) countVector(buf *[8]int) []int {
+	if n := len(p.candidates); n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]int, len(p.candidates))
+}
+
+// place is the placement behind Combination, PowerAt and every Lookup. It rounds
 // rate up to the grid and assigns it across the candidates, honoring
 // thresholds and inventory limits: it adds into full (zeroed, one entry
 // per candidate) the fully loaded nodes of each, and returns the candidate
@@ -252,9 +257,22 @@ func (p *Planner) place(rate float64, full []int) (partial int, load, infeasible
 }
 
 // PowerAt returns the power of the ideal combination at rate — the quantity
-// plotted as "BML combination" in Figure 4.
+// plotted as "BML combination" in Figure 4. It sums the placement's power
+// slot by slot, as Combination(rate).Power() does, without building the
+// combination.
 func (p *Planner) PowerAt(rate float64) power.Watts {
-	return p.Combination(rate).Power()
+	var buf [8]int
+	full := p.countVector(&buf)
+	partial, load, _ := p.place(rate, full)
+	var sum power.Watts
+	for i, a := range p.candidates {
+		w := power.Watts(float64(full[i])) * a.MaxPower
+		if i == partial && load > 0 {
+			w += a.PowerAt(load)
+		}
+		sum += w
+	}
+	return sum
 }
 
 // Model adapts the planner to the power.Model interface over [0, maxRate],

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/bml"
 	"repro/internal/trace"
 )
 
@@ -308,5 +311,133 @@ func TestSweepSharedExactSolverMatchesRunLowerBound(t *testing.T) {
 	}
 	if lowerBounds != 6 {
 		t.Errorf("%d LowerBound cells, want 6", lowerBounds)
+	}
+}
+
+// paperShapedGrid is a 3-trace × fleets {0, 50, 500} grid on the fast
+// planner, the shape of a paper grid's ablation sweep.
+func paperShapedGrid(t *testing.T, planner *bml.Planner) []SweepJob {
+	t.Helper()
+	var axes []TraceAxis
+	for i, peak := range []float64{250, 180, 250} {
+		tr, err := dayTrace(t, 1, peak).Quantize(600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		axes = append(axes, TraceAxis{Name: fmt.Sprintf("t%d", i), Trace: tr})
+	}
+	configs := []ConfigAxis{{Name: "default"}, {Name: "h13", Config: BMLConfig{Headroom: 1.3}}}
+	jobs, err := Grid(axes, planner, configs, []int{0, 50, 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// TestDispatchOrder: SweepStream starts every job once, in grid order,
+// except each planner's LowerBound cells other than its largest, which
+// start last, in grid order. The largest is the first cell asking for the
+// planner's largest exact table (its scaled peak rounded up to the unit
+// grid), and it keeps its place.
+func TestDispatchOrder(t *testing.T) {
+	p1, p2 := fastPlanner(t), fastPlanner(t)
+	jobs := paperShapedGrid(t, p1)
+	jobs = append(jobs, paperShapedGrid(t, p2)[:10]...) // p2's t0 at fleets 0 and 50
+	units := func(j SweepJob) float64 {
+		f := j.FleetScale
+		if f == 0 {
+			f = 1
+		}
+		return math.Ceil(j.Trace.Max()*f - 1e-9)
+	}
+	largest := map[*bml.Planner]int{}
+	for i, j := range jobs {
+		if j.Scenario != ScenarioLowerBound {
+			continue
+		}
+		if k, ok := largest[j.Planner]; !ok || units(j) > units(jobs[k]) {
+			largest[j.Planner] = i
+		}
+	}
+	// Each planner's largest cell is one at its largest fleet.
+	if got := jobs[largest[p1]].Name; !strings.HasSuffix(got, "/fleet=500") {
+		t.Fatalf("p1's largest LowerBound cell is %s", got)
+	}
+	if got := jobs[largest[p2]].Name; !strings.HasSuffix(got, "/fleet=50") {
+		t.Fatalf("p2's largest LowerBound cell is %s", got)
+	}
+	var first, last []int
+	for i, j := range jobs {
+		if j.Scenario == ScenarioLowerBound && largest[j.Planner] != i {
+			last = append(last, i)
+		} else {
+			first = append(first, i)
+		}
+	}
+	want := append(first, last...)
+	if got := dispatchOrder(jobs); !slices.Equal(got, want) {
+		t.Fatalf("dispatchOrder = %v, want %v", got, want)
+	}
+	// One worker emits in the order it starts.
+	var started []int
+	if err := SweepStream(jobs, 1, func(r SweepResult) error {
+		started = append(started, r.Index)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(started, want) {
+		t.Fatalf("one worker ran %v, want %v", started, want)
+	}
+
+	// Peaks that round up to the same table tie, and the first keeps
+	// its place even when a later one is larger by an ulp.
+	tr := shortTrace(t, []float64{50, 100.3, 20})
+	lb := func(f float64) SweepJob {
+		return SweepJob{Trace: tr, Planner: p1, Scenario: ScenarioLowerBound, FleetScale: f}
+	}
+	tie := []SweepJob{lb(1), lb(2), {Trace: tr, Planner: p1, Scenario: ScenarioBML}, lb(math.Nextafter(2, 3))}
+	if got := dispatchOrder(tie); !slices.Equal(got, []int{1, 2, 0, 3}) {
+		t.Errorf("dispatchOrder of tied peaks = %v, want [1 2 0 3]", got)
+	}
+}
+
+// TestSweepStreamMatchesStandaloneRuns holds every cell of a paper-shaped
+// grid, swept at one and two workers in dispatch order, to a standalone
+// run of that cell on a fresh planner, field by field.
+func TestSweepStreamMatchesStandaloneRuns(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		planner := fastPlanner(t)
+		jobs := paperShapedGrid(t, planner)
+		for _, r := range sweepAll(jobs, workers) {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", r.Job.Name, r.Err)
+			}
+			j := r.Job
+			j.Planner = fastPlanner(t)
+			tr := j.Trace
+			if f := j.FleetScale; f != 0 {
+				var err error
+				if tr, err = tr.Scale(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var want *Result
+			var err error
+			switch j.Scenario {
+			case ScenarioUpperBoundGlobal:
+				want, err = RunUpperBoundGlobal(tr, j.Planner.Big())
+			case ScenarioUpperBoundPerDay:
+				want, err = RunUpperBoundPerDay(tr, j.Planner.Big())
+			case ScenarioBML:
+				want, err = RunBML(tr, j.Planner, j.BML)
+			case ScenarioLowerBound:
+				want, err = RunLowerBound(tr, j.Planner.Candidates())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, fmt.Sprintf("%d workers: %s", workers, j.Name), r.Result, want)
+		}
 	}
 }

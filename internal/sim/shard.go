@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bml"
 	"repro/internal/trace"
@@ -179,17 +182,45 @@ type TraceAxis struct {
 // would both become the axis name "day.csv", and Grid's "duplicate trace
 // axis name" error could not tell the operator which files collided. The
 // collision is rejected here, naming both full paths.
+//
+// Several files load concurrently, at most GOMAXPROCS at a time, and each
+// loader also computes its trace's Fingerprint, which every cell ID
+// needs, so neither cost is paid serially before a grid's first cell. A
+// failed load returns the error of the first failing file in argument
+// order. A single file loads on the calling goroutine.
 func LoadTraceAxes(paths []string, quantize int) ([]TraceAxis, error) {
 	if err := CheckTraceFileNames(paths); err != nil {
 		return nil, err
 	}
-	var out []TraceAxis
-	for _, path := range paths {
-		tr, err := trace.ReadFile(path, quantize)
+	if len(paths) == 1 {
+		tr, err := trace.ReadFile(paths[0], quantize)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, TraceAxis{Name: filepath.Base(path), Trace: tr})
+		return []TraceAxis{{Name: filepath.Base(paths[0]), Trace: tr}}, nil
+	}
+	out := make([]TraceAxis, len(paths))
+	errs := make([]error, len(paths))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(paths)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(paths); i = int(next.Add(1) - 1) {
+				tr, err := trace.ReadFile(paths[i], quantize)
+				if err == nil {
+					tr.Fingerprint()
+				}
+				out[i], errs[i] = TraceAxis{Name: filepath.Base(paths[i]), Trace: tr}, err
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

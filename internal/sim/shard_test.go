@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -401,6 +403,60 @@ func TestLoadTraceAxesRejectsBaseFilenameCollision(t *testing.T) {
 	// these nonexistent fixtures, with an open error — not the collision).
 	if _, err := LoadTraceAxes([]string{"a/one.csv", "b/two.csv"}, 0); err == nil || strings.Contains(err.Error(), "base filename") {
 		t.Errorf("distinct basenames: err = %v, want a file-open error", err)
+	}
+}
+
+// TestLoadTraceAxesConcurrent: several files load concurrently into the
+// axes one ReadFile per file gives, in argument order, fingerprints
+// included; when the second and third of three files are bad, the
+// second's error is returned, with ReadFile's text.
+func TestLoadTraceAxesConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	var paths []string
+	for i := 0; i < 5; i++ {
+		var body strings.Builder
+		for s := 0; s < 3000; s++ {
+			fmt.Fprintf(&body, "%d\n", (s/(300+i))%7+i)
+		}
+		paths = append(paths, write(fmt.Sprintf("t%d.txt", i), body.String()))
+	}
+	bad2, bad3 := write("bad2.txt", "1\nx\n"), write("bad3.txt", "1\n-1\n")
+	for _, quantize := range []int{0, 600} {
+		axes, err := LoadTraceAxes(paths, quantize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(axes) != len(paths) {
+			t.Fatalf("quantize %d: %d axes for %d files", quantize, len(axes), len(paths))
+		}
+		for i, path := range paths {
+			want, err := trace.ReadFile(path, quantize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if axes[i].Name != filepath.Base(path) || axes[i].Trace.Fingerprint() != want.Fingerprint() {
+				t.Errorf("quantize %d: axis %d is %s %x, want %s %x", quantize, i,
+					axes[i].Name, axes[i].Trace.Fingerprint(), filepath.Base(path), want.Fingerprint())
+			}
+		}
+
+		_, err = LoadTraceAxes([]string{paths[0], bad2, bad3}, quantize)
+		want := fmt.Sprintf(`%s: trace: line 2: bad rate "x": strconv.ParseFloat: parsing "x": invalid syntax`, bad2)
+		if err == nil || err.Error() != want {
+			t.Errorf("quantize %d: error %v, want %s", quantize, err, want)
+		}
+		missing := filepath.Join(dir, "missing.txt")
+		_, err = LoadTraceAxes([]string{paths[0], missing, bad3}, quantize)
+		if _, open := os.Open(missing); err == nil || err.Error() != open.Error() {
+			t.Errorf("quantize %d: error %v, want %v", quantize, err, open)
+		}
 	}
 }
 

@@ -6,9 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/bml"
 )
 
 // This file is the streaming half of distributed sweeps. SweepStream runs
@@ -217,6 +221,12 @@ func scanCellRecords(r io.Reader, what string, tornTail bool) ([]CellRecord, boo
 // in-flight cells through emit first (graceful stop). Individual cell
 // failures are delivered in their SweepResult rather than aborting the
 // stream, so a large experiment grid survives one bad cell.
+//
+// Cells start in grid order, except that each planner's LowerBound cells
+// other than its largest one start after every other cell (see
+// dispatchOrder): the largest builds the planner's exact table at its own
+// grid position while the other workers keep simulating, and the rest read
+// prefixes of that one table. Results keep their grid Index.
 func SweepStream(jobs []SweepJob, workers int, emit func(SweepResult) error) error {
 	if emit == nil {
 		return errors.New("sim: SweepStream needs an emit callback")
@@ -265,7 +275,7 @@ func SweepStream(jobs []SweepJob, workers int, emit func(SweepResult) error) err
 		}()
 	}
 feed:
-	for i := range jobs {
+	for _, i := range dispatchOrder(jobs) {
 		select {
 		case idx <- i:
 		case <-stop:
@@ -275,6 +285,56 @@ feed:
 	close(idx)
 	wg.Wait()
 	return emitErr
+}
+
+// dispatchOrder returns the order in which SweepStream starts jobs: grid
+// order, with every LowerBound cell of a planner except its largest moved
+// to the end, in grid order. The largest is the first of those whose
+// scaled peak (Trace.Max times FleetScale) asks for the largest exact
+// table: bml.Planner.Exact rounds the peak up to the unit grid, within
+// 1e-9. Its table covers every other LowerBound cell of the planner, so
+// they find it built and no worker waits on the build. It stays at its
+// grid position rather than moving to the front, which would keep the
+// table live, and in every collection's heap goal, for the whole sweep.
+func dispatchOrder(jobs []SweepJob) []int {
+	type top struct {
+		planner *bml.Planner
+		job     int
+		units   float64
+	}
+	var tops []top // one per planner, in order of first LowerBound cell
+	lowerBound := func(j SweepJob) bool {
+		return j.Scenario == ScenarioLowerBound && j.Trace != nil && j.Planner != nil
+	}
+	for i, j := range jobs {
+		if !lowerBound(j) {
+			continue
+		}
+		peak := j.Trace.Max()
+		if j.FleetScale != 0 {
+			peak *= j.FleetScale
+		}
+		units := math.Ceil(peak - 1e-9)
+		k := 0
+		for k < len(tops) && tops[k].planner != j.Planner {
+			k++
+		}
+		if k == len(tops) {
+			tops = append(tops, top{planner: j.Planner, job: i, units: units})
+		} else if units > tops[k].units {
+			tops[k].job, tops[k].units = i, units
+		}
+	}
+	order := make([]int, 0, len(jobs))
+	var later []int
+	for i, j := range jobs {
+		if lowerBound(j) && !slices.ContainsFunc(tops, func(t top) bool { return t.job == i }) {
+			later = append(later, i)
+			continue
+		}
+		order = append(order, i)
+	}
+	return append(order, later...)
 }
 
 // ErrCellSchema marks a record written under a different cell-ID schema

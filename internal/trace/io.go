@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -24,7 +23,7 @@ import (
 // shorter than 1 MiB.
 func Read(r io.Reader) (*Trace, error) {
 	var values []float64
-	if err := parse(r, make([]byte, 64*1024), func(v float64) { values = append(values, v) }); err != nil {
+	if err := parse(r, make([]byte, 64*1024), func(v float64, k int) { values = appendN(values, v, k) }); err != nil {
 		return nil, err
 	}
 	return adopt(values)
@@ -78,7 +77,7 @@ func readFile(f *os.File) (*Trace, error) {
 		// A last line without a newline is one more.
 		values = make([]float64, 0, lines+1)
 	}
-	if err := parse(f, buf, func(v float64) { values = append(values, v) }); err != nil {
+	if err := parse(f, buf, func(v float64, k int) { values = appendN(values, v, k) }); err != nil {
 		return nil, err
 	}
 	return adopt(values)
@@ -94,15 +93,17 @@ func readQuantized(r io.Reader, quantize int) (*Trace, error) {
 	b := newRunBuilder(256)
 	var bad error // the first invalid sample's
 	n, start, sum := 0, 0, 0.0
-	err := parse(r, make([]byte, 64*1024), func(v float64) {
+	err := parse(r, make([]byte, 64*1024), func(v float64, k int) {
 		if bad == nil {
 			bad = checkSample(n, v)
 		}
-		sum += v
-		n++
-		if n-start == quantize {
-			b.add(sum/float64(quantize), n)
-			start, sum = n, 0
+		for ; k > 0; k-- {
+			sum += v
+			n++
+			if n-start == quantize {
+				b.add(sum/float64(quantize), n)
+				start, sum = n, 0
+			}
 		}
 	})
 	switch {
@@ -121,22 +122,48 @@ func readQuantized(r io.Reader, quantize int) (*Trace, error) {
 	return b.trace()
 }
 
-// parse reads the samples of r and hands each to add, in order. Lines are
-// scanned in buf, which grows up to 1 MiB.
-func parse(r io.Reader, buf []byte, add func(float64)) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(buf, 1024*1024)
-	var prev []byte // the last rate text parsed, copied: the scanner reuses its buffer
-	var rate float64
-	line, samples := 0, 0
-	for sc.Scan() {
+// maxLine is the longest line parse accepts, its newline included.
+const maxLine = 1 << 20
+
+// appendN appends k copies of v to values.
+func appendN(values []float64, v float64, k int) []float64 {
+	for ; k > 0; k-- {
+		values = append(values, v)
+	}
+	return values
+}
+
+// parse reads the samples of r and hands them to add in order, k equal
+// samples v at a time. Lines are scanned in buf, which grows up to
+// maxLine; the rules, errors and line numbers are those of a bufio.Scanner
+// over the same buffer and limit. A line whose raw bytes, newline
+// included, equal those of the previous sample line, when that line was a
+// bare rate, is the same sample again: it is counted without being
+// trimmed or parsed. Such repeats are compared a block of lines at a
+// time, so a quantized file costs a few compares and one conversion per
+// plateau.
+func parse(r io.Reader, buf []byte, add func(v float64, k int)) error {
+	var lineBuf [64]byte // room for any line Write prints
+	var runBuf [512]byte
+	var (
+		last             = lineBuf[:0] // the last sample line, newline included, copied: buf is reused
+		fieldAt, fieldTo int           // its rate field, within last
+		plain            bool          // whether it was a bare rate
+		run              = runBuf[:0]  // last repeated, once a repeat is seen; empty until then
+		rate             float64
+		line, samples    int
+	)
+	// sample handles one line, raw ending in its newline unless it is the
+	// last line of the input.
+	sample := func(raw []byte) error {
 		line++
-		text := bytes.TrimSpace(sc.Bytes())
+		text := bytes.TrimSpace(raw)
 		if len(text) == 0 || text[0] == '#' {
-			continue
+			return nil
 		}
 		field := text
-		if comma := bytes.IndexByte(text, ','); comma >= 0 {
+		comma := bytes.IndexByte(text, ',')
+		if comma >= 0 {
 			idxField := bytes.TrimSpace(text[:comma])
 			field = bytes.TrimSpace(text[comma+1:])
 			idx, err := strconv.Atoi(string(idxField))
@@ -149,22 +176,94 @@ func parse(r io.Reader, buf []byte, add func(float64)) error {
 		}
 		// ParseFloat is a pure function of its text, so equal text may
 		// reuse the previous value bit for bit.
-		if samples == 0 || !bytes.Equal(field, prev) {
+		if samples == 0 || !bytes.Equal(field, last[fieldAt:fieldTo]) {
 			var err error
 			if rate, err = strconv.ParseFloat(string(field), 64); err != nil {
 				return fmt.Errorf("trace: line %d: bad rate %q: %v", line, field, err)
 			}
-			prev = append(prev[:0], field...)
 		}
-		add(rate)
+		fieldAt = cap(raw) - cap(field) // field lies within raw
+		fieldTo = fieldAt + len(field)
+		last, plain, run = append(last[:0], raw...), comma < 0, run[:0]
+		add(rate, 1)
 		samples++
+		return nil
 	}
-	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
-		return fmt.Errorf("trace: line %d: longer than 1 MiB", line+1)
-	} else if err != nil {
-		return fmt.Errorf("trace: read: %w", err)
+	start, end := 0, 0 // the unscanned bytes are buf[start:end]
+	var rerr error     // the reader's error, io.EOF at the end
+	for {
+		for {
+			k := 0
+			for plain && end-start >= len(last) && bytes.Equal(buf[start:start+len(last)], last) {
+				k++
+				start += len(last)
+				if len(run) == 0 {
+					for len(run)+len(last) <= cap(run) {
+						run = append(run, last...)
+					}
+				}
+				for len(run) > len(last) && end-start >= len(run) && bytes.Equal(buf[start:start+len(run)], run) {
+					k += len(run) / len(last)
+					start += len(run)
+				}
+			}
+			if k > 0 {
+				line += k
+				samples += k
+				add(rate, k)
+			}
+			nl := bytes.IndexByte(buf[start:end], '\n')
+			if nl < 0 {
+				break
+			}
+			if err := sample(buf[start : start+nl+1]); err != nil {
+				return err
+			}
+			start += nl + 1
+		}
+		if rerr != nil {
+			// A last line without a newline counts, even before a read
+			// error.
+			if start < end {
+				if err := sample(buf[start:end]); err != nil {
+					return err
+				}
+			}
+			if rerr == io.EOF {
+				return nil
+			}
+			return fmt.Errorf("trace: read: %w", rerr)
+		}
+		end = copy(buf, buf[start:end])
+		start = 0
+		if end == len(buf) {
+			if len(buf) >= maxLine {
+				return fmt.Errorf("trace: line %d: longer than 1 MiB", line+1)
+			}
+			grown := make([]byte, min(2*len(buf), maxLine))
+			copy(grown, buf[:end])
+			buf = grown
+		}
+		for empty := 0; ; empty++ {
+			n, err := r.Read(buf[end:])
+			if n < 0 || n > len(buf)-end {
+				rerr = bufio.ErrBadReadCount
+				break
+			}
+			end += n
+			if err != nil {
+				rerr = err
+				break
+			}
+			if n > 0 {
+				break
+			}
+			if empty == 100 {
+				rerr = io.ErrNoProgress
+				break
+			}
+		}
 	}
-	return nil
 }
 
 // Write serializes the trace in the bare one-rate-per-line form, prefixed

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,8 +15,10 @@ import (
 )
 
 // readReference is Read as it was before it parsed each distinct line once:
-// one string and one ParseFloat per line. It is the oracle Read must match
-// value for value and error for error.
+// one string and one ParseFloat per line, through a bufio.Scanner, with a
+// line past the 1 MiB limit reported by its number as Read reports it
+// since. It is the oracle Read and ReadFile must match value for value and
+// error for error.
 func readReference(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
@@ -51,7 +54,9 @@ func readReference(r io.Reader) (*Trace, error) {
 		}
 		values = append(values, rate)
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return nil, fmt.Errorf("trace: line %d: longer than 1 MiB", line+1)
+	} else if err != nil {
 		return nil, fmt.Errorf("trace: read: %w", err)
 	}
 	return adopt(values)
@@ -73,9 +78,15 @@ func writeReference(w io.Writer, t *Trace) error {
 }
 
 // checkReadMatchesReference fails t unless Read and readReference agree on
-// body: the same error text, or the same samples bit for bit.
+// body, and ReadFile of body in a file agrees with readReference and
+// Quantize, raw and at several widths: the same error text, or the same
+// samples bit for bit.
 func checkReadMatchesReference(t *testing.T, body []byte) {
 	t.Helper()
+	path := writeTempFile(t, body)
+	for _, width := range []int{0, 1, 7, 600} {
+		checkReadFileMatches(t, path, width)
+	}
 	got, gotErr := Read(bytes.NewReader(body))
 	want, wantErr := readReference(bytes.NewReader(body))
 	if gotErr != nil || wantErr != nil {
@@ -169,6 +180,7 @@ func TestReadMatchesReference(t *testing.T) {
 		// No trailing newline.
 		"1\n2",
 	}
+	inputs = append(inputs, repeatInputs()...)
 	for _, in := range inputs {
 		checkReadMatchesReference(t, []byte(in))
 	}
@@ -177,6 +189,46 @@ func TestReadMatchesReference(t *testing.T) {
 		checkReadMatchesReference(t, body)
 	}
 	t.Logf("%d constructed inputs and %d corpus entries match the reference", len(inputs), len(corpus))
+}
+
+// repeatInputs are inputs for the repeated-line path of Read and ReadFile,
+// which counts a line whose raw bytes repeat the previous bare-rate sample
+// line without parsing it, comparing many repeats at once.
+func repeatInputs() []string {
+	pad := func(n int) string { return strings.Repeat(" ", n) }
+	return []string{
+		// Repeats across the 64 KiB buffer refill: a line split by it, and
+		// lines that end exactly at it.
+		strings.Repeat("1.25\n", 20000) + "2\n1.25\n",
+		strings.Repeat("1.5\n", 1<<15) + "1.5",
+		"# header\n" + strings.Repeat("123.456789\n", 7000) + strings.Repeat("123.45678\n", 7000),
+		// CRLF and LF endings of one value.
+		"5\r\n5\r\n5\n5\r\n6\r\n6\r\n",
+		// Whitespace variants of a repeated value.
+		"5\n 5\n5 \n\t5\t\n5\n5\n5\n 5\n 5\n",
+		// Comments and blank lines between repeats.
+		"5\n5\n# c\n5\n\n5\n   \n5\n6\n#\n6\n6\n",
+		// i,rate lines between bare repeats, of the same and of another
+		// value, and a repeated i,rate line.
+		"0,5\n1,5\n2,5\n5\n5\n5,5\n6,6\n6\n6\n",
+		"5\n1,6\n5\n5\n",
+		"5\n1,5\n1,5\n",
+		// No final newline.
+		"5\n5\n5", "5\n5\n6", "5\n5\n5 ", "5\n5\n5\r",
+		// Repeats too long for the line buffer, and too long to compare
+		// several at once.
+		strings.Repeat(pad(70)+"5\n", 20) + "6\n",
+		strings.Repeat(pad(300)+"5\n", 20) + strings.Repeat(pad(300)+"5\r\n", 2),
+		// Repeats then a value that breaks them mid-block.
+		strings.Repeat("7\n", 1000) + "7\n7x\n",
+		strings.Repeat("7\n", 1000) + "-7\n",
+		// A line of exactly 1 MiB with its newline, repeated, and one just
+		// past it; a last line without a newline at the limit and past it.
+		"1\n" + strings.Repeat(pad(maxLine-3)+"5\n", 2) + "2\n",
+		"1\n" + pad(maxLine-2) + "5\n2\n",
+		"1\n" + pad(maxLine-2) + "5",
+		"1\n" + pad(maxLine-1) + "5",
+	}
 }
 
 // TestReadLongLineNamesLine: a line over the 1 MiB limit, data or comment,

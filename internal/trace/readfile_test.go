@@ -11,15 +11,15 @@ import (
 	"testing"
 )
 
-// readFileReference is what ReadFile replaces: Read, then a dense
-// quantization when width > 0, with every error but the open error
+// readFileReference is what ReadFile replaces: the reference parser, then
+// a dense quantization when width > 0, with every error but the open error
 // prefixed by the path.
 func readFileReference(path string, width int) (*Trace, error) {
 	body, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := Read(bytes.NewReader(body))
+	tr, err := readReference(bytes.NewReader(body))
 	if err == nil && width > 0 {
 		tr, err = quantizeReference(tr, width)
 	}

@@ -9,10 +9,8 @@
 package trace
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
@@ -198,28 +196,64 @@ func MustNew(values []float64) *Trace {
 func (t *Trace) Len() int { return t.n }
 
 // Fingerprint returns a stable FNV-1a hash of the trace contents (length
-// plus every sample bit pattern), computed once per Trace and cached.
-// Two traces with equal samples fingerprint equally across processes,
-// whichever way each is stored, which is what lets distributed sweep
-// workers and coordinators agree on canonical cell identities without
-// exchanging the trace itself.
+// plus every sample bit pattern, as 8 little-endian bytes each), computed
+// once per Trace and cached. Two traces with equal samples fingerprint
+// equally across processes, whichever way each is stored, which is what
+// lets distributed sweep workers and coordinators agree on canonical cell
+// identities without exchanging the trace itself.
 func (t *Trace) Fingerprint() uint64 {
 	t.fpOnce.Do(func() {
-		h := fnv.New64a()
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(t.n))
-		h.Write(buf[:])
+		h := fnvWord(fnvOffset, uint64(t.n))
 		c := t.cursorAt(0)
 		for i := 0; i < t.n; {
 			v, end := c.next()
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			for ; i < end; i++ {
-				h.Write(buf[:])
-			}
+			h = fnvRepeat(h, math.Float64bits(v), end-i)
+			i = end
 		}
-		t.fp = h.Sum64()
+		t.fp = h
 	})
 	return t.fp
+}
+
+// The 64-bit FNV-1a parameters (hash/fnv's New64a).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+	fnvPrime8 = fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime % (1 << 64)
+)
+
+// fnvWord folds the 8 little-endian bytes of w into the FNV-1a state h.
+func fnvWord(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ w&0xff) * fnvPrime
+		w >>= 8
+	}
+	return h
+}
+
+// fnvRepeat folds k copies of the word w into h. An FNV-1a step's xor
+// changes only the low byte of the state, and the next low byte depends
+// only on that byte, so folding w maps h to h·p⁸ + c[h mod 256], with p
+// the prime and c fixed by w. A long run computes c for each low byte it
+// meets, once, and then folds a word with one multiply-add instead of
+// eight dependent multiplies.
+func fnvRepeat(h, w uint64, k int) uint64 {
+	if k < 64 {
+		for ; k > 0; k-- {
+			h = fnvWord(h, w)
+		}
+		return h
+	}
+	var c [256]uint64
+	var known [256]bool
+	for ; k > 0; k-- {
+		l := h & 0xff
+		if !known[l] {
+			c[l], known[l] = fnvWord(l, w)-l*fnvPrime8, true
+		}
+		h = h*fnvPrime8 + c[l]
+	}
+	return h
 }
 
 // At returns the load at second i. Out-of-range indices clamp to the trace

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
@@ -456,6 +458,50 @@ func TestMaxMatchesScan(t *testing.T) {
 		}
 		if got, want := tr.Max(), scan(tr); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%s: Max = %v, scan = %v", name, got, want)
+		}
+	}
+}
+
+// TestFingerprintMatchesFNV holds Fingerprint, whose long runs fold a word
+// with one multiply-add, to hash/fnv's FNV-1a over the length and every
+// sample's 8 little-endian bytes, on dense and run traces with runs around
+// the length where the multiply-add path starts.
+func TestFingerprintMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var values []float64
+	for _, n := range []int{1, 2, 63, 64, 65, 600, 5000, 3, 64, 1} {
+		v := math.Round(rng.Float64()*1e4) / 8
+		if rng.Intn(4) == 0 {
+			v = rng.Float64() * 1e4
+		}
+		for i := 0; i < n; i++ {
+			values = append(values, v)
+		}
+	}
+	values = append(values, 0, math.Copysign(0, -1), math.Copysign(0, -1), 0)
+	for i := 0; i < 100; i++ {
+		values = append(values, math.Copysign(0, -1))
+	}
+	dense := MustNew(values)
+	runs, err := dense.Quantize(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := dense.Quantize(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*Trace{"dense": dense, "runs": runs, "quantized": wide} {
+		h := fnv.New64a()
+		var word [8]byte
+		binary.LittleEndian.PutUint64(word[:], uint64(tr.Len()))
+		h.Write(word[:])
+		for _, v := range tr.Values() {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+		if got, want := tr.Fingerprint(), h.Sum64(); got != want {
+			t.Errorf("%s: Fingerprint %x, FNV-1a %x", name, got, want)
 		}
 	}
 }

@@ -257,20 +257,19 @@ func (p *Planner) place(rate float64, full []int) (partial int, load, infeasible
 }
 
 // PowerAt returns the power of the ideal combination at rate — the quantity
-// plotted as "BML combination" in Figure 4. It sums the placement's power
-// slot by slot, as Combination(rate).Power() does, without building the
-// combination.
+// plotted as "BML combination" in Figure 4. It sums the placement's slots
+// as Combination(rate).Power() does, without building the combination.
 func (p *Planner) PowerAt(rate float64) power.Watts {
 	var buf [8]int
 	full := p.countVector(&buf)
 	partial, load, _ := p.place(rate, full)
 	var sum power.Watts
 	for i, a := range p.candidates {
-		w := power.Watts(float64(full[i])) * a.MaxPower
-		if i == partial && load > 0 {
-			w += a.PowerAt(load)
+		s := Slot{Arch: a, Full: full[i]}
+		if i == partial {
+			s.PartialLoad = load
 		}
-		sum += w
+		sum += s.Power()
 	}
 	return sum
 }

@@ -187,17 +187,10 @@ type TraceAxis struct {
 // loader also computes its trace's Fingerprint, which every cell ID
 // needs, so neither cost is paid serially before a grid's first cell. A
 // failed load returns the error of the first failing file in argument
-// order. A single file loads on the calling goroutine.
+// order.
 func LoadTraceAxes(paths []string, quantize int) ([]TraceAxis, error) {
 	if err := CheckTraceFileNames(paths); err != nil {
 		return nil, err
-	}
-	if len(paths) == 1 {
-		tr, err := trace.ReadFile(paths[0], quantize)
-		if err != nil {
-			return nil, err
-		}
-		return []TraceAxis{{Name: filepath.Base(paths[0]), Trace: tr}}, nil
 	}
 	out := make([]TraceAxis, len(paths))
 	errs := make([]error, len(paths))

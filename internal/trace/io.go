@@ -90,7 +90,7 @@ func readFile(f *os.File) (*Trace, error) {
 // invalid mean.
 func readQuantized(r io.Reader, quantize int) (*Trace, error) {
 	// Room for a day of 5-minute windows; append grows it past that.
-	b := newRunBuilder(256)
+	b := newRunBuilder(24 * 3600 / 300)
 	var bad error // the first invalid sample's
 	n, start, sum := 0, 0, 0.0
 	err := parse(r, make([]byte, 64*1024), func(v float64, k int) {
@@ -136,87 +136,41 @@ func appendN(values []float64, v float64, k int) []float64 {
 // parse reads the samples of r and hands them to add in order, k equal
 // samples v at a time. Lines are scanned in buf, which grows up to
 // maxLine; the rules, errors and line numbers are those of a bufio.Scanner
-// over the same buffer and limit. A line whose raw bytes, newline
-// included, equal those of the previous sample line, when that line was a
-// bare rate, is the same sample again: it is counted without being
-// trimmed or parsed. Such repeats are compared a block of lines at a
+// over the same buffer and limit. Once a bare-rate line repeats the
+// previous sample's rate text, the lines after it whose raw bytes, newline
+// included, equal its own are the same sample again: they are counted
+// without being trimmed or parsed, and compared a block of lines at a
 // time, so a quantized file costs a few compares and one conversion per
-// plateau.
+// plateau. A line that differs from the one before is trimmed and parsed
+// as the scanner's was, with no compare or copy of the whole line.
 func parse(r io.Reader, buf []byte, add func(v float64, k int)) error {
-	var lineBuf [64]byte // room for any line Write prints
-	var runBuf [512]byte
-	var (
-		last             = lineBuf[:0] // the last sample line, newline included, copied: buf is reused
-		fieldAt, fieldTo int           // its rate field, within last
-		plain            bool          // whether it was a bare rate
-		run              = runBuf[:0]  // last repeated, once a repeat is seen; empty until then
-		rate             float64
-		line, samples    int
-	)
-	// sample handles one line, raw ending in its newline unless it is the
-	// last line of the input.
-	sample := func(raw []byte) error {
-		line++
-		text := bytes.TrimSpace(raw)
-		if len(text) == 0 || text[0] == '#' {
-			return nil
-		}
-		field := text
-		comma := bytes.IndexByte(text, ',')
-		if comma >= 0 {
-			idxField := bytes.TrimSpace(text[:comma])
-			field = bytes.TrimSpace(text[comma+1:])
-			idx, err := strconv.Atoi(string(idxField))
-			if err != nil {
-				return fmt.Errorf("trace: line %d: bad index %q: %v", line, idxField, err)
-			}
-			if idx != samples {
-				return fmt.Errorf("trace: line %d: non-contiguous index %d (want %d)", line, idx, samples)
-			}
-		}
-		// ParseFloat is a pure function of its text, so equal text may
-		// reuse the previous value bit for bit.
-		if samples == 0 || !bytes.Equal(field, last[fieldAt:fieldTo]) {
-			var err error
-			if rate, err = strconv.ParseFloat(string(field), 64); err != nil {
-				return fmt.Errorf("trace: line %d: bad rate %q: %v", line, field, err)
-			}
-		}
-		fieldAt = cap(raw) - cap(field) // field lies within raw
-		fieldTo = fieldAt + len(field)
-		last, plain, run = append(last[:0], raw...), comma < 0, run[:0]
-		add(rate, 1)
-		samples++
-		return nil
-	}
+	lines := make([]byte, 128) // room for any two lines Write prints
+	p := lineParser{add: add, prev: lines[:0:64], repeat: lines[64:64]}
 	start, end := 0, 0 // the unscanned bytes are buf[start:end]
 	var rerr error     // the reader's error, io.EOF at the end
 	for {
 		for {
 			k := 0
-			for plain && end-start >= len(last) && bytes.Equal(buf[start:start+len(last)], last) {
+			for n := len(p.repeat); n > 0 && end-start >= n && bytes.Equal(buf[start:start+n], p.repeat); {
+				start += n
 				k++
-				start += len(last)
-				if len(run) == 0 {
-					for len(run)+len(last) <= cap(run) {
-						run = append(run, last...)
-					}
-				}
-				for len(run) > len(last) && end-start >= len(run) && bytes.Equal(buf[start:start+len(run)], run) {
-					k += len(run) / len(last)
-					start += len(run)
+				// buf[start-n:start] is a repeat, so bytes equal to those n
+				// before them are whole repeats too: compare about 512 at
+				// a time.
+				for m := n * max(1, 512/n); end-start >= m && bytes.Equal(buf[start:start+m], buf[start-n:start-n+m]); start += m {
+					k += m / n
 				}
 			}
 			if k > 0 {
-				line += k
-				samples += k
-				add(rate, k)
+				p.line += k
+				p.samples += k
+				add(p.rate, k)
 			}
 			nl := bytes.IndexByte(buf[start:end], '\n')
 			if nl < 0 {
 				break
 			}
-			if err := sample(buf[start : start+nl+1]); err != nil {
+			if err := p.sample(buf[start : start+nl+1]); err != nil {
 				return err
 			}
 			start += nl + 1
@@ -225,7 +179,7 @@ func parse(r io.Reader, buf []byte, add func(v float64, k int)) error {
 			// A last line without a newline counts, even before a read
 			// error.
 			if start < end {
-				if err := sample(buf[start:end]); err != nil {
+				if err := p.sample(buf[start:end]); err != nil {
 					return err
 				}
 			}
@@ -238,7 +192,7 @@ func parse(r io.Reader, buf []byte, add func(v float64, k int)) error {
 		start = 0
 		if end == len(buf) {
 			if len(buf) >= maxLine {
-				return fmt.Errorf("trace: line %d: longer than 1 MiB", line+1)
+				return fmt.Errorf("trace: line %d: longer than 1 MiB", p.line+1)
 			}
 			grown := make([]byte, min(2*len(buf), maxLine))
 			copy(grown, buf[:end])
@@ -264,6 +218,53 @@ func parse(r io.Reader, buf []byte, add func(v float64, k int)) error {
 			}
 		}
 	}
+}
+
+// lineParser is parse's state between lines.
+type lineParser struct {
+	add           func(v float64, k int)
+	prev          []byte // the last rate text parsed, copied: buf is reused
+	repeat        []byte // the last sample line, copied, if it repeated a bare rate; else empty
+	rate          float64
+	line, samples int
+}
+
+// sample handles one line, raw ending in its newline unless it is the
+// last line of the input.
+func (p *lineParser) sample(raw []byte) error {
+	p.line++
+	text := bytes.TrimSpace(raw)
+	if len(text) == 0 || text[0] == '#' {
+		return nil
+	}
+	field := text
+	comma := bytes.IndexByte(text, ',')
+	if comma >= 0 {
+		idxField := bytes.TrimSpace(text[:comma])
+		field = bytes.TrimSpace(text[comma+1:])
+		idx, err := strconv.Atoi(string(idxField))
+		if err != nil {
+			return fmt.Errorf("trace: line %d: bad index %q: %v", p.line, idxField, err)
+		}
+		if idx != p.samples {
+			return fmt.Errorf("trace: line %d: non-contiguous index %d (want %d)", p.line, idx, p.samples)
+		}
+	}
+	// ParseFloat is a pure function of its text, so equal text may
+	// reuse the previous value bit for bit.
+	p.repeat = p.repeat[:0]
+	if p.samples == 0 || !bytes.Equal(field, p.prev) {
+		var err error
+		if p.rate, err = strconv.ParseFloat(string(field), 64); err != nil {
+			return fmt.Errorf("trace: line %d: bad rate %q: %v", p.line, field, err)
+		}
+		p.prev = append(p.prev[:0], field...)
+	} else if comma < 0 {
+		p.repeat = append(p.repeat, raw...)
+	}
+	p.add(p.rate, 1)
+	p.samples++
+	return nil
 }
 
 // Write serializes the trace in the bare one-rate-per-line form, prefixed

@@ -192,8 +192,9 @@ func TestReadMatchesReference(t *testing.T) {
 }
 
 // repeatInputs are inputs for the repeated-line path of Read and ReadFile,
-// which counts a line whose raw bytes repeat the previous bare-rate sample
-// line without parsing it, comparing many repeats at once.
+// which counts a line whose raw bytes repeat those of a bare-rate line
+// that repeated the rate before it, without parsing it, comparing many
+// repeats at once.
 func repeatInputs() []string {
 	pad := func(n int) string { return strings.Repeat(" ", n) }
 	return []string{
@@ -215,7 +216,7 @@ func repeatInputs() []string {
 		"5\n1,5\n1,5\n",
 		// No final newline.
 		"5\n5\n5", "5\n5\n6", "5\n5\n5 ", "5\n5\n5\r",
-		// Repeats too long for the line buffer, and too long to compare
+		// Repeats longer than Write prints, and too long to compare
 		// several at once.
 		strings.Repeat(pad(70)+"5\n", 20) + "6\n",
 		strings.Repeat(pad(300)+"5\n", 20) + strings.Repeat(pad(300)+"5\r\n", 2),
